@@ -452,10 +452,7 @@ def _write_gen(cfg: RunConfig, graph: Graph, sidecar: dict) -> int:
 
 def _cmd_decompose(cfg: RunConfig) -> int:
     G = _load_unweighted(cfg.input, "decompose")
-    mode = cfg.extra.get("mode", "auto")
-    if mode == "auto":
-        mode = "exact_small" if G.n <= 12 else "heuristic"
-    td = decompose(G, mode)
+    td = decompose(G, cfg.extra.get("mode", "auto"))
     text = formats.write_td(td)
     if cfg.output:
         _write(cfg.output, text)

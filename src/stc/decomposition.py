@@ -195,14 +195,20 @@ def _exact_order(G: Graph) -> list[int]:
     return order
 
 
+EXACT_SMALL_MAX_N = 12
+
+
 def decompose(G: Graph, mode: str = "heuristic") -> TreeDecomposition:
-    """Tree decomposition; mode 'exact_small' refuses n > 12."""
+    """Tree decomposition; mode 'exact_small' refuses n > 12, and mode 'auto'
+    picks it up to that size and the heuristic beyond."""
     require_connected(G)
+    if mode == "auto":
+        mode = "exact_small" if G.n <= EXACT_SMALL_MAX_N else "heuristic"
     if mode == "heuristic":
         order = _min_fill_order(G)
     elif mode == "exact_small":
-        if G.n > 12:
-            raise ValueError("exact_small only handles n <= 12")
+        if G.n > EXACT_SMALL_MAX_N:
+            raise ValueError(f"exact_small only handles n <= {EXACT_SMALL_MAX_N}")
         order = _exact_order(G)
     else:
         raise ValueError(f"unknown mode {mode!r}")

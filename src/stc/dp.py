@@ -22,6 +22,29 @@ The same engine runs the approximation scheme: counters live on a geometric
 grid of exact rationals (powers of 1 + eps/2h) and additions round up, which
 multiplies the answer by at most (1 + eps) while shrinking the counter range
 to O(log k / eps) values per edge.
+
+Dominance: after every node, states that agree on everything but their
+counters (the canonical (u, v, label) triples and the anonymous labels) are
+compared, and a state is dropped when another one's counters are <= its own
+on every edge.  This is sound because every node rule is monotone in the
+counters: which placements introduce tries, which states forget refuses for
+future edges at v, how much it adds along each path, and which isomorphisms
+join pairs up all depend on the counter-free part alone; add_int, join and
+the max-merge in _simplify never decrease a counter, and they reach the cap
+no earlier for smaller inputs.  So whatever extends the dropped state, the
+same node sequence extends its dominator, with counters no higher at every
+step, and the root sees the empty state whenever the unpruned run would.
+Rounded counters are grid indices in increasing order, so the rule compares
+them as they are.  Comparing across _isomorphisms as well (grouping by a
+counter-free canonical form) would drop no further state on the graphs of
+the dp-exact benchmark workload: there no two surviving states share a
+counter-free form under different namings.  So states are grouped by their
+canonical naming only, and the extra canonical form is never computed.
+
+Driver: solve_stc_tw and solve_vi search k upward from the minimum degree,
+which a leaf's tree edge always carries, and stop below the congestion of
+the best BFS tree over all roots, which is returned when the DP finds
+nothing smaller.
 """
 from __future__ import annotations
 
@@ -143,6 +166,10 @@ def _canonical(adj, vlab) -> State:
     """
     if not adj:
         return EMPTY_STATE
+    if min(adj) >= 0:  # no anonymous vertex: the naming is already canonical
+        return (tuple(sorted(
+            (v, u, lbl, c) for v in adj for u, (lbl, c) in adj[v].items() if v < u
+        )), ())
     root = min(v for v in adj if v >= 0)
     child_order: dict[int, list[int]] = {}
 
@@ -236,22 +263,26 @@ def _copy(adj):
     return {v: dict(nb) for v, nb in adj.items()}
 
 
-def _tree_path(adj, src: int, dst: int) -> list[tuple[int, int]]:
-    """Edge list of the unique skeleton path src -> dst."""
-    prev = {src: src}
-    stack = [src]
+def _path(adjacency, a: int, b: int) -> list[Edge] | None:
+    """Edges (sorted pairs) of the unique tree path a -> b, None if there is none."""
+    if a not in adjacency or b not in adjacency:
+        return None
+    prev = {a: a}
+    stack = [a]
     while stack:
         v = stack.pop()
-        if v == dst:
+        if v == b:
             break
-        for u in adj[v]:
+        for u in adjacency[v]:
             if u not in prev:
                 prev[u] = v
                 stack.append(u)
+    if b not in prev:
+        return None
     path = []
-    v = dst
-    while v != src:
-        path.append((prev[v], v))
+    v = b
+    while v != a:
+        path.append((v, prev[v]) if v < prev[v] else (prev[v], v))
         v = prev[v]
     return path
 
@@ -371,8 +402,7 @@ def _forget_table(G: Graph, arith, nd, child_table):
             continue  # a future edge at v can never be realized once v is gone
         incr: dict[tuple[int, int], int] = {}
         for u in nbrs:
-            for x, y in _tree_path(adj, v, u):
-                e = (x, y) if x < y else (y, x)
+            for e in _path(adj, v, u):
                 incr[e] = incr.get(e, 0) + 1
         ok = True
         adj2 = _copy(adj)
@@ -500,6 +530,32 @@ def _join_table(arith, nd, t1, t2, bag):
 # -- engine -----------------------------------------------------------------
 
 
+def _drop_dominated(table):
+    """Drop every state whose counters another state of the same counter-free
+    form undercuts on all edges (see the module docstring)."""
+    groups: dict[State, list[State]] = {}
+    for state in table:
+        edges, anon_labels = state
+        groups.setdefault(
+            (tuple(e[:3] for e in edges), anon_labels), []
+        ).append(state)
+    dropped = set()
+    for members in groups.values():
+        if len(members) == 1:
+            continue
+        # a dominator has a smaller counter sum, so it is met first
+        kept: list[list[int]] = []
+        for state in sorted(members, key=lambda s: sum(e[3] for e in s[0])):
+            cs = [e[3] for e in state[0]]
+            if any(all(a <= b for a, b in zip(kc, cs)) for kc in kept):
+                dropped.add(state)
+            else:
+                kept.append(cs)
+    if not dropped:
+        return table
+    return {s: F for s, F in table.items() if s not in dropped}
+
+
 @dataclass
 class DPRun:
     forest: frozenset[Edge] | None
@@ -531,6 +587,7 @@ def _run_dp(
             c1, c2 = nd.children
             tbl = _join_table(arith, nd, tables[c1], tables[c2], nd.bag)
             proc = processed[c1] | processed[c2]
+        tbl = _drop_dominated(tbl)
         tables[i] = tbl
         processed[i] = proc
         if validator is not None:
@@ -545,8 +602,7 @@ def _run_dp(
 
 
 def default_nice_decomposition(G: Graph) -> NiceTreeDecomposition:
-    td = decompose(G, "exact_small" if G.n <= 12 else "heuristic")
-    return make_nice(td)
+    return make_nice(decompose(G, "auto"))
 
 
 def _checked_ntd(G: Graph, ntd: NiceTreeDecomposition | None) -> NiceTreeDecomposition:
@@ -579,19 +635,52 @@ def solve_exact_tw(
     return T
 
 
-def solve_stc_tw(
-    G: Graph, ntd: NiceTreeDecomposition | None = None
-) -> tuple[int, SpanningTree]:
-    """Exact spanning tree congestion: run the DP for ascending k."""
-    require_connected(G)
+def _best_bfs_tree(G: Graph) -> tuple[int, SpanningTree]:
+    """The least congested BFS tree over all roots, re-measured."""
+    best = None
+    for root in range(G.n):
+        seen = {root}
+        order = [root]
+        edges = []
+        for v in order:
+            for u in G.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    order.append(u)
+                    edges.append(edge_key(v, u))
+        T = SpanningTree(G, frozenset(edges))
+        c = congestion_report(G, T).max_congestion
+        if best is None or c < best[0]:
+            best = (c, T)
+    return best
+
+
+def search_k(
+    G: Graph, ntd: NiceTreeDecomposition, limit: int | None = None
+) -> tuple[int, SpanningTree] | None:
+    """Exact stc and an optimal tree when stc < limit (no limit: always).
+
+    Runs the exact DP for k = min degree .. min(UB, limit) - 1, UB being the
+    best BFS tree's congestion, and returns the first tree found, else the
+    UB tree when UB < limit, else None.
+    """
     if G.n == 1:
         return 0, SpanningTree(G, frozenset())
-    ntd = _checked_ntd(G, ntd)
-    for k in range(1, G.m + 1):
+    ub, T_ub = _best_bfs_tree(G)
+    stop = ub if limit is None else min(ub, limit)
+    for k in range(min(G.degree(v) for v in range(G.n)), stop):
         T = solve_exact_tw(G, k, ntd)
         if T is not None:
             return k, T
-    raise AssertionError("some spanning tree always has congestion <= m")
+    return (ub, T_ub) if limit is None or ub < limit else None
+
+
+def solve_stc_tw(
+    G: Graph, ntd: NiceTreeDecomposition | None = None
+) -> tuple[int, SpanningTree]:
+    """Exact spanning tree congestion: the DP searches k between bounds."""
+    require_connected(G)
+    return search_k(G, _checked_ntd(G, ntd))
 
 
 def solve_approx_tw(
@@ -641,7 +730,7 @@ def solve_cw_winwin(G: Graph, k: int, w: int) -> WinWinResult:
     if w < 1:
         raise ValueError("w must be >= 1")
     threshold = 6 * (k + 1) * w + 1
-    td = decompose(G, "exact_small" if G.n <= 12 else "heuristic")
+    td = decompose(G, "auto")
     if td.width > threshold:
         bic = find_biclique(G, k + 1)
         if bic is not None:
@@ -732,7 +821,7 @@ def _check_embedding(G, bag, proc, adj, vlab, F, k, eta):
     ]
     cross: dict[tuple[int, int], int] = {tuple(sorted(e)): 0 for e in tedges}
     for a, b in H:
-        path = _path_in(tadj, a, b)
+        path = _path(tadj, a, b)
         if path is None:
             return f"processed edge ({a},{b}) has no detour"
         for e in path:
@@ -756,7 +845,7 @@ def _check_embedding(G, bag, proc, adj, vlab, F, k, eta):
                     return "counter mismatch on a future edge"
             else:
                 a, b = real(x), real(y)
-                path = _path_in(fadj, a, b)
+                path = _path(fadj, a, b)
                 if path is None:
                     return f"past skeleton edge ({x},{y}) has no F path"
                 for u, v in path:
@@ -768,30 +857,6 @@ def _check_embedding(G, bag, proc, adj, vlab, F, k, eta):
     if any(val > k for val in cross.values()):
         return "an edge of F plus future exceeds k"
     return None
-
-
-def _path_in(adjacency, a, b):
-    if a not in adjacency or b not in adjacency:
-        return None
-    prev = {a: a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            break
-        for u in adjacency[v]:
-            if u not in prev:
-                prev[u] = v
-                stack.append(u)
-    if b not in prev:
-        return None
-    path = []
-    v = b
-    while v != a:
-        e = (v, prev[v]) if v < prev[v] else (prev[v], v)
-        path.append(e)
-        v = prev[v]
-    return path
 
 
 def _struct_key(adj, vlab):

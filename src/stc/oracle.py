@@ -33,29 +33,37 @@ class EnumerationBudget:
 
 
 def _bridges(n: int, adj: dict[int, set[int]]) -> set[Edge]:
-    """Bridges via lowpoint DFS; tolerates a disconnected adjacency."""
+    """Bridges via lowpoint DFS, iterative; tolerates a disconnected adjacency."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: set[Edge] = set()
-    clock = [0]
-
-    def dfs(v: int, parent: int):
-        disc[v] = low[v] = clock[0]
-        clock[0] += 1
-        for u in adj[v]:
-            if u == parent:
-                continue
-            if u in disc:
-                low[v] = min(low[v], disc[u])
-            else:
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] > disc[v]:
-                    out.add(edge_key(v, u))
-
+    clock = 0
     for root in adj:
-        if root not in disc:
-            dfs(root, -1)
+        if root in disc:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for u in nbrs:
+                if u == parent:
+                    continue
+                if u in disc:
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+                else:
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    stack.append((u, v, iter(adj[u])))
+                    break
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] > disc[parent]:
+                        out.add(edge_key(parent, v))
     return out
 
 

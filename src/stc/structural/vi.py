@@ -28,7 +28,7 @@ from ..graph import (
     require_connected,
 )
 from ..oracle import enumerate_spanning_trees
-from ..dp import default_nice_decomposition, solve_exact_tw
+from ..dp import default_nice_decomposition, search_k
 
 
 @dataclass(frozen=True)
@@ -373,11 +373,9 @@ def solve_vi(G: Graph, S, cap: int | None = None) -> tuple[int, SpanningTree]:
 
     # answers below k^2 are in reach of the treewidth solver; past this
     # point every leaf-local edge congestion (< k^2) is irrelevant
-    ntd = default_nice_decomposition(G)
-    for s in range(1, k * k):
-        T = solve_exact_tw(G, s, ntd=ntd)
-        if T is not None:
-            return s, T
+    found = search_k(G, default_nice_decomposition(G), k * k)
+    if found is not None:
+        return found
 
     classes, forests = enumerate_types(G, S)
     sizes = [len(c.members) for c in classes]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -120,6 +122,19 @@ def test_oracle_accepts_weighted_input(tmp_path, capsys):
     path = write_gr(tmp_path, Gw, "w.gr")
     code, out, _ = run(capsys, "oracle", path)
     assert code == 0 and formats.parse_solution(out)["k"] == 4
+
+
+def test_long_cycle_needs_no_deep_recursion(tmp_path, capsys):
+    # the oracle's bridge search once recursed once per vertex of a cycle
+    path = write_gr(tmp_path, cycle_graph(400))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        results = [run(capsys, "oracle", path), run(capsys, "solve", path, "--alg", "fes")]
+    finally:
+        sys.setrecursionlimit(old)
+    for code, out, _ in results:
+        assert code == 0 and formats.parse_solution(out)["k"] == 2
 
 
 def test_oracle_decision_no(tmp_path, capsys):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import stc.dp
 from stc.dp import (
     EMPTY_STATE,
     _canonical,
     _decode,
+    _drop_dominated,
     _run_dp,
     _simplify,
     ExactArith,
@@ -163,6 +165,50 @@ def test_canonical_ignores_anonymous_naming():
     state = enc(-1, -2)
     adj, vlab = _decode(state, frozenset({0, 1, 2, 3}))
     assert sorted(vlab.values()) == [0, 0, 0, 0, 1, 1]
+
+
+def test_canonical_without_anonymous_vertices_keeps_bag_names():
+    adj = {0: {2: (1, 3)}, 1: {2: (0, 1)}, 2: {0: (1, 3), 1: (0, 1)}}
+    vlab = {0: 0, 1: 0, 2: 0}
+    assert _canonical(adj, vlab) == (((0, 2, 1, 3), (1, 2, 0, 1)), ())
+
+
+def test_drop_dominated_keeps_only_undominated_states():
+    def state(c01, c12, lbl=1):
+        return (((0, 1, lbl, c01), (1, 2, 1, c12)), ())
+
+    best = state(2, 3)
+    table = {
+        state(3, 3): frozenset({(0, 1)}),     # dominated by best
+        best: frozenset({(1, 2)}),
+        state(1, 5): frozenset(),             # incomparable with best
+        state(9, 9, lbl=0): frozenset(),      # different label: own group
+        (((0, 2, 1, 7),), ()): frozenset(),   # singleton group
+        (((0, -1, 1, 7),), (1,)): frozenset(),
+        (((0, -1, 1, 8),), (-1,)): frozenset(),  # anonymous label differs
+    }
+    kept = _drop_dominated(table)
+    assert set(kept) == set(table) - {state(3, 3)}
+    assert kept[best] == frozenset({(1, 2)})
+
+
+def test_bounds_alone_settle_k4_and_long_cycles(monkeypatch):
+    # K4: min degree 3 = star congestion; a cycle: min degree 2 = any path
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran although the bounds meet")
+
+    monkeypatch.setattr(stc.dp, "solve_exact_tw", no_dp)
+    for g, want in [(complete_graph(4), 3), (cycle_graph(300), 2)]:
+        k, T = solve_stc_tw(g)
+        assert k == want == congestion_report(g, T).max_congestion
+
+
+def test_dominance_keeps_grid4_tables_small():
+    # every state stored on the 4x4 grid at k = 4; 50,356 without pruning
+    g = grid_graph(4)
+    run = _run_dp(g, default_nice_decomposition(g), ExactArith(4), keep_tables=True)
+    assert run.forest is not None
+    assert sum(len(t) for t in run.tables.values()) < 50_356 // 2
 
 
 def test_skeleton_size_stays_bounded():

@@ -17,6 +17,7 @@ from stc.errors import BudgetExceededError, DisconnectedGraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
 from stc.oracle import (
     EnumerationBudget,
+    _bridges,
     count_spanning_trees,
     enumerate_spanning_trees,
     stc_exact,
@@ -34,6 +35,17 @@ def kirchhoff_count(G: Graph) -> int:
         L[u, v] -= 1
         L[v, u] -= 1
     return round(np.linalg.det(L[1:, 1:]))
+
+
+def test_bridges_without_recursion():
+    # a long cycle with a two-edge tail: only the tail edges are bridges
+    n = 3000
+    adj = {v: {(v + 1) % n, (v - 1) % n} for v in range(n)}
+    adj[0].add(n)
+    adj[n] = {0, n + 1}
+    adj[n + 1] = {n}
+    adj[n + 2] = set()  # an isolated vertex is tolerated
+    assert _bridges(n + 3, adj) == {(0, n), (n, n + 1)}
 
 
 def test_counts_small():

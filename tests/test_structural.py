@@ -16,6 +16,7 @@ from conftest import (
 from stc.errors import GraphError
 from stc.graph import Graph, congestion_report
 from stc.oracle import stc_exact
+import stc.structural.vi
 from stc.structural import (
     Signature,
     dtc_bound_tree,
@@ -338,6 +339,25 @@ def test_vi_signature_path_matches_oracle():
     got, T = solve_vi(G, S)
     assert got == want == 9
     assert congestion_report(G, T).max_congestion == 9
+
+
+def test_vi_enumerates_only_from_k_squared_on(monkeypatch):
+    # S = {0, 1} gives k = 3: stc = 8 stays with the DP driver, stc = 9 = k^2
+    # needs the type enumeration
+    calls = []
+    real = stc.structural.vi.enumerate_types
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stc.structural.vi, "enumerate_types", spy)
+    for t, enumerated in [(7, False), (8, True)]:
+        calls.clear()
+        G = bipartite_plus_bridge(t)
+        got, T = solve_vi(G, frozenset({0, 1}))
+        assert got == t + 1 == congestion_report(G, T).max_congestion
+        assert bool(calls) == enumerated
 
 
 def test_vi_signature_path_larger_instance():
