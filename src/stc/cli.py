@@ -1,12 +1,14 @@
-"""Command line interface tying formats, solvers, generators and verification.
+"""Command line interface: parse arguments, call the library, print results.
 
-Subcommands: solve (auto-selects a solver), approx, oracle, eval, gen,
-decompose, reduce, verify.  Exit codes: 0 success or "yes", 1 certified "no"
-or failed verification, 2 usage or input error, 3 enumeration budget
-exceeded.  With --json, results go to stdout and errors to stderr as JSON.
+Subcommands: solve (routed by `stc.solve`), approx, oracle (solve with the
+oracle, weighted input allowed), eval, gen, decompose, reduce, verify.  Exit
+codes: 0 success or "yes", 1 certified "no" or failed verification, 2 usage
+or input error, 3 enumeration budget exceeded.  Any other error is a fault
+and propagates.  With --json, results go to stdout and errors to stderr as
+JSON.
 
-Every success path re-evaluates its tree with congestion_report before
-reporting, so a "yes" is always backed by a checked witness.
+Every reported tree has been re-evaluated with congestion_report, so a "yes"
+is always backed by a checked witness.
 """
 from __future__ import annotations
 
@@ -14,52 +16,29 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import formats
-from .decomposition import decompose, validate_td
-from .dp import solve_approx_tw, solve_exact_tw, solve_stc_tw
+from .decomposition import EXACT_SMALL_MAX_N, decompose, validate_td
+from .dp import solve_approx_tw
 from .errors import (
     BudgetExceededError,
-    DisconnectedGraphError,
     FormatError,
     GraphError,
     InvalidCertificateError,
     InvalidDecompositionError,
     InvalidSpanningTreeError,
 )
-from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
-from .oracle import DEFAULT_MAX_MILLIS, DEFAULT_MAX_TREES, EnumerationBudget, stc_exact
+from .graph import DoubleWeightedGraph, Graph
+from .oracle import DEFAULT_MAX_MILLIS, DEFAULT_MAX_TREES, ORACLE_CAP, EnumerationBudget
 from .reductions import gen_3partition, gen_bsat, gen_grid, gen_ubp, grid_corners
-from .structural import fes_value, reduce_graph, solve_dtc, solve_fes, solve_vi
+from .route import ALGORITHMS, FES_CAP, solve
+from .structural import fes_value, reduce_graph
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# auto-selection thresholds; override with --oracle-cap / --fes-cap
-ORACLE_CAP = 12
-FES_CAP = 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus the flags it may legally use."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    alg: str = "auto"
-    k: int | None = None
-    eps: str | None = None
-    modulator: str | None = None
-    seed: int = 0
-    max_trees: int | None = None
-    max_millis: int | None = None
-    threads: int = 1
-    json_mode: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class UsageError(ValueError):
@@ -74,10 +53,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, output=True):
         p.add_argument("--json", action="store_true", help="JSON results and errors")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized components (current solvers are deterministic)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (accepted for compatibility; runs single-threaded)")
         if output:
             p.add_argument("-o", "--output", help="write the result here instead of stdout")
 
@@ -87,8 +62,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact spanning tree congestion")
     p.add_argument("input", help=".gr graph file")
-    p.add_argument("--alg", default="auto",
-                   choices=["auto", "oracle", "dp", "fes", "dtc", "vi"])
+    p.add_argument("--alg", default="auto", choices=ALGORITHMS)
     p.add_argument("--k", type=int, help="decide stc <= k instead of optimizing")
     p.add_argument("--modulator", help="file with 1-indexed modulator vertices")
     p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
@@ -108,6 +82,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="decide stc <= k instead of optimizing")
     budget(p)
     common(p)
+    p.set_defaults(alg="oracle", modulator=None, oracle_cap=ORACLE_CAP, fes_cap=FES_CAP)
 
     p = sub.add_parser("eval", help="re-evaluate and verify a solution JSON")
     p.add_argument("input")
@@ -140,48 +115,29 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    known = {
-        "command", "input", "output", "alg", "k", "eps", "modulator",
-        "seed", "max_trees", "max_millis", "threads", "json",
-    }
-    extra = {k: v for k, v in vars(args).items() if k not in known}
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        alg=getattr(args, "alg", "auto"),
-        k=getattr(args, "k", None),
-        eps=getattr(args, "eps", None),
-        modulator=getattr(args, "modulator", None),
-        seed=args.seed,
-        max_trees=getattr(args, "max_trees", None),
-        max_millis=getattr(args, "max_millis", None),
-        threads=max(1, args.threads),
-        json_mode=args.json,
-        extra=extra,
-    )
-    if cfg.k is not None and cfg.k < 1:
+def _check(args: argparse.Namespace) -> None:
+    """Reject flag values that argparse lets through."""
+    k = getattr(args, "k", None)
+    if k is not None and k < 1:
         raise UsageError("--k must be >= 1")
-    if cfg.eps is not None:
-        from fractions import Fraction
-
+    eps = getattr(args, "eps", None)
+    if eps is not None:
         try:
-            val = Fraction(cfg.eps)
+            val = Fraction(eps)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--eps is not a number: {cfg.eps!r}")
+            raise UsageError(f"--eps is not a number: {eps!r}")
         if val <= 0:
             raise UsageError("--eps must be > 0")
-    if cfg.alg in ("dtc", "vi") and not cfg.modulator:
-        raise UsageError(f"--alg {cfg.alg} needs --modulator")
+    alg = getattr(args, "alg", None)
+    if alg in ("dtc", "vi") and not args.modulator:
+        raise UsageError(f"--alg {alg} needs --modulator")
     for cap in ("max_trees", "max_millis"):
-        v = getattr(cfg, cap)
+        v = getattr(args, cap, None)
         if v is not None and v < 1:
             raise UsageError(f"--{cap.replace('_', '-')} must be >= 1")
-    return cfg
 
 
-def _budget(cfg: RunConfig) -> EnumerationBudget:
+def _budget(args: argparse.Namespace) -> EnumerationBudget:
     def pick(flag, env, default):
         if flag is not None:
             return flag
@@ -197,8 +153,8 @@ def _budget(cfg: RunConfig) -> EnumerationBudget:
         return val
 
     return EnumerationBudget(
-        pick(cfg.max_trees, "STC_MAX_TREES", DEFAULT_MAX_TREES),
-        pick(cfg.max_millis, "STC_MAX_MILLIS", DEFAULT_MAX_MILLIS),
+        pick(args.max_trees, "STC_MAX_TREES", DEFAULT_MAX_TREES),
+        pick(args.max_millis, "STC_MAX_MILLIS", DEFAULT_MAX_MILLIS),
     )
 
 
@@ -208,6 +164,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text (byte {exc.start})")
 
 
 def _write(path: str, text: str) -> None:
@@ -259,129 +217,58 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_doc(cfg: RunConfig, doc: dict, summary: str) -> None:
+def _emit_doc(args: argparse.Namespace, doc: dict, summary: str) -> None:
     text = formats.solution_to_text(doc)
-    if cfg.output:
-        _write(cfg.output, text)
-        print(json.dumps(doc | {"output": cfg.output}) if cfg.json_mode
-              else f"{summary}; wrote {cfg.output}")
+    if args.output:
+        _write(args.output, text)
+        print(json.dumps(doc | {"output": args.output}) if args.json
+              else f"{summary}; wrote {args.output}")
     else:
-        print(text if not cfg.json_mode else json.dumps(doc), end="" if not cfg.json_mode else "\n")
-        if not cfg.json_mode:
+        print(text if not args.json else json.dumps(doc), end="" if not args.json else "\n")
+        if not args.json:
             sys.stderr.write(summary + "\n")
 
 
-def _is_cycle(G: Graph) -> bool:
-    return G.n >= 3 and G.m == G.n and all(G.degree(v) == 2 for v in range(G.n))
-
-
-def _choose_alg(G: Graph, cfg: RunConfig, S: frozenset[int] | None) -> str:
-    if cfg.alg != "auto":
-        return cfg.alg
-    if G.is_tree():
-        return "trivial"
-    if _is_cycle(G):
-        return "cycle"
-    if G.n <= cfg.extra.get("oracle_cap", ORACLE_CAP):
-        return "oracle"
-    if fes_value(G) <= cfg.extra.get("fes_cap", FES_CAP):
-        return "fes"
-    if S is not None:
-        rest = sorted(set(range(G.n)) - S)
-        clique = all(
-            G.has_edge(rest[i], rest[j])
-            for i in range(len(rest))
-            for j in range(i + 1, len(rest))
-        )
-        return "dtc" if clique else "vi"
-    return "dp"
-
-
-def _cmd_solve(cfg: RunConfig) -> int:
-    G = _load_unweighted(cfg.input, "solve")
-    S = _load_modulator(cfg.modulator, G) if cfg.modulator else None
-    alg = _choose_alg(G, cfg, S)
-    if alg in ("dtc", "vi") and S is None:
-        raise UsageError(f"--alg {alg} needs --modulator")
-
-    kstar: int | None = None
-    tree: SpanningTree | None = None
-    if alg == "trivial":
-        tree = SpanningTree(G, G.edges)
-        kstar = 1 if G.n > 1 else 0
-    elif alg == "cycle":
-        if not _is_cycle(G):
-            raise UsageError("--alg cycle needs a cycle graph")
-        tree = SpanningTree(G, G.edges - {max(G.edges)})
-        kstar = 2
-    elif alg == "oracle":
-        kstar, tree = stc_exact(G, _budget(cfg))
-    elif alg == "fes":
-        kstar, tree = solve_fes(G, _budget(cfg))
-    elif alg == "dtc":
-        kstar, tree = solve_dtc(G, S)
-    elif alg == "vi":
-        kstar, tree = solve_vi(G, S)
-    elif alg == "dp":
-        if cfg.k is not None:
-            T = solve_exact_tw(G, cfg.k)
-            if T is None:
-                doc = formats.build_infeasible(cfg.k, alg)
-                _emit_doc(cfg, doc, f"no spanning tree with congestion <= {cfg.k}")
-                return EXIT_NO
-            got = congestion_report(G, T).max_congestion
-            doc = formats.build_solution(G, T, alg)
-            doc["target_k"] = cfg.k
-            _emit_doc(cfg, doc, f"found congestion {got} <= {cfg.k} ({alg})")
-            return EXIT_YES
-        kstar, tree = solve_stc_tw(G)
-    else:
-        raise UsageError(f"unknown algorithm {alg!r}")
-
-    got = congestion_report(G, tree).max_congestion
-    if got != kstar:
-        raise AssertionError(f"{alg} returned k={kstar} but the tree evaluates to {got}")
-    if cfg.k is not None and kstar > cfg.k:
-        doc = formats.build_infeasible(cfg.k, alg, stc=kstar)
-        _emit_doc(cfg, doc, f"stc = {kstar} > {cfg.k} ({alg})")
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """solve and oracle: the oracle subcommand is solve with alg="oracle"."""
+    G = _load_graph(args.input)
+    S = _load_modulator(args.modulator, G) if args.modulator else None
+    k = args.k
+    alg, got, tree = solve(G, k, S, args.alg, _budget(args), args.oracle_cap, args.fes_cap)
+    if tree is None:
+        doc = formats.build_infeasible(k, alg)
+        _emit_doc(args, doc, f"no spanning tree with congestion <= {k}")
+        return EXIT_NO
+    if k is not None and got > k:
+        doc = formats.build_infeasible(k, alg, stc=got)
+        _emit_doc(args, doc, f"stc = {got} > {k} ({alg})")
         return EXIT_NO
     doc = formats.build_solution(G, tree, alg)
-    if cfg.k is not None:
-        doc["target_k"] = cfg.k
-    _emit_doc(cfg, doc, f"stc = {kstar} ({alg})")
+    summary = f"stc = {got} ({alg})"
+    if k is not None:
+        doc["target_k"] = k
+        if alg == "dp":
+            summary = f"found congestion {got} <= {k} ({alg})"
+    _emit_doc(args, doc, summary)
     return EXIT_YES
 
 
-def _cmd_approx(cfg: RunConfig) -> int:
-    G = _load_unweighted(cfg.input, "approx")
-    got, tree = solve_approx_tw(G, cfg.eps)
+def _cmd_approx(args: argparse.Namespace) -> int:
+    G = _load_unweighted(args.input, "approx")
+    got, tree = solve_approx_tw(G, args.eps)
     doc = formats.build_solution(G, tree, "approx", certified=False)
-    doc["eps"] = cfg.eps
+    doc["eps"] = args.eps
     assert doc["k"] == got
-    _emit_doc(cfg, doc, f"congestion {got} within (1+{cfg.eps}) of optimal")
+    _emit_doc(args, doc, f"congestion {got} within (1+{args.eps}) of optimal")
     return EXIT_YES
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    G = _load_graph(cfg.input)
-    kstar, tree = stc_exact(G, _budget(cfg))
-    if cfg.k is not None and kstar > cfg.k:
-        doc = formats.build_infeasible(cfg.k, "oracle", stc=kstar)
-        _emit_doc(cfg, doc, f"stc = {kstar} > {cfg.k} (oracle)")
-        return EXIT_NO
-    doc = formats.build_solution(G, tree, "oracle")
-    if cfg.k is not None:
-        doc["target_k"] = cfg.k
-    _emit_doc(cfg, doc, f"stc = {kstar} (oracle)")
-    return EXIT_YES
-
-
-def _cmd_eval(cfg: RunConfig) -> int:
-    G = _load_graph(cfg.input)
-    sol = formats.parse_solution(_read(cfg.extra["tree"]))
+def _cmd_eval(args: argparse.Namespace) -> int:
+    G = _load_graph(args.input)
+    sol = formats.parse_solution(_read(args.tree))
     problem = formats.verify_solution(G, sol)
     ok = problem is None
-    if cfg.json_mode:
+    if args.json:
         print(json.dumps({"ok": ok, "problem": problem}))
     else:
         print(f"ok: tree re-evaluates to k = {sol['k']}" if ok
@@ -398,28 +285,25 @@ def _items(raw: str | None, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be comma-separated integers: {raw!r}")
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    kind = cfg.extra["kind"]
-    if not cfg.output:
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if not args.output:
         raise UsageError("gen needs -o/--output PREFIX")
-    if kind == "ubp":
-        if cfg.extra.get("t") is None:
+    if args.kind == "ubp":
+        if args.t is None:
             raise UsageError("gen ubp needs --t")
-        bundle = gen_ubp(cfg.extra["t"], _items(cfg.extra.get("items"), "--items"),
-                         cfg.extra.get("family", "stars"))
-    elif kind == "3part":
-        if cfg.extra.get("bin_size") is None:
+        bundle = gen_ubp(args.t, _items(args.items, "--items"), args.family)
+    elif args.kind == "3part":
+        if args.bin_size is None:
             raise UsageError("gen 3part needs --bin")
-        bundle = gen_3partition(_items(cfg.extra.get("items"), "--items"),
-                                cfg.extra["bin_size"])
-    elif kind == "bsat":
-        raw = cfg.extra.get("clauses")
-        if not raw:
+        bundle = gen_3partition(_items(args.items, "--items"), args.bin_size)
+    elif args.kind == "bsat":
+        if not args.clauses:
             raise UsageError("gen bsat needs --clauses")
-        clauses = [_items(part, "--clauses") for part in raw.split(";") if part.strip()]
+        clauses = [_items(part, "--clauses") for part in args.clauses.split(";")
+                   if part.strip()]
         bundle = gen_bsat(clauses)
     else:
-        n = cfg.extra.get("n")
+        n = args.n
         if n is None:
             raise UsageError("gen grid needs --n")
         graph = gen_grid(n)
@@ -429,47 +313,49 @@ def _cmd_gen(cfg: RunConfig) -> int:
             "provenance": {"construction": "grid", "n": n},
             "annotations": {"corners": list(grid_corners(n))},
         }
-        return _write_gen(cfg, graph, side)
+        return _write_gen(args, graph, side)
     side = {
         "construction": bundle.provenance["construction"],
         "k": bundle.k,
         "provenance": _jsonable(bundle.provenance),
         "annotations": _jsonable(bundle.annotations),
     }
-    return _write_gen(cfg, bundle.graph, side)
+    return _write_gen(args, bundle.graph, side)
 
 
-def _write_gen(cfg: RunConfig, graph: Graph, sidecar: dict) -> int:
-    gr_path, json_path = cfg.output + ".gr", cfg.output + ".json"
+def _write_gen(args: argparse.Namespace, graph: Graph, sidecar: dict) -> int:
+    gr_path, json_path = args.output + ".gr", args.output + ".json"
     _write(gr_path, formats.write_gr(graph))
     _write(json_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     note = {"graph": gr_path, "sidecar": json_path, "n": graph.n, "m": graph.m,
             "k": sidecar["k"]}
-    print(json.dumps(note) if cfg.json_mode else
+    print(json.dumps(note) if args.json else
           f"wrote {gr_path} ({graph.n} vertices, {graph.m} edges) and {json_path}")
     return EXIT_YES
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    G = _load_unweighted(cfg.input, "decompose")
-    td = decompose(G, cfg.extra.get("mode", "auto"))
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    G = _load_unweighted(args.input, "decompose")
+    if args.mode == "exact_small" and G.n > EXACT_SMALL_MAX_N:
+        raise UsageError(f"--mode exact_small only handles n <= {EXACT_SMALL_MAX_N}")
+    td = decompose(G, args.mode)
     text = formats.write_td(td)
-    if cfg.output:
-        _write(cfg.output, text)
-        note = {"width": td.width, "bags": len(td.bags), "output": cfg.output}
-        print(json.dumps(note) if cfg.json_mode
-              else f"width {td.width}, {len(td.bags)} bags; wrote {cfg.output}")
+    if args.output:
+        _write(args.output, text)
+        note = {"width": td.width, "bags": len(td.bags), "output": args.output}
+        print(json.dumps(note) if args.json
+              else f"width {td.width}, {len(td.bags)} bags; wrote {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_YES
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
-    if not cfg.output:
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    if not args.output:
         raise UsageError("reduce needs -o/--output PREFIX")
-    G = _load_unweighted(cfg.input, "reduce")
+    G = _load_unweighted(args.input, "reduce")
     H, trace = reduce_graph(G)
-    gr_path, tr_path = cfg.output + ".gr", cfg.output + ".trace.json"
+    gr_path, tr_path = args.output + ".gr", args.output + ".trace.json"
     _write(gr_path, formats.write_gr(H))
     doc = {
         "kind": trace.kind,
@@ -485,16 +371,15 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     }
     _write(tr_path, json.dumps(doc, indent=2) + "\n")
     print(json.dumps({"graph": gr_path, "trace": tr_path} | doc["kernel"])
-          if cfg.json_mode else
+          if args.json else
           f"{trace.kind} reduction: {H.n} vertices, {H.m} edges; wrote {gr_path}, {tr_path}")
     return EXIT_YES
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    files = cfg.extra["files"]
+def _cmd_verify(args: argparse.Namespace) -> int:
     graphs: dict[str, Graph | DoubleWeightedGraph] = {}
     results: list[tuple[str, str | None]] = []
-    for path in files:
+    for path in args.files:
         if path.endswith(".gr"):
             try:
                 graphs[path] = formats.parse_gr(_read(path))
@@ -503,7 +388,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 results.append((path, str(exc)))
     host = next(iter(graphs.values()), None)
     base = host.base if isinstance(host, DoubleWeightedGraph) else host
-    for path in files:
+    for path in args.files:
         if path.endswith(".gr"):
             continue
         try:
@@ -524,7 +409,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         except (FormatError, InvalidDecompositionError) as exc:
             results.append((path, str(exc)))
     ok = all(p is None or p.startswith("parsed;") for _, p in results)
-    if cfg.json_mode:
+    if args.json:
         print(json.dumps({"ok": ok, "files": [
             {"path": f, "problem": p} for f, p in results]}))
     else:
@@ -536,7 +421,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 _DISPATCH = {
     "solve": _cmd_solve,
     "approx": _cmd_approx,
-    "oracle": _cmd_oracle,
+    "oracle": _cmd_solve,
     "eval": _cmd_eval,
     "gen": _cmd_gen,
     "decompose": _cmd_decompose,
@@ -559,8 +444,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = _config(args)
-        return _DISPATCH[cfg.command](cfg)
+        _check(args)
+        return _DISPATCH[args.command](args)
     except BudgetExceededError as exc:
         return _fail(str(exc), EXIT_BUDGET, json_mode)
     except (
@@ -570,7 +455,6 @@ def main(argv=None) -> int:
         InvalidDecompositionError,
         InvalidSpanningTreeError,
         UsageError,
-        ValueError,
         OSError,
     ) as exc:
         return _fail(str(exc), EXIT_USAGE, json_mode)

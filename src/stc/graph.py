@@ -234,15 +234,20 @@ def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
 
 
 def congestion_report(G, T) -> CongestionReport:
-    """Per-tree-edge congestion via subtree aggregation (near-linear).
+    """Per-tree-edge congestion via subtree aggregation (near-linear)."""
+    base, wt1, wt2 = _split_weights(G)
+    per_edge = _edge_loads(base, wt1, wt2, _tree_edge_set(base, T))
+    return CongestionReport(per_edge, max(per_edge.values(), default=0))
+
+
+def _edge_loads(base: Graph, wt1, wt2, tree_edges) -> dict[Edge, int]:
+    """Congestion of every edge of a spanning tree of base; no validation.
 
     Every non-tree edge adds wt1 along its whole detour with one pair of
     lca-difference marks, then a single reverse-BFS pass accumulates them.
     """
-    base, wt1, wt2 = _split_weights(G)
-    tree_edges = _tree_edge_set(base, T)
     parent, depth, order = _tree_order(base.n, tree_edges)
-    diff = [0] * base.n
+    load = [0] * base.n
     for e in base.edges:
         if e in tree_edges:
             continue
@@ -254,17 +259,17 @@ def congestion_report(G, T) -> CongestionReport:
             if depth[x] < depth[y]:
                 x, y = y, x
             x = parent[x]
-        diff[a] += w
-        diff[b] += w
-        diff[x] -= 2 * w
+        load[a] += w
+        load[b] += w
+        load[x] -= 2 * w
     per_edge: dict[Edge, int] = {}
-    acc = diff[:]
     for v in reversed(order):
-        if parent[v] >= 0:
-            acc[parent[v]] += acc[v]
-            e = edge_key(v, parent[v])
-            per_edge[e] = acc[v] + wt2[e]
-    return CongestionReport(per_edge, max(per_edge.values(), default=0))
+        p = parent[v]
+        if p >= 0:
+            load[p] += load[v]
+            e = edge_key(v, p)
+            per_edge[e] = load[v] + wt2[e]
+    return per_edge
 
 
 def congestion_report_by_detours(G, T) -> CongestionReport:
@@ -313,22 +318,6 @@ def twin_classes(G: Graph, S) -> list[list[int]]:
         if v in S:
             continue
         groups.setdefault(G.neighbors(v) & S, []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def false_twin_classes(G: Graph) -> list[list[int]]:
-    """Classes by open neighborhood N(v)."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(G.neighbors(v), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def true_twin_classes(G: Graph) -> list[list[int]]:
-    """Classes by closed neighborhood N[v]."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(G.neighbors(v) | {v}, []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 

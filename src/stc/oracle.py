@@ -12,18 +12,19 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .graph import (
-    CongestionReport,
-    DoubleWeightedGraph,
     Edge,
     Graph,
     SpanningTree,
-    congestion_report,
+    _edge_loads,
+    _split_weights,
     edge_key,
     require_connected,
 )
 
 DEFAULT_MAX_TREES = 2_000_000
 DEFAULT_MAX_MILLIS = 120_000
+# graphs this small go to full enumeration wherever a solver has the choice
+ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -136,70 +137,18 @@ def count_spanning_trees(G: Graph, budget: EnumerationBudget | None = None) -> i
     return sum(1 for _ in enumerate_spanning_trees(G, budget))
 
 
-def _fast_max_congestion(base: Graph, wt1, wt2, tree: frozenset[Edge]) -> int:
-    """Max congestion only, lean arrays, for the enumeration inner loop."""
-    n = base.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = [-1] * n
-    depth = [0] * n
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for u in adj[v]:
-            if parent[u] == -1:
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                order.append(u)
-    parent[0] = -1
-    diff = [0] * n
-    for e in base.edges:
-        if e in tree:
-            continue
-        a, b = e
-        w = wt1[e]
-        x, y = a, b
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            x = parent[x]
-        diff[a] += w
-        diff[b] += w
-        diff[x] -= 2 * w
-    best = 0
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            diff[p] += diff[v]
-            c = diff[v] + wt2[edge_key(v, p)]
-            if c > best:
-                best = c
-    return best
-
-
 def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, SpanningTree]:
     """Exact spanning tree congestion by full enumeration.
 
     Ties break toward the first optimal tree in enumeration order.  Accepts a
     Graph or a DoubleWeightedGraph.
     """
-    if isinstance(G, DoubleWeightedGraph):
-        base, wt1, wt2 = G.base, G.wt1, G.wt2
-    else:
-        base = G
-        wt1 = wt2 = {e: 1 for e in base.edges}
+    base, wt1, wt2 = _split_weights(G)
     require_connected(base)
     best: tuple[int, frozenset[Edge]] | None = None
     for tree in enumerate_spanning_trees(base, budget):
-        c = _fast_max_congestion(base, wt1, wt2, tree)
+        c = max(_edge_loads(base, wt1, wt2, tree).values(), default=0)
         if best is None or c < best[0]:
             best = (c, tree)
     assert best is not None
     return best[0], SpanningTree(base, best[1])
-
-
-def oracle_report(G, tree_edges) -> CongestionReport:
-    """Evaluate an explicit tree under the same weight conventions."""
-    return congestion_report(G, tree_edges)

@@ -24,8 +24,9 @@ from ..graph import (
     require_connected,
     twin_classes,
 )
-from ..oracle import stc_exact
+from ..oracle import ORACLE_CAP, stc_exact
 from ..dp import solve_stc_tw
+from .vi import _bounded_counts
 
 
 def _check_modulator(G: Graph, S: frozenset[int]) -> list[int]:
@@ -50,7 +51,7 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     C = _check_modulator(G, S)
     q, N = len(S), len(C)
     if N <= small_case_threshold(q):
-        if G.n <= 12:
+        if G.n <= ORACLE_CAP:
             return stc_exact(G)
         return solve_stc_tw(G)
 
@@ -103,16 +104,6 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     got = congestion_report(G, T).max_congestion
     assert got == k, f"local evaluation {k} disagrees with report {got}"
     return k, T
-
-
-def _bounded_counts(caps: list[int], total: int):
-    """All tuples 0 <= c_i <= caps[i] with sum <= total."""
-    if not caps:
-        yield ()
-        return
-    for c in range(min(caps[0], total) + 1):
-        for rest in _bounded_counts(caps[1:], total - c):
-            yield (c,) + rest
 
 
 def _best_arrangement(G, deg, r, others, leaf_worst):

@@ -223,8 +223,14 @@ def solve_fes(
     if trace.kind == "tree":
         T = SpanningTree(G, G.edges)
         return (1 if G.n > 1 else 0), T
-    k_core, core_tree = stc_exact(core, budget)
-    T = lift_tree(trace, core_tree.edges)
+    if trace.kind == "cycle":
+        # every spanning tree of a cycle has congestion 2; drop the last core
+        # edge, as the first tree the enumeration would emit does
+        k_core = 2
+        T = SpanningTree(G, G.edges - {max(e for e, _ in trace.sections)})
+    else:
+        k_core, core_tree = stc_exact(core, budget)
+        T = lift_tree(trace, core_tree.edges)
     got = congestion_report(G, T).max_congestion
     assert got == k_core, f"lifting changed congestion: {k_core} -> {got}"
     return got, T

@@ -381,7 +381,7 @@ def solve_vi(G: Graph, S, cap: int | None = None) -> tuple[int, SpanningTree]:
     sizes = [len(c.members) for c in classes]
     limit = max(len(S) - 1, 0)
     best = None  # (z, signature)
-    for counts in _selections([min(sz, limit) for sz in sizes], limit):
+    for counts in _bounded_counts([min(sz, limit) for sz in sizes], limit):
         hverts = set(S)
         for ci, cnt in enumerate(counts):
             for mi in range(cnt):
@@ -403,13 +403,13 @@ def solve_vi(G: Graph, S, cap: int | None = None) -> tuple[int, SpanningTree]:
     return z, T
 
 
-def _selections(caps: list[int], total: int):
-    """All tuples 0 <= c_i <= caps[i] with sum <= total."""
+def _bounded_counts(caps: list[int], total: int):
+    """All tuples 0 <= c_i <= caps[i] with sum <= total, in lexicographic order."""
     if not caps:
         yield ()
         return
     for c in range(min(caps[0], total) + 1):
-        for rest in _selections(caps[1:], total - c):
+        for rest in _bounded_counts(caps[1:], total - c):
             yield (c,) + rest
 
 

@@ -11,6 +11,7 @@ from stc import formats
 from stc.cli import main
 from stc.graph import DoubleWeightedGraph, Graph
 from stc.reductions import gen_grid
+from stc.structural import solve_fes
 
 
 def write_gr(tmp_path, G, name="g.gr"):
@@ -122,6 +123,8 @@ def test_oracle_accepts_weighted_input(tmp_path, capsys):
     path = write_gr(tmp_path, Gw, "w.gr")
     code, out, _ = run(capsys, "oracle", path)
     assert code == 0 and formats.parse_solution(out)["k"] == 4
+    code, out2, _ = run(capsys, "solve", path, "--alg", "oracle")
+    assert code == 0 and out2 == out
 
 
 def test_long_cycle_needs_no_deep_recursion(tmp_path, capsys):
@@ -135,6 +138,27 @@ def test_long_cycle_needs_no_deep_recursion(tmp_path, capsys):
         sys.setrecursionlimit(old)
     for code, out, _ in results:
         assert code == 0 and formats.parse_solution(out)["k"] == 2
+
+
+def test_fes_answers_long_cycle_with_pendant_paths(tmp_path, capsys, monkeypatch):
+    import stc.structural.fes
+
+    n = 3000
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    for anchor in range(0, n, 500):  # a 3-edge path hangs off every 500th vertex
+        edges += [(anchor, len(edges)), (len(edges), len(edges) + 1),
+                  (len(edges) + 1, len(edges) + 2)]
+    G = Graph.from_edges(n + 18, edges)
+
+    def no_enumeration(*args):
+        raise AssertionError("a cycle kernel needs no enumeration")
+
+    monkeypatch.setattr(stc.structural.fes, "stc_exact", no_enumeration)
+    k, T = solve_fes(G)
+    assert k == 2 and T.edges == G.edges - {(n - 2, n - 1)}
+    code, out, _ = run(capsys, "solve", write_gr(tmp_path, G), "--alg", "fes")
+    sol = formats.parse_solution(out)
+    assert code == 0 and sol["algorithm"] == "fes" and sol["k"] == 2
 
 
 def test_oracle_decision_no(tmp_path, capsys):
@@ -160,6 +184,9 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert code == 3
     monkeypatch.setenv("STC_MAX_TREES", "junk")
     code, _, err = run(capsys, "solve", path, "--alg", "oracle")
+    assert code == 2 and "STC_MAX_TREES" in err
+    # the budget is parsed on every route, also where nothing is enumerated
+    code, _, err = run(capsys, "solve", path, "--alg", "dp")
     assert code == 2 and "STC_MAX_TREES" in err
 
 
@@ -330,6 +357,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "solve", str(tmp_path / "missing.gr"))[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
+    big = write_gr(tmp_path, gen_grid(4), "grid4.gr")
+    assert run(capsys, "decompose", big, "--mode", "exact_small")[0] == 2
 
 
 def test_json_error_shape(tmp_path, capsys):
@@ -350,7 +379,27 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "solve", "--help")[0] == 0
 
 
-def test_threads_and_seed_accepted(tmp_path, capsys):
+def test_threads_and_seed_flags_are_gone(tmp_path, capsys):
     path = write_gr(tmp_path, gen_grid(3))
-    code, out, _ = run(capsys, "solve", path, "--threads", "8", "--seed", "42")
-    assert code == 0 and formats.parse_solution(out)["k"] == 3
+    for flag in ("--threads", "--seed"):
+        code, _, err = run(capsys, "solve", path, flag, "8")
+        assert code == 2 and flag in err
+
+
+def test_binary_input_exits_two(tmp_path, capsys):
+    binary = tmp_path / "binary.gr"
+    binary.write_bytes(bytes(range(256)))
+    code, _, err = run(capsys, "solve", str(binary))
+    assert code == 2 and "UTF-8" in err
+
+
+def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
+    import stc.route
+
+    def broken(G, budget=None):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(stc.route, "stc_exact", broken)
+    path = write_gr(tmp_path, complete_graph(5))
+    with pytest.raises(ValueError, match="solver fault"):
+        main(["solve", path])

@@ -21,10 +21,8 @@ from stc.graph import (
     congestion_report,
     congestion_report_by_detours,
     edge_key,
-    false_twin_classes,
     find_biclique,
     stc_lower_bound_biclique,
-    true_twin_classes,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
@@ -181,14 +179,6 @@ def test_twin_refinement():
             # each refined class sits inside one coarse class
             hosts = [c for c in coarse if set(cls) <= c]
             assert len(hosts) == 1
-
-
-def test_true_false_twins():
-    K = complete_graph(4)
-    assert true_twin_classes(K) == [[0, 1, 2, 3]]
-    assert false_twin_classes(K) == [[0], [1], [2], [3]]
-    B = complete_bipartite(2, 3)
-    assert false_twin_classes(B) == [[0, 1], [2, 3, 4]]
 
 
 def test_find_biclique():

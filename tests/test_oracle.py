@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -25,16 +25,30 @@ from stc.oracle import (
 
 
 def kirchhoff_count(G: Graph) -> int:
-    """Independent tree count: determinant of a Laplacian minor."""
-    if G.n == 1:
-        return 1
-    L = np.zeros((G.n, G.n))
+    """Independent tree count: exact determinant of a Laplacian minor."""
+    n = G.n - 1  # drop vertex 0's row and column
+    L = [[Fraction(0)] * n for _ in range(n)]
     for u, v in G.edges:
-        L[u, u] += 1
-        L[v, v] += 1
-        L[u, v] -= 1
-        L[v, u] -= 1
-    return round(np.linalg.det(L[1:, 1:]))
+        for a, b in ((u, v), (v, u)):
+            if a:
+                L[a - 1][a - 1] += 1
+                if b:
+                    L[a - 1][b - 1] -= 1
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if L[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            L[i], L[pivot] = L[pivot], L[i]
+            det = -det
+        det *= L[i][i]
+        for r in range(i + 1, n):
+            f = L[r][i] / L[i][i]
+            for c in range(i, n):
+                L[r][c] -= f * L[i][c]
+    assert det.denominator == 1
+    return int(det)
 
 
 def test_bridges_without_recursion():

@@ -63,11 +63,15 @@ def test_reduce_tree_collapses_to_vertex():
 
 
 def test_reduce_cycle_flagged():
-    G = cycle_graph(7)
-    core, trace = reduce_graph(G)
-    assert trace.kind == "cycle"
-    k, T = solve_fes(G)
-    assert k == 2
+    # a bare cycle, and a cycle on 1, 3, 4, 6, 7 with pendant paths at 1 and 6
+    pendant = Graph.from_edges(9, [(1, 3), (3, 4), (4, 6), (6, 7), (1, 7),
+                                   (0, 1), (2, 0), (5, 6), (8, 5)])
+    for G in (cycle_graph(7), pendant):
+        core, trace = reduce_graph(G)
+        assert trace.kind == "cycle"
+        k, T = solve_fes(G)
+        # answered without enumeration, with the tree enumeration would pick
+        assert k == 2 and T == lift_tree(trace, stc_exact(core)[1].edges)
 
 
 def test_reduce_theta_shape():
