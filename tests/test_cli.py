@@ -202,6 +202,12 @@ def test_approx_within_factor(tmp_path, capsys):
     assert sol["k"] <= 5  # ceil(1.5 * 3)
 
 
+def test_approx_tiny_eps_returns_stc(tmp_path, capsys):
+    path = write_gr(tmp_path, cycle_graph(4))
+    code, out, _ = run(capsys, "approx", path, "--eps", "1e-9")
+    assert code == 0 and formats.parse_solution(out)["k"] == 2
+
+
 def test_approx_requires_positive_eps(tmp_path, capsys):
     path = write_gr(tmp_path, gen_grid(3))
     code, _, err = run(capsys, "approx", path, "--eps", "-1")

@@ -1,6 +1,7 @@
 """Treewidth DP: exact solver, approximation scheme, win/win wrapper."""
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from stc.dp import (
     _run_dp,
     _simplify,
     ExactArith,
+    RoundedArith,
     check_approx_invariant,
     default_nice_decomposition,
     solve_approx_tw,
@@ -241,6 +243,89 @@ def test_approx_rejects_bad_eps():
         solve_approx_tw(cycle_graph(4), 0)
     with pytest.raises(ValueError):
         solve_approx_tw(cycle_graph(4), -0.5)
+
+
+def test_approx_tiny_eps_returns_stc():
+    # eps * k < 1 on every k of the scan: exact counters, no 1e9-point grid
+    assert solve_approx_tw(cycle_graph(4), 1e-9)[0] == 2
+    assert solve_approx_tw(cycle_graph(5), Fraction(1, 10**9))[0] == 2
+
+
+def _reference_round_up(arith, x):
+    j = bisect_left(arith.vals, x)
+    return None if x > arith.cap or j == len(arith.vals) else j
+
+
+def test_rounded_tables_match_fraction_arithmetic():
+    for eps, h, k in [
+        (Fraction(1, 10), 19, 1),
+        (Fraction(1, 2), 5, 6),
+        (Fraction(1), 3, 10),
+        (Fraction(1, 2), 1, 3),
+    ]:
+        arith = RoundedArith(k, eps, h)
+        n = len(arith.vals)
+        assert arith.vals[-1] <= arith.cap
+        for _ in range(2):  # the second pass reads the filled tables
+            for idx in range(n):
+                for r in range(1, 6):
+                    want = _reference_round_up(arith, arith.vals[idx] + r)
+                    assert arith.add_int(idx, r) == want
+            for a in range(n):
+                for b in range(n):
+                    want = _reference_round_up(arith, arith.vals[a] + arith.vals[b])
+                    assert arith.join(a, b) == want
+        assert None in arith._add.values() and None in arith._join.values()
+
+
+def _count_rounded_runs(monkeypatch):
+    ks = []
+
+    class CountingArith(RoundedArith):
+        def __init__(self, k, eps, height):
+            ks.append(k)
+            super().__init__(k, eps, height)
+
+    monkeypatch.setattr(stc.dp, "RoundedArith", CountingArith)
+    return ks
+
+
+def test_approx_matches_exact_when_eps_stc_below_one(monkeypatch):
+    ks = _count_rounded_runs(monkeypatch)
+    rng = random.Random(835)
+    for _ in range(15):
+        n = rng.randrange(3, 9)
+        m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 6) + 1)
+        g = random_connected_graph(rng, n, m)
+        k, _ = solve_stc_tw(g)
+        eps = Fraction(1, k + 1)
+        ka, T = solve_approx_tw(g, eps)
+        assert ka == k == congestion_report(g, T).max_congestion
+    assert ks == []
+
+
+def test_approx_rounds_when_eps_k_reaches_one(monkeypatch):
+    ks = _count_rounded_runs(monkeypatch)
+    g = cycle_graph(5)
+    ka, T = solve_approx_tw(g, 1)
+    assert ks[:1] == [1]  # eps * k = 1 at the first k tried
+    assert congestion_report(g, T).max_congestion == ka == 2
+
+
+def test_approx_scan_starts_at_degree_bound(monkeypatch):
+    tried = []
+    run_dp = stc.dp._run_dp
+
+    def recording(G, ntd, arith, **kw):
+        tried.append(arith.k)
+        return run_dp(G, ntd, arith, **kw)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", recording)
+    ka, _ = solve_approx_tw(complete_graph(5), 1)  # min degree 4
+    assert tried[0] == 2 and ka <= 8
+    tried.clear()
+    ka, _ = solve_approx_tw(complete_graph(5), Fraction(1, 10))
+    assert tried == [4] and ka == 4  # ceil(4 / 1.1) = 4 = stc(K5)
 
 
 def test_approx_rounding_invariants_hold_nodewise():
