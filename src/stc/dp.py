@@ -30,16 +30,12 @@ sorted index pair, and every later call is one dict lookup.  A sum past the
 last grid point rounds to None; that also rejects every sum above the cap
 (1+eps)k, since the last grid point is at most the cap.
 
-solve_approx_tw scans k upward from the smallest k >= 1 with
-(1+eps)k >= the minimum degree: a run at k accepts only with a tree of
-congestion <= (1+eps)k, and every tree has a leaf whose edge carries the
-leaf's degree.  At a k with eps*k < 1 the scan runs exact counters instead of
-rounded ones, with the same verdict: a rounded run at k accepts whenever
-stc <= k (the rounding invariant that check_approx_invariant asserts), and
-only with a tree of congestion <= (1+eps)k < k+1, that is <= k; so it
-accepts exactly when stc <= k, as the exact run does.  Both scans stop at
-the same k with the same congestion, and only the tree may differ.  This also
-spares a tiny eps the ~log(k)/delta exact rationals of its grid.
+At a k with eps*k < 1 the driver runs exact counters instead of rounded
+ones, with the same verdict: a rounded run at k accepts whenever stc <= k
+(the rounding invariant that check_approx_invariant asserts), and only with
+a tree of congestion <= (1+eps)k < k+1, that is <= k; so it accepts exactly
+when stc <= k, as the exact run does.  This also spares a tiny eps the
+~log(k)/delta exact rationals of its grid.
 
 Dominance: after every node, states that agree on everything but their
 counters (the canonical (u, v, label) triples and the anonymous labels) are
@@ -59,10 +55,19 @@ the dp-exact benchmark workload: there no two surviving states share a
 counter-free form under different namings.  So states are grouped by their
 canonical naming only, and the extra canonical form is never computed.
 
-Driver: solve_stc_tw and solve_vi search k upward from the minimum degree,
-which a leaf's tree edge always carries, and stop below the congestion of
-the best BFS tree over all roots, which is returned when the DP finds
-nothing smaller.
+Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
+a limit) and solve_approx_tw (with eps).  It starts at the minimum degree,
+which a leaf's tree edge always carries, or with eps at the smallest k with
+(1+eps)k >= the minimum degree, since a run at k accepts only with a tree of
+congestion <= (1+eps)k.  It stops below UB, the congestion of the best BFS
+tree over all roots, and returns that tree when every k below UB is refused.
+Each tree the DP returns is re-measured by congestion_report and checked
+against its cap, k for exact counters and (1+eps)k for rounded ones.  The
+exact search returns stc: no k below the first accepted one admits a tree.
+The approximation stays within its bound on both exits: the first accepted
+k is at most stc, because a rounded run accepts whenever stc <= k, so its
+tree has congestion <= (1+eps)stc; and when every k < UB is refused, then
+stc >= UB and the BFS tree is optimal.
 """
 from __future__ import annotations
 
@@ -229,7 +234,15 @@ def _canonical(adj, vlab) -> State:
 
 
 def _shape_key(adj, vlab):
-    """Canonical encoding ignoring +-1 labels and counters (join bucketing)."""
+    """Bucket key of a state for join and check_approx_invariant.
+
+    The key records the bag ids, the tree structure and which edges are
+    present (label 0), and drops the +-1 signs, the anonymous labels, the
+    counters and the anonymous names.  That is exactly what every
+    _isomorphisms bijection preserves, so two states related by one share
+    the key, and bucketing by it loses no pair that the exact comparison of
+    labels and counters would accept.
+    """
     if not adj:
         return ()
     root = min(v for v in adj if v >= 0)
@@ -672,22 +685,35 @@ def _best_bfs_tree(G: Graph) -> tuple[int, SpanningTree]:
 
 
 def search_k(
-    G: Graph, ntd: NiceTreeDecomposition, limit: int | None = None
+    G: Graph,
+    ntd: NiceTreeDecomposition,
+    limit: int | None = None,
+    eps: Fraction | None = None,
 ) -> tuple[int, SpanningTree] | None:
-    """Exact stc and an optimal tree when stc < limit (no limit: always).
+    """The one search over k (see "Driver" in the module docstring).
 
-    Runs the exact DP for k = min degree .. min(UB, limit) - 1, UB being the
-    best BFS tree's congestion, and returns the first tree found, else the
-    UB tree when UB < limit, else None.
+    Returns a tree with its re-measured congestion, exact without eps and
+    within (1+eps) of stc with it, or None when no tree below limit is found.
     """
     if G.n == 1:
         return 0, SpanningTree(G, frozenset())
     ub, T_ub = _best_bfs_tree(G)
     stop = ub if limit is None else min(ub, limit)
-    for k in range(min(G.degree(v) for v in range(G.n)), stop):
-        T = solve_exact_tw(G, k, ntd)
-        if T is not None:
-            return k, T
+    lo = min(G.degree(v) for v in range(G.n))
+    if eps is not None:
+        lo = math.ceil(lo / (1 + eps))
+    for k in range(lo, stop):
+        if eps is None or eps * k < 1:
+            arith, cap = ExactArith(k), k
+        else:
+            arith = RoundedArith(k, eps, ntd.height)
+            cap = arith.cap
+        forest = _run_dp(G, ntd, arith).forest
+        if forest is not None:
+            T = SpanningTree(G, forest)
+            got = congestion_report(G, T).max_congestion
+            assert got <= cap, f"DP returned congestion {got} > {cap} at k = {k}"
+            return got, T
     return (ub, T_ub) if limit is None or ub < limit else None
 
 
@@ -709,19 +735,7 @@ def solve_approx_tw(
     eps = _to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if G.n == 1:
-        return 0, SpanningTree(G, frozenset())
-    ntd = _checked_ntd(G, ntd)
-    h = ntd.height
-    # below this k no tree fits (1+eps)k; see the module docstring
-    lo = math.ceil(min(G.degree(v) for v in range(G.n)) / (1 + eps))
-    for k in range(lo, G.m + 1):
-        arith = ExactArith(k) if eps * k < 1 else RoundedArith(k, eps, h)
-        run = _run_dp(G, ntd, arith)
-        if run.forest is not None:
-            T = SpanningTree(G, run.forest)
-            return congestion_report(G, T).max_congestion, T
-    raise AssertionError("unreachable for connected graphs")
+    return search_k(G, _checked_ntd(G, ntd), eps=eps)
 
 
 def _to_fraction(eps) -> Fraction:
@@ -880,31 +894,6 @@ def _check_embedding(G, bag, proc, adj, vlab, F, k, eta):
     return None
 
 
-def _struct_key(adj, vlab):
-    """Counter-free fingerprint, invariant under anonymous-vertex renaming.
-
-    Key equality is necessary for one state to dominate another (bag ids are
-    fixed, labels must match exactly), so candidate pairs can be bucketed.
-    """
-    bagpart = []
-    for v in sorted(x for x in adj if x >= 0):
-        real = tuple(sorted(
-            (u, lbl) for u, (lbl, _c) in adj[v].items() if u >= 0
-        ))
-        anon = tuple(sorted(
-            (lbl, vlab[u]) for u, (lbl, _c) in adj[v].items() if u < 0
-        ))
-        bagpart.append((v, vlab[v], real, anon))
-    anonpart = sorted(
-        (vlab[a], tuple(sorted(
-            (lbl, (1, u) if u >= 0 else (0, vlab[u]))
-            for u, (lbl, _c) in adj[a].items()
-        )))
-        for a in adj if a < 0
-    )
-    return tuple(bagpart), tuple(anonpart)
-
-
 def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = None):
     """Assert the two-sided rounding invariant at every node (tiny inputs).
 
@@ -930,7 +919,7 @@ def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = No
         out = []
         for s in table:
             adj, vlab = _decode(s, bag)
-            out.append((adj, vlab, _struct_key(adj, vlab)))
+            out.append((adj, vlab, _shape_key(adj, vlab)))
         return out
 
     def dominates(adjA, vlabA, adjB, vlabB, cA_bound_fn):

@@ -345,11 +345,6 @@ def find_biclique(G: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] |
     return None
 
 
-def stc_lower_bound_biclique(G: Graph, t: int) -> int | None:
-    """t if K_{t,t} occurs as a subgraph (then stc(G) >= t), else None."""
-    return t if find_biclique(G, t) is not None else None
-
-
 def require_connected(G) -> None:
     base = G.base if isinstance(G, DoubleWeightedGraph) else G
     if not base.is_connected():

@@ -195,13 +195,18 @@ def test_drop_dominated_keeps_only_undominated_states():
 
 
 def test_bounds_alone_settle_k4_and_long_cycles(monkeypatch):
-    # K4: min degree 3 = star congestion; a cycle: min degree 2 = any path
+    # K4: min degree 3 = star congestion; a cycle: min degree 2 = any path.
+    # With eps the scan starts at ceil(delta / (1+eps)): 3 for K4 at eps 0.2
+    # (at eps 0.5 it would be 2 and the DP would run), 2 for the cycle at 0.1
     def no_dp(*args, **kwargs):
         raise AssertionError("the DP ran although the bounds meet")
 
-    monkeypatch.setattr(stc.dp, "solve_exact_tw", no_dp)
+    monkeypatch.setattr(stc.dp, "_run_dp", no_dp)
     for g, want in [(complete_graph(4), 3), (cycle_graph(300), 2)]:
         k, T = solve_stc_tw(g)
+        assert k == want == congestion_report(g, T).max_congestion
+    for g, eps, want in [(complete_graph(4), 0.2, 3), (cycle_graph(300), 0.1, 2)]:
+        k, T = solve_approx_tw(g, eps)
         assert k == want == congestion_report(g, T).max_congestion
 
 
@@ -325,7 +330,50 @@ def test_approx_scan_starts_at_degree_bound(monkeypatch):
     assert tried[0] == 2 and ka <= 8
     tried.clear()
     ka, _ = solve_approx_tw(complete_graph(5), Fraction(1, 10))
-    assert tried == [4] and ka == 4  # ceil(4 / 1.1) = 4 = stc(K5)
+    assert tried == [] and ka == 4  # ceil(4 / 1.1) = 4 = the star's congestion
+
+
+def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
+    tried = []
+    run_dp = stc.dp._run_dp
+
+    def recording(G, ntd, arith, **kw):
+        tried.append(arith.k)
+        return run_dp(G, ntd, arith, **kw)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", recording)
+    rng = random.Random(836)
+    runs = 0
+    for _ in range(12):
+        n = rng.randrange(4, 9)
+        m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 6) + 1)
+        g = random_connected_graph(rng, n, m)
+        ub, _ = stc.dp._best_bfs_tree(g)
+        for eps in (0.1, 0.5, 1):
+            tried.clear()
+            solve_approx_tw(g, eps)
+            assert all(k < ub for k in tried)
+            runs += len(tried)
+    assert runs > 0
+
+
+def test_driver_rejects_a_forest_over_its_cap(monkeypatch):
+    # grid 3x3: min degree 2 < BFS bound 3, so the DP runs at k = 2 (exact)
+    # and, at eps 1, at k = 1 with rounded counters capped at 2
+    g = grid_graph(3)
+    _, T_ub = stc.dp._best_bfs_tree(g)
+    assert congestion_report(g, T_ub).max_congestion == 3
+
+    def too_congested(G, ntd, arith, **kw):
+        return stc.dp.DPRun(T_ub.edges, None)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", too_congested)
+    with pytest.raises(AssertionError, match="congestion 3 > 2 at k = 2"):
+        solve_stc_tw(g)
+    ks = _count_rounded_runs(monkeypatch)
+    with pytest.raises(AssertionError, match="congestion 3 > 2 at k = 1"):
+        solve_approx_tw(g, 1)
+    assert ks == [1]
 
 
 def test_approx_rounding_invariants_hold_nodewise():

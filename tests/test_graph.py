@@ -22,7 +22,6 @@ from stc.graph import (
     congestion_report_by_detours,
     edge_key,
     find_biclique,
-    stc_lower_bound_biclique,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
@@ -190,17 +189,18 @@ def test_find_biclique():
 
 
 def test_biclique_lower_bound():
-    assert stc_lower_bound_biclique(complete_bipartite(4, 4), 4) == 4
-    assert stc_lower_bound_biclique(path_graph(6), 2) is None
-    assert stc_lower_bound_biclique(path_graph(6), 1) == 1
+    A, B = find_biclique(complete_bipartite(4, 4), 4)
+    assert len(A) == len(B) == 4
+    assert find_biclique(path_graph(6), 2) is None
+    assert find_biclique(path_graph(6), 1) is not None
 
 
 def test_lower_bound_never_beats_oracle():
+    # a K_{t,t} subgraph means stc >= t
     rng = random.Random(805)
     for _ in range(20):
         G = random_connected_graph(rng, 7, rng.randint(6, 14))
         k, _ = stc_exact(G)
         for t in range(1, 4):
-            lb = stc_lower_bound_biclique(G, t)
-            if lb is not None:
-                assert lb <= k
+            if find_biclique(G, t) is not None:
+                assert t <= k
