@@ -18,6 +18,20 @@ subdivision plus a fresh branch vertex) whose projection is that child state.
 Join matches states with isomorphic skeletons whose labels complement each
 other off the bag and whose counters sum within budget.
 
+Join: a state with at most one anonymous vertex is joined without decoding.
+Its canonical naming is forced, since bag ids are fixed and a lone anonymous
+vertex is always -1.  So two such states are isomorphic exactly when their
+counter-free edge tuples (u, v, label == 0) are equal: a bijection fixes the
+bag and can only send -1 to -1, so it is the identity and must map every
+edge onto itself with the same present flag.  The stored edge tuples are
+sorted by (u, v), which is unique per edge, so equal counter-free tuples
+line up position by position.  Zipping them with min labels and joined
+counters keeps every (u, v) and the name -1, so the result is sorted and
+canonical as it stands.  Such a state never pairs with one of two or more
+anonymous vertices (a bijection preserves their number), and those keep the
+decode, _shape_key and _isomorphisms path.  Both kinds are met in one loop
+over the first table, so pairs reach the output in the same order either way.
+
 The same engine runs the approximation scheme: counters live on a geometric
 grid of exact rationals (powers of 1 + eps/2h) and additions round up, which
 multiplies the answer by at most (1 + eps) while shrinking the counter range
@@ -67,7 +81,10 @@ exact search returns stc: no k below the first accepted one admits a tree.
 The approximation stays within its bound on both exits: the first accepted
 k is at most stc, because a rounded run accepts whenever stc <= k, so its
 tree has congestion <= (1+eps)stc; and when every k < UB is refused, then
-stc >= UB and the BFS tree is optimal.
+stc >= UB and the BFS tree is optimal.  A rounded run's tree may still be
+more congested than the BFS tree ((1+eps)k can exceed UB), so the driver
+returns whichever of the two measures lower; an exact run's tree is always
+below UB.
 """
 from __future__ import annotations
 
@@ -183,54 +200,47 @@ def _canonical(adj, vlab) -> State:
     """Rename anonymous vertices deterministically and freeze the state.
 
     Children are ordered by (payload, subtree signature); signatures never
-    mention anonymous identities, so isomorphic namings collapse.
+    mention anonymous identities, so isomorphic namings collapse.  The
+    anonymous vertices are named -1, -2, ... in preorder of that ordering;
+    a lone anonymous vertex can only be -1, so it needs no signature.
     """
     if not adj:
         return EMPTY_STATE
-    if min(adj) >= 0:  # no anonymous vertex: the naming is already canonical
-        return (tuple(sorted(
-            (v, u, lbl, c) for v in adj for u, (lbl, c) in adj[v].items() if v < u
-        )), ())
-    root = min(v for v in adj if v >= 0)
-    child_order: dict[int, list[int]] = {}
+    order = [v for v in adj if v < 0]
+    if len(order) <= 1:  # bag ids are fixed, so the naming is forced
+        names = {order[0]: -1} if order and order[0] != -1 else None
+    else:
+        root = min(v for v in adj if v >= 0)
 
-    def sig(v: int, parent: int):
-        kids = []
-        for u, pay in adj[v].items():
-            if u == parent:
-                continue
-            kids.append((pay, sig(u, v), u))
-        kids.sort(key=lambda t: (t[0], t[1]))
-        child_order[v] = [u for _, _, u in kids]
-        token = ("b", v) if v >= 0 else ("a", vlab[v])
-        return (token, tuple((pay, s) for pay, s, _ in kids))
+        def sig(v: int, parent: int):
+            """Signature of v's subtree and its anonymous vertices in preorder."""
+            kids = []
+            for u, pay in adj[v].items():
+                if u != parent:
+                    kids.append((pay, *sig(u, v)))
+            kids.sort(key=lambda t: (t[0], t[1]))
+            pre = [v] if v < 0 else []
+            for _, _, sub in kids:
+                pre += sub
+            token = ("b", v) if v >= 0 else ("a", vlab[v])
+            return (token, tuple((pay, s) for pay, s, _ in kids)), pre
 
-    sig(root, -10**9)
-    names: dict[int, int] = {}
-    counter = [0]
-
-    def assign(v: int, parent: int):
-        if v < 0:
-            counter[0] += 1
-            names[v] = -counter[0]
-        for u in child_order[v]:
-            assign(u, v)
-
-    assign(root, -10**9)
-
-    def nm(v: int) -> int:
-        return names.get(v, v)
-
-    edges = []
-    for v in adj:
-        for u, (lbl, c) in adj[v].items():
-            a, b = nm(v), nm(u)
-            if a < b:
-                edges.append((a, b, lbl, c))
-    anon_labels = tuple(
-        vlab[x] for x in sorted(names, key=lambda t: -names[t])
-    )
-    return (tuple(sorted(edges)), anon_labels)
+        order = sig(root, -10**9)[1]
+        names = {x: -(i + 1) for i, x in enumerate(order)}
+    if names:
+        edges = []
+        for v, nb in adj.items():
+            a = names.get(v, v)
+            for u, (lbl, c) in nb.items():
+                b = names.get(u, u)
+                if a < b:
+                    edges.append((a, b, lbl, c))
+    else:
+        edges = [
+            (v, u, lbl, c) for v, nb in adj.items() for u, (lbl, c) in nb.items() if v < u
+        ]
+    edges.sort()
+    return (tuple(edges), tuple(vlab[x] for x in order))
 
 
 def _shape_key(adj, vlab):
@@ -501,15 +511,49 @@ def _isomorphisms(adjA, adjB):
             yield phi
 
 
+def _zip_key(state: State):
+    """Join bucket of a state with at most one anonymous vertex: its
+    counter-free edges, positionally comparable (see "Join" in the module
+    docstring)."""
+    return tuple((u, v, lbl == 0) for u, v, lbl, _c in state[0])
+
+
+def _zip_join(arith, s1: State, s2: State) -> State | None:
+    """Join two states with at most one anonymous vertex and equal _zip_key:
+    the identity is their only bijection and the result is canonical."""
+    (edges1, anon1), (edges2, anon2) = s1, s2
+    if anon1 and anon1[0] == -1 and anon2[0] == -1:
+        return None
+    edges = []
+    for (u, v, l1, c1), (_, _, l2, c2) in zip(edges1, edges2):
+        if l1 == -1 and l2 == -1:
+            return None
+        c = arith.join(c1, c2)
+        if c is None:
+            return None
+        edges.append((u, v, l1 if l1 < l2 else l2, c))
+    return (tuple(edges), (min(anon1[0], anon2[0]),) if anon1 else ())
+
+
 def _join_table(arith, nd, t1, t2, bag):
     out: dict[State, frozenset[Edge]] = {}
+    zipped: dict[tuple, list] = {}
     buckets: dict[tuple, list] = {}
     decoded2 = {}
     for s2, F2 in t2.items():
+        if len(s2[1]) <= 1:
+            zipped.setdefault(_zip_key(s2), []).append((s2, F2))
+            continue
         adj2, vlab2 = _decode(s2, bag)
         decoded2[s2] = (adj2, vlab2)
         buckets.setdefault(_shape_key(adj2, vlab2), []).append((s2, F2))
     for s1, F1 in t1.items():
+        if len(s1[1]) <= 1:
+            for s2, F2 in zipped.get(_zip_key(s1), ()):
+                sJ = _zip_join(arith, s1, s2)
+                if sJ is not None and sJ not in out:
+                    out[sJ] = F1 | F2
+            continue
         adj1, vlab1 = _decode(s1, bag)
         key = _shape_key(adj1, vlab1)
         for s2, F2 in buckets.get(key, ()):
@@ -713,7 +757,7 @@ def search_k(
             T = SpanningTree(G, forest)
             got = congestion_report(G, T).max_congestion
             assert got <= cap, f"DP returned congestion {got} > {cap} at k = {k}"
-            return got, T
+            return (got, T) if got <= ub else (ub, T_ub)
     return (ub, T_ub) if limit is None or ub < limit else None
 
 

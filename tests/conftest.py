@@ -55,3 +55,14 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
     for e in pool[: m - len(edges)]:
         edges.add(e)
     return Graph.from_edges(n, edges)
+
+
+def suite_graphs(count: int = 200) -> list[Graph]:
+    """The shared random-instance suite: connected, n <= 9, m <= 14."""
+    rng = random.Random(101)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        m = rng.randint(n - 1, min(14, n * (n - 1) // 2))
+        out.append(random_connected_graph(rng, n, m))
+    return out

@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import complete_bipartite, random_connected_graph
+from conftest import complete_bipartite, random_connected_graph, suite_graphs
 from stc.dp import (
     check_approx_invariant,
     solve_approx_tw,
@@ -55,17 +55,6 @@ def _report(capsys, num: int, errs: list[str], detail: str) -> None:
     assert not errs, f"criterion {num}: " + "; ".join(errs[:5])
 
 
-def _suite(count: int = 200):
-    """The shared random-instance suite: connected, n <= 9, m <= 14."""
-    rng = random.Random(101)
-    out = []
-    for _ in range(count):
-        n = rng.randint(4, 9)
-        m = rng.randint(n - 1, min(14, n * (n - 1) // 2))
-        out.append(random_connected_graph(rng, n, m))
-    return out
-
-
 def _reeval(G, T) -> int:
     return congestion_report(G, T).max_congestion
 
@@ -86,7 +75,7 @@ def _clique_modulator(G: Graph, cap: int = 3):
 def test_criterion_1_oracle_equivalence(capsys):
     errs: list[str] = []
     counts = {"dp": 0, "fes": 0, "dtc": 0, "vi": 0}
-    for idx, G in enumerate(_suite()):
+    for idx, G in enumerate(suite_graphs()):
         kstar, Tor = stc_exact(G)
         if _reeval(G, Tor) != kstar:
             errs.append(f"#{idx}: oracle tree off")
@@ -133,7 +122,7 @@ def test_criterion_2_grid_values(capsys):
 def test_criterion_3_approx_guarantee(capsys):
     errs: list[str] = []
     invariant_runs = 0
-    for idx, G in enumerate(_suite()):
+    for idx, G in enumerate(suite_graphs()):
         kstar, _ = stc_exact(G)
         for eps in ("0.1", "0.5"):
             got, T = solve_approx_tw(G, eps)
@@ -296,7 +285,7 @@ def test_criterion_8_winwin(capsys):
         if r.decision != "no":
             errs.append(f"K55 w={w}: {r.decision}")
     checked = 0
-    for idx, G in enumerate(_suite()):
+    for idx, G in enumerate(suite_graphs()):
         kstar, _ = stc_exact(G)
         targets = [kstar] if kstar == 1 else [kstar, kstar - 1]
         for k in targets:

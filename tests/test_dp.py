@@ -12,8 +12,13 @@ from stc.dp import (
     _canonical,
     _decode,
     _drop_dominated,
+    _isomorphisms,
+    _join_table,
     _run_dp,
+    _shape_key,
     _simplify,
+    _zip_join,
+    _zip_key,
     ExactArith,
     RoundedArith,
     check_approx_invariant,
@@ -26,6 +31,7 @@ from stc.dp import (
 from stc.errors import InvalidDecompositionError
 from stc.graph import Graph, SpanningTree, congestion_report
 from stc.oracle import stc_exact
+from stc.reductions import gen_ubp
 
 from conftest import (
     complete_bipartite,
@@ -35,7 +41,22 @@ from conftest import (
     path_graph,
     random_connected_graph,
     star_graph,
+    suite_graphs,
 )
+
+
+@pytest.fixture(scope="module")
+def kept_runs():
+    """Exact runs with every table kept: the 4x4 grid at k = 4, ubp at k = 10."""
+    out = {}
+    for name, g, k in (
+        ("grid4", grid_graph(4), 4),
+        ("ubp", gen_ubp(3, [1, 1, 1]).graph, 10),
+    ):
+        ntd = default_nice_decomposition(g)
+        arith = ExactArith(k)
+        out[name] = (ntd, arith, _run_dp(g, ntd, arith, keep_tables=True))
+    return out
 
 
 def test_named_graph_values():
@@ -175,6 +196,148 @@ def test_canonical_without_anonymous_vertices_keeps_bag_names():
     assert _canonical(adj, vlab) == (((0, 2, 1, 3), (1, 2, 0, 1)), ())
 
 
+def _canonical_two_pass(adj, vlab):
+    """Reference canonical form: one pass signs every subtree and records the
+    child order, a second names the anonymous vertices in preorder."""
+    if not adj:
+        return EMPTY_STATE
+    if min(adj) >= 0:
+        return (tuple(sorted(
+            (v, u, lbl, c) for v in adj for u, (lbl, c) in adj[v].items() if v < u
+        )), ())
+    root = min(v for v in adj if v >= 0)
+    child_order = {}
+
+    def sig(v, parent):
+        kids = []
+        for u, pay in adj[v].items():
+            if u == parent:
+                continue
+            kids.append((pay, sig(u, v), u))
+        kids.sort(key=lambda t: (t[0], t[1]))
+        child_order[v] = [u for _, _, u in kids]
+        token = ("b", v) if v >= 0 else ("a", vlab[v])
+        return (token, tuple((pay, s) for pay, s, _ in kids))
+
+    sig(root, -10**9)
+    names = {}
+    counter = [0]
+
+    def assign(v, parent):
+        if v < 0:
+            counter[0] += 1
+            names[v] = -counter[0]
+        for u in child_order[v]:
+            assign(u, v)
+
+    assign(root, -10**9)
+
+    def nm(v):
+        return names.get(v, v)
+
+    edges = []
+    for v in adj:
+        for u, (lbl, c) in adj[v].items():
+            a, b = nm(v), nm(u)
+            if a < b:
+                edges.append((a, b, lbl, c))
+    anon_labels = tuple(vlab[x] for x in sorted(names, key=lambda t: -names[t]))
+    return (tuple(sorted(edges)), anon_labels)
+
+
+def _scrambled(adj, vlab, rng):
+    """The same skeleton under fresh anonymous ids and a shuffled insertion
+    order of vertices and neighbours."""
+    anons = [x for x in adj if x < 0]
+    ren = dict(zip(anons, rng.sample(range(-3 * len(anons) - 3, 0), len(anons))))
+    vs = list(adj)
+    rng.shuffle(vs)
+    adj2, vlab2 = {}, {}
+    for v in vs:
+        nbrs = list(adj[v].items())
+        rng.shuffle(nbrs)
+        adj2[ren.get(v, v)] = {ren.get(u, u): pay for u, pay in nbrs}
+        vlab2[ren.get(v, v)] = vlab[v]
+    return adj2, vlab2
+
+
+def test_canonical_is_a_canonical_form(kept_runs):
+    # every stored state, re-encoded under random namings and insertion
+    # orders, canonicalizes back to itself, as the two-pass reference does
+    rng = random.Random(837)
+    anon_counts = set()
+    for ntd, _, run in kept_runs.values():
+        for i, table in run.tables.items():
+            bag = ntd.nodes[i].bag
+            for state in table:
+                anon_counts.add(len(state[1]))
+                adj, vlab = _decode(state, bag)
+                assert _canonical(adj, vlab) == state
+                for _ in range(2):
+                    adj2, vlab2 = _scrambled(adj, vlab, rng)
+                    assert _canonical(adj2, vlab2) == state
+                    assert _canonical_two_pass(adj2, vlab2) == state
+    assert anon_counts == {0, 1, 2, 3}
+
+
+def test_join_zips_states_with_at_most_one_anonymous_vertex(kept_runs):
+    # the general join of every pair the fast path meets: decode, the
+    # _isomorphisms search and _canonical, as the states with two or more
+    # anonymous vertices still go
+    pairs = 0
+    for ntd, arith, run in kept_runs.values():
+        for nd in ntd.nodes:
+            if nd.kind != "join":
+                continue
+            bag = nd.bag
+            t1, t2 = (run.tables[c] for c in nd.children)
+            buckets = {}
+            for s2 in t2:
+                if len(s2[1]) <= 1:
+                    adj2, vlab2 = _decode(s2, bag)
+                    buckets.setdefault(_shape_key(adj2, vlab2), []).append(s2)
+            expected = {}
+            for s1, F1 in t1.items():
+                if len(s1[1]) > 1:
+                    continue
+                adj1, vlab1 = _decode(s1, bag)
+                for s2 in buckets.get(_shape_key(adj1, vlab1), ()):
+                    pairs += 1
+                    assert _zip_key(s1) == _zip_key(s2)
+                    adj2, vlab2 = _decode(s2, bag)
+                    phis = list(_isomorphisms(adj1, adj2))
+                    assert len(phis) == 1
+                    phi = phis[0]
+                    joined = None
+                    if not any(
+                        vlab1[x] == vlab2[phi[x]] == -1 for x in vlab1 if x < 0
+                    ):
+                        adjJ = {v: {} for v in adj1}
+                        for x, y, l1, c1 in s1[0]:
+                            l2, c2 = adj2[phi.get(x, x)][phi.get(y, y)]
+                            c = arith.join(c1, c2)
+                            if l1 == l2 == -1 or c is None:
+                                break
+                            adjJ[x][y] = adjJ[y][x] = (min(l1, l2), c)
+                        else:
+                            vlabJ = {
+                                x: min(l, vlab2[phi[x]]) if x < 0 else 0
+                                for x, l in vlab1.items()
+                            }
+                            joined = _canonical(adjJ, vlabJ)
+                    assert _zip_join(arith, s1, s2) == joined
+                    if joined is not None:
+                        expected.setdefault(joined, F1 | t2[s2])
+            # no two states of different shape share a zip bucket
+            zip_keys = {_zip_key(s2) for s2s in buckets.values() for s2 in s2s}
+            assert len(zip_keys) == len(buckets)
+            # the table keeps the general path's states, order and forests
+            out = _join_table(arith, nd, t1, t2, bag)
+            fast = [(s, F) for s, F in out.items() if len(s[1]) <= 1]
+            assert fast == list(expected.items())
+    assert pairs > 1000
+
+
 def test_drop_dominated_keeps_only_undominated_states():
     def state(c01, c12, lbl=1):
         return (((0, 1, lbl, c01), (1, 2, 1, c12)), ())
@@ -210,12 +373,14 @@ def test_bounds_alone_settle_k4_and_long_cycles(monkeypatch):
         assert k == want == congestion_report(g, T).max_congestion
 
 
-def test_dominance_keeps_grid4_tables_small():
-    # every state stored on the 4x4 grid at k = 4; 50,356 without pruning
-    g = grid_graph(4)
-    run = _run_dp(g, default_nice_decomposition(g), ExactArith(4), keep_tables=True)
-    assert run.forest is not None
-    assert sum(len(t) for t in run.tables.values()) < 50_356 // 2
+def test_dominance_keeps_grid4_tables_small(kept_runs):
+    # every state stored on the 4x4 grid at k = 4 (50,356 without pruning)
+    # and on ubp at k = 10; any change to the node rules, the canonical form
+    # or the pruning that keeps a different state set moves these counts
+    for name, stored in (("grid4", 20_345), ("ubp", 3_453)):
+        _, _, run = kept_runs[name]
+        assert run.forest is not None
+        assert sum(len(t) for t in run.tables.values()) == stored
 
 
 def test_skeleton_size_stays_bounded():
@@ -355,6 +520,16 @@ def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
             assert all(k < ub for k in tried)
             runs += len(tried)
     assert runs > 0
+
+
+def test_approx_is_never_above_the_best_bfs_tree():
+    # at eps 1 a rounded run may accept with a tree above the BFS bound
+    # ((1+eps)k can exceed UB); the driver then returns the BFS tree
+    for idx, g in enumerate(suite_graphs()):
+        ub, _ = stc.dp._best_bfs_tree(g)
+        ka, T = solve_approx_tw(g, 1)
+        assert congestion_report(g, T).max_congestion == ka
+        assert ka <= ub, f"suite graph #{idx}: {ka} > {ub}"
 
 
 def test_driver_rejects_a_forest_over_its_cap(monkeypatch):
