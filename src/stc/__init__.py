@@ -47,7 +47,6 @@ from .graph import (
     Graph,
     SpanningTree,
     congestion_report,
-    congestion_report_by_detours,
     edge_key,
     find_biclique,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "build_solution",
     "check_approx_invariant",
     "congestion_report",
-    "congestion_report_by_detours",
     "count_spanning_trees",
     "decompose",
     "default_nice_decomposition",

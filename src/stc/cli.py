@@ -218,15 +218,15 @@ def _jsonable(obj):
 
 
 def _emit_doc(args: argparse.Namespace, doc: dict, summary: str) -> None:
-    text = formats.solution_to_text(doc)
     if args.output:
-        _write(args.output, text)
+        _write(args.output, formats.solution_to_text(doc))
         print(json.dumps(doc | {"output": args.output}) if args.json
               else f"{summary}; wrote {args.output}")
+    elif args.json:
+        print(json.dumps(doc))
     else:
-        print(text if not args.json else json.dumps(doc), end="" if not args.json else "\n")
-        if not args.json:
-            sys.stderr.write(summary + "\n")
+        print(formats.solution_to_text(doc), end="")
+        sys.stderr.write(summary + "\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

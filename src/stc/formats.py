@@ -4,20 +4,24 @@ All formats are 1-indexed on disk and 0-indexed in memory.  Writers are
 canonical (sorted edges, fixed key order), so parse-then-write is a fixed
 point: write(parse(write(x))) == write(x) byte for byte.  Parsers are strict
 and raise FormatError with the offending line number.
+
+The solution writer prints the bulky `edges` and `per_edge_congestion`
+fields itself, since json's indenting encoder runs in pure Python; its bytes
+are unchanged: exactly json.dumps(doc, indent=2) plus a newline.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .decomposition import TreeDecomposition
-from .errors import FormatError
+from .errors import FormatError, InvalidSpanningTreeError
 from .graph import (
     DoubleWeightedGraph,
     Graph,
     SpanningTree,
     congestion_report,
     edge_key,
-    spanning_tree_violation,
 )
 
 
@@ -206,11 +210,40 @@ def build_infeasible(k: int, algorithm: str, certified: bool = True, **extra) ->
     return doc
 
 
+def _field_text(key: str, val) -> str:
+    """json.dumps(val, indent=2) as it appears one level into the document."""
+    if key == "edges" and type(val) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+        for p in val
+    ):
+        if not val:
+            return "[]"
+        return "[\n" + ",\n".join(
+            f"    [\n      {u},\n      {v}\n    ]" for u, v in val
+        ) + "\n  ]"
+    if key == "per_edge_congestion" and type(val) is dict and all(
+        type(t) is str and type(c) is int for t, c in val.items()
+    ):
+        if not val:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"    {encode_basestring_ascii(t)}: {c}" for t, c in val.items()
+        ) + "\n  }"
+    return json.dumps(val, indent=2).replace("\n", "\n  ")
+
+
 def solution_to_text(sol: dict) -> str:
+    """The document as json.dumps(doc, indent=2) plus a newline, keys in the
+    canonical order; edges and per-edge congestion are written directly."""
     order = ["feasible", "k", "algorithm", "certified", "edges", "per_edge_congestion"]
     ordered = {key: sol[key] for key in order if key in sol}
     ordered.update({k: v for k, v in sol.items() if k not in ordered})
-    return json.dumps(ordered, indent=2) + "\n"
+    if not ordered or any(type(k) is not str for k in ordered):
+        return json.dumps(ordered, indent=2) + "\n"
+    body = ",\n".join(
+        f"  {encode_basestring_ascii(k)}: {_field_text(k, v)}" for k, v in ordered.items()
+    )
+    return "{\n" + body + "\n}\n"
 
 
 def parse_solution(text: str) -> dict:
@@ -233,7 +266,10 @@ def parse_solution(text: str) -> dict:
 
 
 def verify_solution(g: Graph | DoubleWeightedGraph, sol: dict) -> str | None:
-    """Recompute the tree's congestion; None if the document checks out."""
+    """Recompute the tree's congestion; None if the document checks out.
+
+    The tree is validated once and measured once.
+    """
     base = g.base if isinstance(g, DoubleWeightedGraph) else g
     if not sol.get("feasible", True):
         return "nothing to verify: solution claims infeasibility"
@@ -243,10 +279,11 @@ def verify_solution(g: Graph | DoubleWeightedGraph, sol: dict) -> str | None:
         return "edges are not a list of pairs"
     if any(not (0 <= u < base.n and 0 <= v < base.n) for u, v in edges):
         return "edge endpoint out of range"
-    bad = spanning_tree_violation(base, edges)
-    if bad is not None:
-        return bad
-    rep = congestion_report(g, SpanningTree(base, edges))
+    try:
+        tree = SpanningTree(base, edges)
+    except InvalidSpanningTreeError as exc:
+        return str(exc)
+    rep = congestion_report(g, tree)
     if rep.max_congestion != sol["k"]:
         return f"k is {sol['k']} but the tree re-evaluates to {rep.max_congestion}"
     claimed = sol["per_edge_congestion"]

@@ -167,10 +167,21 @@ class DoubleWeightedGraph:
 
 @dataclass(frozen=True)
 class SpanningTree:
+    """A spanning tree of host, validated once, at construction.
+
+    Its unweighted congestion report is computed on first use and kept:
+    every later congestion_report(host, T) returns that same report.
+    """
+
     host: Graph
     edges: frozenset[Edge]
+    _report: CongestionReport | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
+        if not isinstance(self.edges, frozenset):
+            object.__setattr__(self, "edges", frozenset(self.edges))
         err = spanning_tree_violation(self.host, self.edges)
         if err:
             raise InvalidSpanningTreeError(err)
@@ -182,8 +193,8 @@ class SpanningTree:
 def spanning_tree_violation(G: Graph, tree_edges) -> str | None:
     """None if tree_edges is a spanning tree of G, else a description."""
     edges = set(tree_edges)
-    if not edges <= set(G.edges):
-        bad = sorted(edges - set(G.edges))[0]
+    if not edges <= G.edges:
+        bad = min(edges - G.edges)
         return f"edge {bad} not in the graph"
     if len(edges) != G.n - 1:
         return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
@@ -234,14 +245,27 @@ def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
 
 
 def congestion_report(G, T) -> CongestionReport:
-    """Per-tree-edge congestion via subtree aggregation (near-linear)."""
+    """Per-tree-edge congestion via subtree aggregation (near-linear).
+
+    A SpanningTree measured on its own host, a plain Graph, is measured once:
+    the report is kept on the tree and returned again, so treat per_edge as
+    read-only.
+    """
+    keep = isinstance(T, SpanningTree) and T.host is G and isinstance(G, Graph)
+    if keep and T._report is not None:
+        return T._report
     base, wt1, wt2 = _split_weights(G)
     per_edge = _edge_loads(base, wt1, wt2, _tree_edge_set(base, T))
-    return CongestionReport(per_edge, max(per_edge.values(), default=0))
+    rep = CongestionReport(per_edge, max(per_edge.values(), default=0))
+    if keep:
+        object.__setattr__(T, "_report", rep)
+    return rep
 
 
-def _edge_loads(base: Graph, wt1, wt2, tree_edges) -> dict[Edge, int]:
-    """Congestion of every edge of a spanning tree of base; no validation.
+def _vertex_loads(base: Graph, wt1, tree_edges) -> tuple[list[int], list[int], list[int]]:
+    """BFS parents and order of a spanning tree of base, and for every vertex
+    v the total wt1 of the non-tree edges whose detour uses the tree edge
+    from v to its parent (0 at the root); no validation.
 
     Every non-tree edge adds wt1 along its whole detour with one pair of
     lca-difference marks, then a single reverse-BFS pass accumulates them.
@@ -262,33 +286,37 @@ def _edge_loads(base: Graph, wt1, wt2, tree_edges) -> dict[Edge, int]:
         load[a] += w
         load[b] += w
         load[x] -= 2 * w
-    per_edge: dict[Edge, int] = {}
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
             load[p] += load[v]
+    return parent, order, load
+
+
+def _edge_loads(base: Graph, wt1, wt2, tree_edges) -> dict[Edge, int]:
+    """Congestion of every edge of a spanning tree of base; no validation."""
+    parent, order, load = _vertex_loads(base, wt1, tree_edges)
+    per_edge: dict[Edge, int] = {}
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
             e = edge_key(v, p)
             per_edge[e] = load[v] + wt2[e]
     return per_edge
 
 
-def congestion_report_by_detours(G, T) -> CongestionReport:
-    """Quadratic reference evaluation: route every edge's detour explicitly."""
-    base, wt1, wt2 = _split_weights(G)
-    tree_edges = _tree_edge_set(base, T)
-    parent, depth, _ = _tree_order(base.n, tree_edges)
-    per_edge = {e: wt2[e] for e in tree_edges}
-    for e in base.edges:
-        if e in tree_edges:
-            continue
-        x, y = e
-        w = wt1[e]
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            per_edge[edge_key(x, parent[x])] += w
-            x = parent[x]
-    return CongestionReport(per_edge, max(per_edge.values(), default=0))
+def _max_load(base: Graph, wt1, wt2, tree_edges) -> int:
+    """The largest congestion of a spanning tree of base; no validation.
+
+    wt2=None prices every tree edge 1 for itself.
+    """
+    if base.n == 1:
+        return 0
+    parent, order, load = _vertex_loads(base, wt1, tree_edges)
+    if wt2 is None:
+        # the root's load is 0 and every other load is >= 0
+        return max(load) + 1
+    return max(load[v] + wt2[edge_key(v, parent[v])] for v in order[1:])
 
 
 def _split_weights(G):
@@ -299,6 +327,8 @@ def _split_weights(G):
 
 
 def _tree_edge_set(base: Graph, T) -> frozenset[Edge]:
+    if isinstance(T, SpanningTree) and T.host is base:
+        return T.edges  # validated at construction
     edges = T.edges if isinstance(T, SpanningTree) else frozenset(edge_key(*e) for e in T)
     err = spanning_tree_violation(base, edges)
     if err:

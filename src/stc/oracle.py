@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .graph import (
+    DoubleWeightedGraph,
     Edge,
     Graph,
     SpanningTree,
-    _edge_loads,
+    _max_load,
     _split_weights,
     edge_key,
     require_connected,
@@ -144,10 +145,12 @@ def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, Spanning
     Graph or a DoubleWeightedGraph.
     """
     base, wt1, wt2 = _split_weights(G)
+    if not isinstance(G, DoubleWeightedGraph):
+        wt2 = None  # unit tree-edge weights: the maximum needs no per-edge pass
     require_connected(base)
     best: tuple[int, frozenset[Edge]] | None = None
     for tree in enumerate_spanning_trees(base, budget):
-        c = max(_edge_loads(base, wt1, wt2, tree).values(), default=0)
+        c = _max_load(base, wt1, wt2, tree)
         if best is None or c < best[0]:
             best = (c, tree)
     assert best is not None

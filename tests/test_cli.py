@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import random
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import complete_graph, cycle_graph, path_graph
 from stc import formats
 from stc.cli import main
 from stc.graph import DoubleWeightedGraph, Graph
+from stc.oracle import stc_exact
 from stc.reductions import gen_grid
 from stc.structural import solve_fes
 
@@ -232,6 +234,78 @@ def test_eval_roundtrip_and_tamper(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", path, "--tree", str(solpath), "--json")
     res = json.loads(out)
     assert code == 1 and res["ok"] is False and "re-evaluates" in res["problem"]
+
+
+def _subdivided_petersen(rng, per_edge: int, pendants: int) -> tuple[Graph, Graph]:
+    """Petersen with every edge subdivided and random pendant trees hung on."""
+    core = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    edges, n = [], core.n
+    for u, v in core.sorted_edges():
+        path = [u] + list(range(n, n + per_edge)) + [v]
+        n += per_edge
+        edges += zip(path, path[1:])
+    for _ in range(pendants):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    rng.shuffle(edges)
+    return core, Graph.from_edges(n, edges)
+
+
+def test_solve_eval_roundtrip_at_scale_measures_and_validates_once(
+    tmp_path, capsys, monkeypatch
+):
+    import stc.graph as graph
+
+    core, G = _subdivided_petersen(random.Random(5), 200, 2000)
+    assert G.n == 5010
+    path = write_gr(tmp_path, G)
+    solpath = str(tmp_path / "sol.json")
+    calls = {"validate": 0, "measure": 0}
+    validate, measure = graph.spanning_tree_violation, graph._edge_loads
+
+    def counted_validate(H, edges):
+        calls["validate"] += H.n == G.n
+        return validate(H, edges)
+
+    def counted_measure(H, *args):
+        calls["measure"] += H.n == G.n
+        return measure(H, *args)
+
+    monkeypatch.setattr(graph, "spanning_tree_violation", counted_validate)
+    monkeypatch.setattr(graph, "_edge_loads", counted_measure)
+    code, out, _ = run(capsys, "solve", path, "-o", solpath, "--json")
+    assert code == 0 and calls == {"validate": 1, "measure": 1}
+    doc = json.loads(out)
+    assert doc["algorithm"] == "fes" and doc["output"] == solpath
+    assert doc["k"] == stc_exact(core)[0]
+    sol = formats.parse_solution((tmp_path / "sol.json").read_text())
+    assert sol == {k: v for k, v in doc.items() if k != "output"}
+    calls.update(validate=0, measure=0)
+    code, out, _ = run(capsys, "eval", path, "--tree", solpath, "--json")
+    assert code == 0 and json.loads(out) == {"ok": True, "problem": None}
+    assert calls == {"validate": 1, "measure": 1}
+
+
+def test_edge_line_order_changes_neither_adjacency_order_nor_the_dp_answer(
+    tmp_path, capsys
+):
+    # the DP's tree depends on the order it meets neighbours in; a .gr file
+    # whose edge lines come in another order must give the same graph
+    head, *lines = formats.write_gr(gen_grid(4)).splitlines()
+    first = None
+    for seed in range(8):
+        random.Random(seed).shuffle(lines)
+        path = tmp_path / "g.gr"
+        path.write_text("\n".join([head] + lines) + "\n")
+        G = formats.parse_gr(path.read_text())
+        got = [list(G.neighbors(v)) for v in range(G.n)], run(
+            capsys, "solve", str(path), "--alg", "dp", "--json")
+        assert got[1][0] == 0
+        if first is None:
+            first = got
+        assert got == first
 
 
 # -- gen ----------------------------------------------------------------------

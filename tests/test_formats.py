@@ -170,3 +170,84 @@ def test_nonedge_tree_rejected_by_verify():
     sol["edges"] = [[1, 3], [2, 4], [3, 5], [1, 5]]
     problem = verify_solution(G, sol)
     assert problem is not None
+
+
+def _indented_reference(doc: dict) -> str:
+    order = ["feasible", "k", "algorithm", "certified", "edges", "per_edge_congestion"]
+    ordered = {key: doc[key] for key in order if key in doc}
+    ordered.update({k: v for k, v in doc.items() if k not in ordered})
+    return json.dumps(ordered, indent=2) + "\n"
+
+
+def test_solution_text_equals_indented_json_on_random_documents():
+    rng = random.Random(12)
+    words = ["oracle", "fes", "", "é", "☃ snow", 'q"uote', "back\\slash", "new\nline",
+             "tab\t", "\x00", "\U0001f600"]
+
+    def scalar():
+        return rng.choice([
+            rng.randint(-5, 10**6), rng.choice(words), rng.random(), True, False, None,
+        ])
+
+    def value(depth=0):
+        if depth > 2 or rng.random() < 0.5:
+            return scalar()
+        if rng.random() < 0.5:
+            return [value(depth + 1) for _ in range(rng.randint(0, 3))]
+        return {rng.choice(words): value(depth + 1) for _ in range(rng.randint(0, 3))}
+
+    for _ in range(400):
+        doc = {}
+        keys = ["feasible", "k", "algorithm", "certified", "edges", "per_edge_congestion",
+                "eps", "target_k", "stc", "output", rng.choice(words)]
+        rng.shuffle(keys)
+        for key in keys[: rng.randint(0, len(keys))]:
+            if key == "edges":
+                m = rng.choice([0, 1, rng.randint(2, 40)])
+                doc[key] = [[rng.randint(1, 99), rng.randint(1, 99)] for _ in range(m)]
+                if m and rng.random() < 0.2:  # off the fast path's shape
+                    doc[key][rng.randrange(m)] = rng.choice(
+                        [[True, 2], [1, 2, 3], (1, 2), [1.5, 2], "1-2", [1]])
+            elif key == "per_edge_congestion":
+                m = rng.choice([0, 1, rng.randint(2, 40)])
+                doc[key] = {f"{rng.randint(1, 99)}-{rng.randint(1, 99)}": rng.randint(1, 50)
+                            for _ in range(m)}
+                if rng.random() < 0.2:
+                    doc[key][rng.choice(words)] = rng.choice([False, 2.5, None, 7, "x"])
+            elif key == "eps":
+                doc[key] = rng.choice(["0.5", "1", "1e-9", 0.25])
+            else:
+                doc[key] = value()
+        assert solution_to_text(doc) == _indented_reference(doc), doc
+
+
+def test_solution_text_falls_back_for_keys_json_converts():
+    for doc in ({}, {1: 2}, {"k": 1, 2: "x"}, {None: [1], "edges": [[1, 2]]}, {True: {}}):
+        assert solution_to_text(doc) == _indented_reference(doc)
+
+
+def test_solution_text_of_a_built_solution():
+    G = grid_graph(3)
+    k, T = stc_exact(G)
+    for doc in (build_solution(G, T, "oracle"), build_infeasible(2, "dp", stc=3),
+                dict(build_solution(G, T, "approx", certified=False), eps="0.5"),
+                dict(build_solution(G, T, "dp"), target_k=4)):
+        assert solution_to_text(doc) == _indented_reference(doc)
+
+
+def test_verify_messages_for_edge_sets_that_are_not_spanning_trees():
+    # 2x3 grid: 1-2-3 over 4-5-6, rungs 1-4, 2-5, 3-6
+    G = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+    def doc(edges):
+        return {"feasible": True, "k": 1, "algorithm": "x", "certified": True,
+                "edges": edges, "per_edge_congestion": {}}
+
+    path = [[1, 2], [2, 3], [4, 5], [5, 6]]
+    assert verify_solution(G, doc(path + [[1, 6]])) == "edge (0, 5) not in the graph"
+    assert verify_solution(G, doc(path)) == "4 edges, a spanning tree needs 5"
+    assert verify_solution(G, doc(path + [[1, 4], [2, 5]])) == "6 edges, a spanning tree needs 5"
+    assert (verify_solution(G, doc([[1, 2], [4, 5], [5, 6], [1, 4], [2, 5]]))
+            == "edge (1, 4) closes a cycle")
+    assert verify_solution(G, doc(path + [[1, 7]])) == "edge endpoint out of range"
+    assert verify_solution(G, doc(path + [[1, 4]])) == "k is 1 but the tree re-evaluates to 3"

@@ -15,16 +15,52 @@ from conftest import (
 )
 from stc.errors import GraphError, InvalidSpanningTreeError
 from stc.graph import (
+    CongestionReport,
     DoubleWeightedGraph,
     Graph,
     SpanningTree,
+    _edge_loads,
+    _max_load,
     congestion_report,
-    congestion_report_by_detours,
     edge_key,
     find_biclique,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
+
+
+def congestion_report_by_detours(G, T) -> CongestionReport:
+    """Reference evaluator, quadratic: route every edge's detour explicitly."""
+    if isinstance(G, DoubleWeightedGraph):
+        base, wt1, wt2 = G.base, G.wt1, G.wt2
+    else:
+        base = G
+        wt1 = wt2 = {e: 1 for e in G.edges}
+    edges = T.edges if isinstance(T, SpanningTree) else T
+    tree_edges = SpanningTree(base, frozenset(edge_key(*e) for e in edges)).edges
+    adj = {v: [] for v in range(base.n)}
+    for u, v in tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent, depth = {0: None}, {0: 0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in parent:
+                parent[u], depth[u] = v, depth[v] + 1
+                stack.append(u)
+    per_edge = {e: wt2[e] for e in tree_edges}
+    for e in base.edges:
+        if e in tree_edges:
+            continue
+        x, y = e
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            per_edge[edge_key(x, parent[x])] += wt1[e]
+            x = parent[x]
+    return CongestionReport(per_edge, max(per_edge.values(), default=0))
 
 
 def test_graph_construction_rejects_garbage():
@@ -152,6 +188,77 @@ def test_congestion_rejects_non_tree():
         congestion_report(G, [(0, 1), (1, 2)])
     with pytest.raises(InvalidSpanningTreeError):
         SpanningTree(G, frozenset({(0, 1), (0, 2), (2, 3)}))
+
+
+def test_tree_report_is_measured_once_and_matches_a_fresh_one():
+    rng = random.Random(806)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 20))
+        T = SpanningTree(G, next(enumerate_spanning_trees(G)))
+        rep = congestion_report(G, T)
+        assert congestion_report(G, T) is rep
+        one = {e: 1 for e in G.edges}
+        assert rep.per_edge == _edge_loads(G, one, one, T.edges)
+        assert rep.per_edge == congestion_report_by_detours(G, T).per_edge
+        assert rep.max_congestion == max(rep.per_edge.values())
+
+
+def test_kept_report_serves_only_its_own_unweighted_host():
+    rng = random.Random(807)
+    for _ in range(30):
+        G = random_connected_graph(rng, 8, rng.randint(8, 14))
+        T = SpanningTree(G, next(enumerate_spanning_trees(G)))
+        unit = congestion_report(G, T)
+        # the same edge weights on a weighted view of the host
+        Gw = DoubleWeightedGraph(
+            G, {e: rng.randint(2, 4) for e in G.edges}, {e: rng.randint(1, 5) for e in G.edges}
+        )
+        rep = congestion_report(Gw, T)
+        assert rep is not unit
+        assert rep.per_edge == congestion_report_by_detours(Gw, T).per_edge
+        # an equal graph that is another object is measured afresh
+        twin = Graph(G.n, G.edges)
+        assert congestion_report(twin, T) is not unit
+        assert congestion_report(twin, T).per_edge == unit.per_edge
+        # a host with one more edge gives a different report
+        missing = [
+            (u, v) for u in range(G.n) for v in range(u + 1, G.n) if (u, v) not in G.edges
+        ]
+        H = Graph(G.n, G.edges | {rng.choice(missing)})
+        assert congestion_report(H, T).per_edge == congestion_report_by_detours(H, T).per_edge
+        assert congestion_report(H, T).total > unit.total
+        assert congestion_report(G, T) is unit
+
+
+def test_tree_on_another_host_is_validated_against_it():
+    T = SpanningTree(cycle_graph(4), frozenset({(0, 1), (1, 2), (2, 3)}))
+    with pytest.raises(InvalidSpanningTreeError):
+        congestion_report(Graph(4, frozenset({(0, 1), (1, 2), (0, 3)})), T)
+    assert congestion_report(path_graph(4), T).max_congestion == 1
+
+
+def test_max_load_equals_the_largest_edge_load():
+    rng = random.Random(808)
+    assert _max_load(Graph(1, frozenset()), {}, None, frozenset()) == 0
+    assert _max_load(Graph(1, frozenset()), {}, {}, frozenset()) == 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 16))
+        one = {e: 1 for e in G.edges}
+        wt1 = {e: rng.randint(1, 4) for e in G.edges}
+        wt2 = {e: rng.randint(1, 6) for e in G.edges}
+        for tree in enumerate_spanning_trees(G):
+            assert _max_load(G, one, None, tree) == max(_edge_loads(G, one, one, tree).values())
+            assert _max_load(G, wt1, wt2, tree) == max(_edge_loads(G, wt1, wt2, tree).values())
+            break
+
+
+def test_spanning_tree_edges_are_frozen():
+    G = cycle_graph(4)
+    T = SpanningTree(G, {(0, 1), (1, 2), (2, 3)})
+    assert isinstance(T.edges, frozenset)
+    assert T == SpanningTree(G, frozenset({(0, 1), (1, 2), (2, 3)}))
 
 
 def test_twin_classes_k5_empty_s():
