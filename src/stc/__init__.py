@@ -3,8 +3,9 @@
 Exact solvers (brute force, treewidth DP), parameterized solvers (feedback
 edge set, clique modulator, vertex integrity), a (1+eps)-approximation,
 hardness-instance generators with witness trees, and text formats for
-graphs, tree decompositions and solutions.  `solve` picks a solver from the
-graph's structure, runs it and re-measures the tree it returns.
+graphs, tree decompositions and solutions.  `solve` reduces the graph to its
+feedback-edge kernel, picks a solver from the kernel's structure, runs it
+and re-measures the tree it returns.
 """
 from .decomposition import (
     NiceTreeDecomposition,

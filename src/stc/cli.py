@@ -30,9 +30,9 @@ from .errors import (
     InvalidSpanningTreeError,
 )
 from .graph import DoubleWeightedGraph, Graph
-from .oracle import DEFAULT_MAX_MILLIS, DEFAULT_MAX_TREES, ORACLE_CAP, EnumerationBudget
+from .oracle import DEFAULT_MAX_MILLIS, DEFAULT_MAX_TREES, EnumerationBudget
 from .reductions import gen_3partition, gen_bsat, gen_grid, gen_ubp, grid_corners
-from .route import ALGORITHMS, FES_CAP, solve
+from .route import ALGORITHMS, solve
 from .structural import fes_value, reduce_graph
 
 EXIT_YES = 0
@@ -65,10 +65,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", default="auto", choices=ALGORITHMS)
     p.add_argument("--k", type=int, help="decide stc <= k instead of optimizing")
     p.add_argument("--modulator", help="file with 1-indexed modulator vertices")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
-                   help="auto: brute force at or below this many vertices")
-    p.add_argument("--fes-cap", type=int, default=FES_CAP,
-                   help="auto: kernel enumeration at or below this feedback edge count")
     budget(p)
     common(p)
 
@@ -82,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="decide stc <= k instead of optimizing")
     budget(p)
     common(p)
-    p.set_defaults(alg="oracle", modulator=None, oracle_cap=ORACLE_CAP, fes_cap=FES_CAP)
+    p.set_defaults(alg="oracle", modulator=None)
 
     p = sub.add_parser("eval", help="re-evaluate and verify a solution JSON")
     p.add_argument("input")
@@ -234,7 +230,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     S = _load_modulator(args.modulator, G) if args.modulator else None
     k = args.k
-    alg, got, tree = solve(G, k, S, args.alg, _budget(args), args.oracle_cap, args.fes_cap)
+    alg, got, tree = solve(G, k, S, args.alg, _budget(args))
     if tree is None:
         doc = formats.build_infeasible(k, alg)
         _emit_doc(args, doc, f"no spanning tree with congestion <= {k}")

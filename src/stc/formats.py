@@ -60,11 +60,10 @@ def parse_gr(text: str) -> Graph | DoubleWeightedGraph:
         raise FormatError(f"line {lineno}: need n >= 1 and m >= 0")
     weighted = toks[1] == "stcw"
     want = 4 if weighted else 2
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     weights: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, toks in lines:
-        if len(edges) == m:
+        if len(seen) == m:
             raise FormatError(f"line {lineno}: more than {m} edge lines")
         vals = _int_tokens(lineno, toks, "edge line")
         if len(vals) != want:
@@ -77,27 +76,26 @@ def parse_gr(text: str) -> Graph | DoubleWeightedGraph:
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
         e = edge_key(u - 1, v - 1)
-        if e in weights or e in seen:
+        if e in seen:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
         if weighted:
             w1, w2 = vals[2], vals[3]
             if w1 < 1 or w2 < 1:
                 raise FormatError(f"line {lineno}: weights must be >= 1")
             weights[e] = (w1, w2)
-        else:
-            edges.append(e)
         seen.add(e)
-    count = len(weights) if weighted else len(edges)
-    if count != m:
-        raise FormatError(f"expected {m} edge lines, found {count}")
+    if len(seen) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(seen)}")
+    # already normalized and distinct; inserted as Graph.from_edges would, so
+    # the edge and adjacency sets iterate in the same order
+    base = Graph(n, frozenset(seen))
     if weighted:
-        base = Graph.from_edges(n, weights.keys())
         return DoubleWeightedGraph(
             base,
             {e: w[0] for e, w in weights.items()},
             {e: w[1] for e, w in weights.items()},
         )
-    return Graph.from_edges(n, edges)
+    return base
 
 
 def write_gr(g: Graph | DoubleWeightedGraph) -> str:

@@ -24,7 +24,7 @@ from .graph import (
 
 DEFAULT_MAX_TREES = 2_000_000
 DEFAULT_MAX_MILLIS = 120_000
-# graphs this small go to full enumeration wherever a solver has the choice
+# kernels this small are enumerated rather than given to the DP
 ORACLE_CAP = 12
 
 
@@ -142,16 +142,22 @@ def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, Spanning
     """Exact spanning tree congestion by full enumeration.
 
     Ties break toward the first optimal tree in enumeration order.  Accepts a
-    Graph or a DoubleWeightedGraph.
+    Graph or a DoubleWeightedGraph.  On a Graph the scan stops at the first
+    tree of congestion min-degree: every tree has a leaf, and a leaf's edge
+    carries the leaf's degree, so no tree goes lower.
     """
     base, wt1, wt2 = _split_weights(G)
+    floor = -1
     if not isinstance(G, DoubleWeightedGraph):
         wt2 = None  # unit tree-edge weights: the maximum needs no per-edge pass
+        floor = min(base.degree(v) for v in range(base.n))
     require_connected(base)
     best: tuple[int, frozenset[Edge]] | None = None
     for tree in enumerate_spanning_trees(base, budget):
         c = _max_load(base, wt1, wt2, tree)
         if best is None or c < best[0]:
             best = (c, tree)
+            if c == floor:
+                break
     assert best is not None
     return best[0], SpanningTree(base, best[1])

@@ -1,9 +1,10 @@
 """Distance-to-clique solver and the structural congestion bound witness.
 
 With modulator S (|S| = q) and clique C (|C| = N), small instances defer to
-the generic solvers.  Large ones are covered by a structure theorem: some
-optimal tree consists of a center r, all but at most q clique vertices as
-leaves of r, and an arbitrary arrangement of the remaining <= 2q vertices.
+the kernel pipeline (`solve_fes`).  Large ones are covered by a structure
+theorem: some optimal tree consists of a center r, all but at most q clique
+vertices as leaves of r, and an arbitrary arrangement of the remaining <= 2q
+vertices.
 Twin clique vertices (same neighborhood in S) are interchangeable, so the
 search runs over twin-class representatives, and each candidate is scored by
 local cut evaluation: a leaf's edge has congestion deg(leaf); any other edge
@@ -24,8 +25,7 @@ from ..graph import (
     require_connected,
     twin_classes,
 )
-from ..oracle import ORACLE_CAP, stc_exact
-from ..dp import solve_stc_tw
+from .fes import solve_fes
 from .vi import _bounded_counts
 
 
@@ -51,9 +51,7 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     C = _check_modulator(G, S)
     q, N = len(S), len(C)
     if N <= small_case_threshold(q):
-        if G.n <= ORACLE_CAP:
-            return stc_exact(G)
-        return solve_stc_tw(G)
+        return solve_fes(G)
 
     deg = [G.degree(v) for v in range(G.n)]
     classes = twin_classes(G, S)  # classes of C by neighborhood in S

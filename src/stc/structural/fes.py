@@ -7,16 +7,16 @@ compressed: an attached cycle keeps two inner vertices (a triangle), a chain
 parallel to an existing edge keeps one, and a chain with no parallel edge
 becomes a single edge.  Since subdividing edges never changes the spanning
 tree congestion, the kernel has the same optimum, and its size is bounded by
-the feedback edge number alone, so brute-force enumeration is cheap.  The
-kernel tree is lifted back by re-expanding each compressed section (an
-excluded section re-appears minus its last edge) and re-attaching the peeled
-leaves.
+the feedback edge number alone.  `solve_reduced` enumerates a small kernel's
+spanning trees and gives a larger one to the treewidth DP.  The kernel tree
+is lifted back by re-expanding each compressed section (an excluded section
+re-appears minus its last edge) and re-attaching the peeled leaves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import BudgetExceededError
+from ..dp import solve_stc_tw
 from ..graph import (
     Edge,
     Graph,
@@ -25,7 +25,7 @@ from ..graph import (
     edge_key,
     require_connected,
 )
-from ..oracle import EnumerationBudget, stc_exact
+from ..oracle import ORACLE_CAP, EnumerationBudget, stc_exact
 
 
 def fes_value(G: Graph) -> int:
@@ -215,22 +215,35 @@ def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree
     return SpanningTree(trace.original, frozenset(edges))
 
 
-def solve_fes(
-    G: Graph, budget: EnumerationBudget | None = None
-) -> tuple[int, SpanningTree]:
-    """Exact stc by brute force over the fes kernel's spanning trees."""
-    core, trace = reduce_graph(G)
+def solve_reduced(
+    core: Graph, trace: ReductionTrace, budget: EnumerationBudget | None = None
+) -> tuple[str, int, SpanningTree]:
+    """Exact stc of the host from its reduction; returns (route, congestion, tree).
+
+    A tree ("trivial") and a cycle ("cycle", 2) are answered directly.  A
+    kernel of at most ORACLE_CAP vertices is enumerated ("fes"; the budget
+    caps it), a larger one goes to the treewidth DP ("dp").  The kernel tree
+    is lifted and re-measured on the host.
+    """
+    G = trace.original
     if trace.kind == "tree":
-        T = SpanningTree(G, G.edges)
-        return (1 if G.n > 1 else 0), T
+        return "trivial", (1 if G.n > 1 else 0), SpanningTree(G, G.edges)
     if trace.kind == "cycle":
         # every spanning tree of a cycle has congestion 2; drop the last core
         # edge, as the first tree the enumeration would emit does
-        k_core = 2
+        route, k_core = "cycle", 2
         T = SpanningTree(G, G.edges - {max(e for e, _ in trace.sections)})
     else:
-        k_core, core_tree = stc_exact(core, budget)
+        if core.n <= ORACLE_CAP:
+            route, (k_core, core_tree) = "fes", stc_exact(core, budget)
+        else:
+            route, (k_core, core_tree) = "dp", solve_stc_tw(core)
         T = lift_tree(trace, core_tree.edges)
     got = congestion_report(G, T).max_congestion
     assert got == k_core, f"lifting changed congestion: {k_core} -> {got}"
-    return got, T
+    return route, got, T
+
+
+def solve_fes(G: Graph, budget: EnumerationBudget | None = None) -> tuple[int, SpanningTree]:
+    """Exact stc through the fes kernel (see `solve_reduced`)."""
+    return solve_reduced(*reduce_graph(G), budget)[1:]

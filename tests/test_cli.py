@@ -78,31 +78,31 @@ def test_solve_writes_verifiable_file(tmp_path, capsys):
 
 
 def test_solve_auto_routes_to_dtc(tmp_path, capsys):
-    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5)]
-    path = write_gr(tmp_path, Graph.from_edges(6, edges))
+    # K13 plus a 14th vertex joined to two clique vertices: a 14-vertex kernel
+    edges = [(i, j) for i in range(13) for j in range(i + 1, 13)] + [(0, 13), (1, 13)]
+    path = write_gr(tmp_path, Graph.from_edges(14, edges))
     mod = tmp_path / "mod.txt"
-    mod.write_text("c pendant vertex\n6\n")
-    code, out, _ = run(
-        capsys, "solve", path, "--modulator", str(mod),
-        "--oracle-cap", "3", "--fes-cap", "1",
-    )
+    mod.write_text("c the vertex outside the clique\n14\n")
+    code, out, _ = run(capsys, "solve", path, "--modulator", str(mod))
     sol = formats.parse_solution(out)
-    assert code == 0 and sol["algorithm"] == "dtc" and sol["k"] == 4
+    # clique vertex 0 is universal, so stc is the largest other degree, 13
+    assert code == 0 and sol["algorithm"] == "dtc" and sol["k"] == 13
 
 
 def test_solve_auto_routes_to_vi(tmp_path, capsys):
-    G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-    path = write_gr(tmp_path, G)
+    # universal vertex 0, five triangles, and vertex 1 joined to 0 and to one
+    # vertex of each triangle: G minus the modulator {0, 1} is five triangles
+    edges = [(0, 1)]
+    for t in range(5):
+        a, b, c = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
+        edges += [(a, b), (a, c), (b, c), (0, a), (0, b), (0, c), (1, a)]
+    path = write_gr(tmp_path, Graph.from_edges(17, edges))
     mod = tmp_path / "mod.txt"
-    mod.write_text("1 4\n")
-    code, out, _ = run(
-        capsys, "solve", path, "--modulator", str(mod),
-        "--oracle-cap", "3", "--fes-cap", "1",
-    )
+    mod.write_text("1 2\n")
+    code, out, _ = run(capsys, "solve", path, "--modulator", str(mod))
     sol = formats.parse_solution(out)
-    assert code == 0 and sol["algorithm"] == "vi"
-    code2, out2, _ = run(capsys, "solve", path, "--alg", "oracle")
-    assert sol["k"] == formats.parse_solution(out2)["k"]
+    # stc is the largest degree besides the universal vertex's: vertex 1's 6
+    assert code == 0 and sol["algorithm"] == "vi" and sol["k"] == 6
 
 
 def test_solve_modulator_flag_required(tmp_path, capsys):
@@ -300,8 +300,14 @@ def test_edge_line_order_changes_neither_adjacency_order_nor_the_dp_answer(
         path = tmp_path / "g.gr"
         path.write_text("\n".join([head] + lines) + "\n")
         G = formats.parse_gr(path.read_text())
-        got = [list(G.neighbors(v)) for v in range(G.n)], run(
-            capsys, "solve", str(path), "--alg", "dp", "--json")
+        # both parsers insert the edges as Graph.from_edges would, in line order
+        ref = Graph.from_edges(G.n, [[int(t) - 1 for t in line.split()] for line in lines])
+        Gw = formats.parse_gr("\n".join(
+            [head.replace("stc", "stcw")] + [f"{line} 2 1" for line in lines]))
+        assert list(G.edges) == list(Gw.base.edges) == list(ref.edges)
+        order = [list(G.neighbors(v)) for v in range(G.n)]
+        assert [list(Gw.base.neighbors(v)) for v in range(G.n)] == order
+        got = order, run(capsys, "solve", str(path), "--alg", "dp", "--json")
         assert got[1][0] == 0
         if first is None:
             first = got
@@ -466,6 +472,13 @@ def test_threads_and_seed_flags_are_gone(tmp_path, capsys):
         assert code == 2 and flag in err
 
 
+def test_route_cap_flags_are_gone(tmp_path, capsys):
+    path = write_gr(tmp_path, gen_grid(3))
+    for flag in ("--oracle-cap", "--fes-cap"):
+        code, _, err = run(capsys, "solve", path, flag, "3")
+        assert code == 2 and flag in err
+
+
 def test_binary_input_exits_two(tmp_path, capsys):
     binary = tmp_path / "binary.gr"
     binary.write_bytes(bytes(range(256)))
@@ -474,12 +487,13 @@ def test_binary_input_exits_two(tmp_path, capsys):
 
 
 def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
-    import stc.route
+    import stc.structural.fes
 
     def broken(G, budget=None):
         raise ValueError("solver fault")
 
-    monkeypatch.setattr(stc.route, "stc_exact", broken)
+    # auto routes K5 to the enumeration of its kernel
+    monkeypatch.setattr(stc.structural.fes, "stc_exact", broken)
     path = write_gr(tmp_path, complete_graph(5))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])

@@ -144,6 +144,19 @@ def test_stc_tiebreak_deterministic():
     assert t1 == t2
 
 
+def test_stc_returns_the_first_optimal_tree_of_the_full_scan():
+    # the scan stops at the first tree meeting the min-degree bound, which
+    # must be the first optimal tree the full scan would keep
+    rng = random.Random(7)
+    graphs = [random_connected_graph(rng, rng.randint(4, 8), rng.randint(4, 12))
+              for _ in range(40)]
+    for G in graphs + [complete_graph(5), cycle_graph(6), grid_graph(3)]:
+        trees = list(enumerate_spanning_trees(G))
+        loads = [congestion_report(G, t).max_congestion for t in trees]
+        k, T = stc_exact(G)
+        assert k == min(loads) and T.edges == trees[loads.index(k)]
+
+
 def test_weighted_oracle_cycle_value():
     # every tree of a cycle keeps all edges but one; the dropped edge's wt1
     # rides every kept edge, so the optimum is min over drops of that load

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph
+import stc.route
+import stc.structural.fes
+from conftest import complete_graph, cycle_graph, grid_graph, path_graph
 from stc import solve
 from stc.errors import GraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
@@ -12,27 +14,92 @@ from stc.reductions import gen_grid
 # three length-3 paths between hubs 0 and 1: n = 8, feedback edge number 2
 THETA = Graph.from_edges(8, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1),
                              (0, 6), (6, 7), (7, 1)])
-# K5 on 0..4 plus vertex 5 hanging off 0: {5} is a clique modulator
-K5_PENDANT = Graph.from_edges(6, [(i, j) for i in range(5) for j in range(i + 1, 5)]
-                              + [(0, 5)])
 # a 6-cycle with one chord: {0, 3} leaves two paths, not a clique
 CHORDED = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-LOW = {"oracle_cap": 3, "fes_cap": 1}
 
 
+def k13_pendant() -> Graph:
+    """K13 plus vertex 13 joined to clique vertices 0 and 1: {13} is a clique
+    modulator, and the kernel keeps all 14 vertices."""
+    edges = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+    return Graph.from_edges(14, edges + [(0, 13), (1, 13)])
+
+
+def vi17() -> Graph:
+    """Universal vertex 0, five triangles, and vertex 1 joined to 0 and to one
+    vertex of each triangle: {0, 1} is a vertex-integrity modulator."""
+    edges = [(0, 1)]
+    for t in range(5):
+        a, b, c = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
+        edges += [(a, b), (a, c), (b, c), (0, a), (0, b), (0, c), (1, a)]
+    return Graph.from_edges(17, edges)
+
+
+def universal_vertex_stc(G: Graph) -> int:
+    """stc of a graph with a universal vertex h: the largest degree besides
+    h's.  The star at h meets it, and the tree edge above any u != h (rooted
+    at h) carries at least deg(u)."""
+    return sorted(G.degree(v) for v in range(G.n))[-2]
+
+
+def subdivided(G: Graph, times: int) -> Graph:
+    """G with every edge replaced by a path through `times` new vertices."""
+    edges, n = [], G.n
+    for u, v in G.sorted_edges():
+        path = [u, *range(n, n + times), v]
+        n += times
+        edges += zip(path, path[1:])
+    return Graph.from_edges(n, edges)
+
+
+# the dtc, vi and dp kernels have more than ORACLE_CAP vertices
 @pytest.mark.parametrize("G, kwargs, route", [
     (path_graph(5), {}, "trivial"),
     (cycle_graph(6), {}, "cycle"),
-    (complete_graph(5), {}, "oracle"),
-    (THETA, {"oracle_cap": 3}, "fes"),
-    (K5_PENDANT, {"modulator": {5}, **LOW}, "dtc"),
-    (CHORDED, {"modulator": {0, 3}, **LOW}, "vi"),
-    (gen_grid(3), LOW, "dp"),
+    (complete_graph(5), {}, "fes"),
+    (THETA, {}, "fes"),
+    (k13_pendant(), {"modulator": {13}}, "dtc"),
+    (vi17(), {"modulator": {0, 1}}, "vi"),
+    (grid_graph(3, 7), {}, "dp"),
+    (CHORDED, {"modulator": {0, 3}}, "fes"),  # a small kernel ignores the modulator
 ])
-def test_each_route(G, kwargs, route):
+def test_each_route(G, kwargs, route, monkeypatch):
+    reductions = []
+    for module in (stc.route, stc.structural.fes):
+        def counted(H, reduce=module.reduce_graph):
+            reductions.append(H)
+            return reduce(H)
+
+        monkeypatch.setattr(module, "reduce_graph", counted)
     alg, got, tree = solve(G, **kwargs)
-    assert alg == route
-    assert got == stc_exact(G)[0] == congestion_report(G, tree).max_congestion
+    assert alg == route and reductions == [G]
+    if route in ("dtc", "vi"):
+        want = universal_vertex_stc(G)
+    elif route == "dp":
+        want = 3  # the 3x7 grid's stc
+    else:
+        want = stc_exact(G)[0]
+    assert got == want == congestion_report(G, tree).max_congestion
+
+
+def test_grid_4x5_takes_the_kernel_dp():
+    G = grid_graph(4, 5)
+    assert solve(G)[:2] == ("dp", 5) == solve(G, alg="dp")[:2]
+
+
+def test_subdivided_grid_with_a_chord_takes_the_kernel_dp():
+    # the 3x7 grid plus a chord between opposite corners has fes 13 and a
+    # 19-vertex kernel; subdividing every edge 60 times leaves stc unchanged
+    G = subdivided(Graph.from_edges(21, [*grid_graph(3, 7).edges, (0, 20)]), 60)
+    assert G.n == 2001
+    alg, got, tree = solve(G)
+    assert alg == "dp" and got == 4 == congestion_report(G, tree).max_congestion
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_cliques_stop_at_the_min_degree_bound(n):
+    # K9 has 4.78M spanning trees; the first star already meets deg = n - 1
+    assert solve(complete_graph(n))[:2] == ("fes", n - 1)
 
 
 def test_dp_decision_contract():
