@@ -71,8 +71,6 @@ from .reductions import (
 from .route import solve
 from .structural import (
     ReductionTrace,
-    dtc_bound_tree,
-    dtc_congestion_bound,
     fes_value,
     ilp_minimize_max,
     lift_tree,
@@ -110,8 +108,6 @@ __all__ = [
     "count_spanning_trees",
     "decompose",
     "default_nice_decomposition",
-    "dtc_bound_tree",
-    "dtc_congestion_bound",
     "edge_key",
     "enumerate_spanning_trees",
     "expand_double_weighted",

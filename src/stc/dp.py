@@ -32,6 +32,40 @@ anonymous vertices (a bijection preserves their number), and those keep the
 decode, _shape_key and _isomorphisms path.  Both kinds are met in one loop
 over the first table, so pairs reach the output in the same order either way.
 
+Introduce: every placement is built on the child's stored edge tuple, with
+no decoding or copying.  Leaf attachment and subdivision keep the anonymous
+vertices and their names, adopting x drops x and moves the names below it up
+by one, and a fresh branch vertex takes the next name down, so each output
+is a list of sorted pairs over the names -1 .. -m.  With m <= 1 that naming
+is forced (see "Join"), and sorting the list freezes the state; only an
+output with two or more anonymous vertices goes through _canonical.  The
+placements are emitted in the order the decoded form met them (bag vertices
+in the iteration order of the child's bag, then -1, -2, ...; future edges
+grouped by their first endpoint in that order, then by the second), so
+every table keeps the same dict order and the same representative forests.
+
+Doomed future edges: let P(t) be the vertices introduced below t.  A bag
+vertex x is closed when N(x) is inside P(t), and a state is doomed when a
+future edge joins a closed x to an anonymous vertex or to a bag vertex y
+with xy not in E.  A doomed state yields only doomed states, or none, at
+every node.  Introduce(v): v lies outside P(t), so it is no neighbour of x;
+subdividing the edge or adopting y as v leaves a future edge from x to v,
+a fresh branch vertex leaves one from x to it, and other placements leave
+the edge as it is.  Forget(u): u = x or u = y is refused for a future edge
+at u; otherwise the edge stays, since _simplify removes only past anonymous
+vertices and those its removals bring below degree 3, all joined by past
+edges, while a future anonymous vertex has only future edges.  Join: the
+other branch's matching edge is not present, as bijections keep the present
+flag; were it past, that branch's forest would hold a path from x whose
+first edge xz leaves the bag, so z was forgotten in that branch, lies
+outside P(t), and is no neighbour of x.  So the edge stays future, and x
+stays closed, until forget(x) refuses it.  Forget cannot create a doomed
+state (it keeps P, and each future edge it outputs was one of its input),
+so only introduce and join outputs are tested.  Doomedness reads only the
+counter-free form, so a doomed state never shares a dominance group with a
+kept one: every table is the unpruned run's table minus its doomed states,
+in the same order and with the same forests, and no answer or tree changes.
+
 The same engine runs the approximation scheme: counters live on a geometric
 grid of exact rationals (powers of 1 + eps/2h) and additions round up, which
 multiplies the answer by at most (1 + eps) while shrinking the counter range
@@ -51,23 +85,43 @@ a tree of congestion <= (1+eps)k < k+1, that is <= k; so it accepts exactly
 when stc <= k, as the exact run does.  This also spares a tiny eps the
 ~log(k)/delta exact rationals of its grid.
 
-Dominance: after every node, states that agree on everything but their
-counters (the canonical (u, v, label) triples and the anonymous labels) are
-compared, and a state is dropped when another one's counters are <= its own
-on every edge.  This is sound because every node rule is monotone in the
-counters: which placements introduce tries, which states forget refuses for
-future edges at v, how much it adds along each path, and which isomorphisms
-join pairs up all depend on the counter-free part alone; add_int, join and
-the max-merge in _simplify never decrease a counter, and they reach the cap
-no earlier for smaller inputs.  So whatever extends the dropped state, the
-same node sequence extends its dominator, with counters no higher at every
-step, and the root sees the empty state whenever the unpruned run would.
-Rounded counters are grid indices in increasing order, so the rule compares
-them as they are.  Comparing across _isomorphisms as well (grouping by a
-counter-free canonical form) would drop no further state on the graphs of
-the dp-exact benchmark workload: there no two surviving states share a
-counter-free form under different namings.  So states are grouped by their
-canonical naming only, and the extra canonical form is never computed.
+Dominance: after every forget and join node, states that agree on
+everything but their counters (the canonical (u, v, label) triples and the
+anonymous labels) are compared, and a state is dropped when another one's
+counters are <= its own on every edge.  This is sound because every node
+rule is monotone in the counters: which placements introduce tries, which
+states forget refuses for future edges at v, how much it adds along each
+path, and which isomorphisms join pairs up all depend on the counter-free
+part alone; add_int, join and the max-merge in _simplify never decrease a
+counter, and they reach the cap no earlier for smaller inputs.  So whatever
+extends the dropped state, the same node sequence extends its dominator,
+with counters no higher at every step, and the root sees the empty state
+whenever the unpruned run would.  Rounded counters are grid indices in
+increasing order, so the rule compares them as they are.  Comparing across
+_isomorphisms as well (grouping by a counter-free canonical form) would drop
+no further state on the graphs of the dp-exact benchmark workload: there no
+two surviving states share a counter-free form under different namings.  So
+states are grouped by their canonical naming only, and the extra canonical
+form is never computed.
+
+Introduce runs no dominance pass, which is sound since dominance only
+prunes, and it would find nothing to drop as long as the naming is forced.
+The counter-free form of an output fixes its placement (v's degree, and for
+a leaf at an anonymous vertex whether that vertex has degree 3), and
+undoing it projects the output onto a child state whose counters it copies
+(the halves of a subdivided edge keep its counter; v's leaf edge has 0).
+So two outputs of one counter-free form, one undercutting the other, would
+project onto two child states of one counter-free form, one undercutting
+the other; the child table holds no such pair (it was pruned, or is an
+introduce table, by induction), so both come from the same state by the
+same placement and are equal.  The argument does not reach states with two
+or more anonymous vertices: their canonical naming follows the counters,
+so two outputs may share a naming that their projections do not, and the
+child's pass never compared those projections.  On the graphs the tests
+cover, every introduce table is a fixed point of _drop_dominated.
+
+A refuted run stops at its first empty table, since every ancestor of an
+empty table is empty, unless the tables are kept.
 
 Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
 a limit) and solve_approx_tw (with eps).  It starts at the minimum degree,
@@ -338,94 +392,111 @@ def _insert(table, bag_size: int, adj, vlab, forest) -> None:
     table.setdefault(_canonical(adj, vlab), forest)
 
 
-def _introduce_table(G: Graph, nd, child_table):
+def _doomed(G: Graph, closed: frozenset[int], edges) -> bool:
+    """Whether a future edge joins a closed bag vertex to an anonymous vertex
+    or to a bag vertex it has no graph edge to (see "Doomed future edges")."""
+    for a, b, lbl, _c in edges:
+        if lbl == 1 and (a in closed or b in closed):
+            if a < 0 or (a, b) not in G.edges:
+                return True
+    return False
+
+
+def _introduce_table(G: Graph, nd, child_table, closed: frozenset[int]):
+    """Every placement of v on every child state, built from the stored edge
+    tuple (see "Introduce" in the module docstring); doomed ones are dropped."""
     v = nd.vertex
     bag = nd.bag
-    bag_old = bag - {v}
     vnbrs = G.neighbors(v)
+    # placements follow the bag's iteration order, then -1, -2, ...
+    bag_old = list(bag - {v})
+    nbag = len(bag_old)
+    rank = {u: i for i, u in enumerate(bag_old)}
+    max_anon = len(bag) + 1  # |bag| + anonymous vertices <= 2|bag| + 1
     out: dict[State, frozenset[Edge]] = {}
-    for state, F in child_table.items():
-        adj, vlab = _decode(state, bag_old)
-        if not adj:
-            _insert(out, len(bag), {v: {}}, {v: 0}, F)
+
+    def emit(edges: list, anon_labels: tuple[int, ...], F: frozenset[Edge]) -> None:
+        """Store a placement: sorted pairs over the anonymous names -1, -2, ..."""
+        assert len(anon_labels) <= max_anon, "skeleton exceeds the 2w+1 size bound"
+        if closed and _doomed(G, closed, edges):
+            return
+        if len(anon_labels) <= 1:  # the naming is forced: sorting freezes it
+            edges.sort()
+            state = (tuple(edges), anon_labels)
+        else:
+            adj: dict[int, dict[int, tuple[int, int]]] = {}
+            for a, b, lbl, c in edges:
+                adj.setdefault(a, {})[b] = (lbl, c)
+                adj.setdefault(b, {})[a] = (lbl, c)
+            vlab = {-(i + 1): lbl for i, lbl in enumerate(anon_labels)}
+            state = _canonical(adj, vlab)
+        if state not in out:
+            out[state] = F
+
+    for (edges, anon), F in child_table.items():
+        if not bag_old:
+            emit([], (), F)
             continue
-        future_edges = [
-            (a, b)
-            for a in adj
-            for b in adj[a]
-            if a < b and adj[a][b][0] == 1
-        ]
-        # leaf attachment to a present vertex or a future branch vertex
-        for u in adj:
-            opts = []
-            if u >= 0:
-                opts.append(1)
-                if u in vnbrs:
-                    opts.append(0)
-            elif vlab[u] == 1:
-                opts.append(1)
-            for lbl in opts:
-                adj2 = _copy(adj)
-                vlab2 = dict(vlab)
-                adj2[v] = {u: (lbl, 0)}
-                adj2[u][v] = (lbl, 0)
-                vlab2[v] = 0
-                F2 = F | {edge_key(u, v)} if lbl == 0 else F
-                _insert(out, len(bag), adj2, vlab2, F2)
-        # adopt an anonymous future vertex as v
-        for x in [x for x in adj if x < 0 and vlab[x] == 1]:
-            upgradable = [u for u in adj[x] if u >= 0 and u in vnbrs]
+        # leaf attachment to a bag vertex (present only along a graph edge)
+        for u in bag_old:
+            e = (u, v) if u < v else (v, u)
+            emit([*edges, (*e, 1, 0)], anon, F)
+            if u in vnbrs:
+                emit([*edges, (*e, 0, 0)], anon, F | {e})
+        # ... or to a future branch vertex
+        for i, lbl in enumerate(anon):
+            if lbl == 1:
+                emit([*edges, (-(i + 1), v, 1, 0)], anon, F)
+        # adopt an anonymous future vertex x as v; the anonymous names below
+        # x move up by one, which keeps every pair sorted
+        for i, lbl in enumerate(anon):
+            if lbl != 1:
+                continue
+            x = -(i + 1)
+            kept = []
+            nb = []
+            for a, b, l, c in edges:
+                if a == x:
+                    nb.append((b, l, c))
+                elif b == x:
+                    nb.append((a + 1 if a < x else a, l, c))
+                else:
+                    kept.append((a + 1 if a < x else a, b + 1 if b < x else b, l, c))
+            labels = anon[:i] + anon[i + 1:]
+            upgradable = [u for u, _, _ in nb if u in vnbrs]
             for r in range(len(upgradable) + 1):
                 for chosen in itertools.combinations(upgradable, r):
-                    adj2 = _copy(adj)
-                    vlab2 = dict(vlab)
-                    nb = adj2.pop(x)
-                    del vlab2[x]
-                    adj2[v] = {}
-                    vlab2[v] = 0
-                    zero_edges = set()
-                    for u, (lbl, c) in nb.items():
-                        del adj2[u][x]
+                    adopted = list(kept)
+                    for u, l, c in nb:
                         if u in chosen:
-                            lbl = 0
-                            zero_edges.add(edge_key(u, v))
-                        adj2[v][u] = (lbl, c)
-                        adj2[u][v] = (lbl, c)
-                    _insert(out, len(bag), adj2, vlab2, F | zero_edges)
+                            l = 0
+                        adopted.append((u, v, l, c) if u < v else (v, u, l, c))
+                    emit(adopted, labels, F | {edge_key(u, v) for u in chosen})
+        # future edges by first endpoint, in the placement order of vertices
+        future = sorted(
+            (j for j, e in enumerate(edges) if e[2] == 1),
+            key=lambda j: rank.get(edges[j][0], nbag - 1 - edges[j][0]),
+        )
         # subdivide a future edge with v, each half optionally realized now
-        for a, b in future_edges:
-            c_ab = adj[a][b][1]
-            la_opts = [1] + ([0] if a >= 0 and a in vnbrs else [])
-            lb_opts = [1] + ([0] if b >= 0 and b in vnbrs else [])
-            for la in la_opts:
-                for lb in lb_opts:
-                    adj2 = _copy(adj)
-                    vlab2 = dict(vlab)
-                    del adj2[a][b], adj2[b][a]
-                    adj2[v] = {a: (la, c_ab), b: (lb, c_ab)}
-                    adj2[a][v] = (la, c_ab)
-                    adj2[b][v] = (lb, c_ab)
-                    vlab2[v] = 0
-                    F2 = F
-                    if la == 0:
-                        F2 = F2 | {edge_key(a, v)}
-                    if lb == 0:
-                        F2 = F2 | {edge_key(b, v)}
-                    _insert(out, len(bag), adj2, vlab2, F2)
+        for j in future:
+            a, b, _, c = edges[j]
+            rest = edges[:j] + edges[j + 1:]
+            for la in (1, 0) if a in vnbrs else (1,):
+                ea = (a, v, la, c) if a < v else (v, a, la, c)
+                Fa = F | {edge_key(a, v)} if la == 0 else F
+                for lb in (1, 0) if b in vnbrs else (1,):
+                    eb = (b, v, lb, c) if b < v else (v, b, lb, c)
+                    Fb = Fa | {edge_key(b, v)} if lb == 0 else Fa
+                    emit([*rest, ea, eb], anon, Fb)
         # subdivide a future edge with a fresh branch vertex carrying v
-        for a, b in future_edges:
-            c_ab = adj[a][b][1]
-            adj2 = _copy(adj)
-            vlab2 = dict(vlab)
-            w = min(-1, min((x for x in adj2 if x < 0), default=0) - 1)
-            del adj2[a][b], adj2[b][a]
-            adj2[w] = {a: (1, c_ab), b: (1, c_ab), v: (1, 0)}
-            adj2[a][w] = (1, c_ab)
-            adj2[b][w] = (1, c_ab)
-            adj2[v] = {w: (1, 0)}
-            vlab2[w] = 1
-            vlab2[v] = 0
-            _insert(out, len(bag), adj2, vlab2, F)
+        w = -(len(anon) + 1)
+        for j in future:
+            a, b, _, c = edges[j]
+            emit(
+                [*edges[:j], *edges[j + 1:], (w, a, 1, c), (w, b, 1, c), (w, v, 1, 0)],
+                anon + (1,),
+                F,
+            )
     return out
 
 
@@ -629,6 +700,11 @@ def _drop_dominated(table):
     return {s: F for s, F in table.items() if s not in dropped}
 
 
+def _closed(G: Graph, bag: frozenset[int], proc: frozenset[int]) -> frozenset[int]:
+    """Bag vertices whose every neighbour is processed."""
+    return frozenset(x for x in bag if G.neighbors(x) <= proc)
+
+
 @dataclass
 class DPRun:
     forest: frozenset[Edge] | None
@@ -651,16 +727,21 @@ def _run_dp(
             tbl = _leaf_table()
             proc: frozenset[int] = frozenset()
         elif nd.kind == "introduce":
-            tbl = _introduce_table(G, nd, tables[nd.children[0]])
             proc = processed[nd.children[0]] | {nd.vertex}
+            tbl = _introduce_table(
+                G, nd, tables[nd.children[0]], _closed(G, nd.bag, proc)
+            )
         elif nd.kind == "forget":
-            tbl = _forget_table(G, arith, nd, tables[nd.children[0]])
+            tbl = _drop_dominated(_forget_table(G, arith, nd, tables[nd.children[0]]))
             proc = processed[nd.children[0]]
         else:
             c1, c2 = nd.children
             tbl = _join_table(arith, nd, tables[c1], tables[c2], nd.bag)
             proc = processed[c1] | processed[c2]
-        tbl = _drop_dominated(tbl)
+            closed = _closed(G, nd.bag, proc)
+            if closed:
+                tbl = {s: F for s, F in tbl.items() if not _doomed(G, closed, s[0])}
+            tbl = _drop_dominated(tbl)
         tables[i] = tbl
         processed[i] = proc
         if validator is not None:
@@ -668,6 +749,8 @@ def _run_dp(
                 msg = validator(nd.bag, proc, state, F)
                 assert msg is None, f"node {i} ({nd.kind}): {msg}"
         if not keep_tables:
+            if not tbl:  # every ancestor of an empty table is empty
+                return DPRun(None, None)
             for c in nd.children:
                 del tables[c]
     forest = tables[ntd.root].get(EMPTY_STATE)

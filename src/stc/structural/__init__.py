@@ -2,7 +2,7 @@
 integrity."""
 
 from .fes import ReductionTrace, fes_value, lift_tree, reconstruct, reduce_graph, solve_fes
-from .dtc import dtc_bound_tree, dtc_congestion_bound, small_case_threshold, solve_dtc
+from .dtc import small_case_threshold, solve_dtc
 from .vi import (
     ComponentType,
     ForestType,
@@ -19,8 +19,6 @@ __all__ = [
     "ForestType",
     "ReductionTrace",
     "Signature",
-    "dtc_bound_tree",
-    "dtc_congestion_bound",
     "enumerate_types",
     "fes_value",
     "ilp_minimize_max",

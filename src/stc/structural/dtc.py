@@ -1,4 +1,4 @@
-"""Distance-to-clique solver and the structural congestion bound witness.
+"""Distance-to-clique solver.
 
 With modulator S (|S| = q) and clique C (|C| = N), small instances defer to
 the kernel pipeline (`solve_fes`).  Large ones are covered by a structure
@@ -14,7 +14,6 @@ sum(deg(D)) - 2|E(G[D])|.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from ..errors import GraphError
 from ..graph import (
@@ -150,74 +149,3 @@ def _best_arrangement(G, deg, r, others, leaf_worst):
         if best is None or worst < best[0]:
             best = (worst, dict(parent))
     return best
-
-
-def dtc_bound_tree(G: Graph, S) -> SpanningTree:
-    """Witness tree for stc < 2N - N/q + 2q^2 (q >= 1).
-
-    Hub r covers every modulator vertex that dominates most of the clique;
-    r's neighbors all become its children, a maximum matching pulls in as
-    many remaining modulator vertices as possible, and what is left attaches
-    greedily.
-    """
-    require_connected(G)
-    S = frozenset(S)
-    C = _check_modulator(G, S)
-    q, N = len(S), len(C)
-    if q < 1 or N < 1:
-        raise GraphError("bound construction needs q >= 1 and a nonempty clique")
-    big = [s for s in sorted(S) if len(G.neighbors(s) & frozenset(C)) * q > (N * q - N)]
-    r = None
-    for c in C:
-        if all(G.has_edge(c, s) for s in big):
-            r = c
-            break
-    assert r is not None, "counting argument guarantees a hub"
-    S0 = G.neighbors(r) & S
-    rest = sorted(S - S0)
-    left = sorted(set(C) | S0)
-    matching = _max_matching(G, left, rest)
-    edges = {edge_key(r, v) for v in G.neighbors(r)}
-    for a, b in matching.items():
-        edges.add(edge_key(a, b))
-    # attach the leftovers through any already-connected neighbor
-    connected = {r} | G.neighbors(r) | set(matching) | set(matching.values())
-    Z = [s for s in rest if s not in matching.values() and s not in connected]
-    while Z:
-        progress = False
-        for z in list(Z):
-            nbrs = sorted(G.neighbors(z) & frozenset(connected))
-            if nbrs:
-                edges.add(edge_key(z, nbrs[0]))
-                connected.add(z)
-                Z.remove(z)
-                progress = True
-        assert progress, "disconnected leftover (host not connected?)"
-    return SpanningTree(G, frozenset(edges))
-
-
-def _max_matching(G: Graph, left: list[int], right: list[int]) -> dict[int, int]:
-    """Maximum bipartite matching on G's edges between left and right.
-
-    Returns {left vertex: right vertex}; augmenting-path search.
-    """
-    match_r: dict[int, int] = {}
-
-    def try_assign(l, seen):
-        for rgt in sorted(G.neighbors(l) & frozenset(right)):
-            if rgt in seen:
-                continue
-            seen.add(rgt)
-            if rgt not in match_r or try_assign(match_r[rgt], seen):
-                match_r[rgt] = l
-                return True
-        return False
-
-    for l in left:
-        try_assign(l, set())
-    return {l: rgt for rgt, l in match_r.items()}
-
-
-def dtc_congestion_bound(N: int, q: int) -> Fraction:
-    """Strict upper bound 2N - N/q + 2q^2 on stc, exact rational."""
-    return 2 * N - Fraction(N, q) + 2 * q * q

@@ -1,4 +1,5 @@
 """Treewidth DP: exact solver, approximation scheme, win/win wrapper."""
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -10,8 +11,11 @@ import stc.dp
 from stc.dp import (
     EMPTY_STATE,
     _canonical,
+    _closed,
     _decode,
+    _doomed,
     _drop_dominated,
+    _insert,
     _isomorphisms,
     _join_table,
     _run_dp,
@@ -29,7 +33,7 @@ from stc.dp import (
     solve_stc_tw,
 )
 from stc.errors import InvalidDecompositionError
-from stc.graph import Graph, SpanningTree, congestion_report
+from stc.graph import Graph, SpanningTree, congestion_report, edge_key
 from stc.oracle import stc_exact
 from stc.reductions import gen_ubp
 
@@ -56,6 +60,54 @@ def kept_runs():
         ntd = default_nice_decomposition(g)
         arith = ExactArith(k)
         out[name] = (ntd, arith, _run_dp(g, ntd, arith, keep_tables=True))
+    return out
+
+
+def _processed_sets(ntd):
+    """P(t) per node: every vertex introduced in t's subtree."""
+    proc = {}
+    for i in ntd.postorder():
+        nd = ntd.nodes[i]
+        p = frozenset().union(*(proc[c] for c in nd.children))
+        proc[i] = p | {nd.vertex} if nd.kind == "introduce" else p
+    return proc
+
+
+def _doom_cases():
+    """(name, G, ntd, eps, k): exact runs on the 4x4 grid, ubp, suite graphs
+    0..39 and K5,5, and rounded runs on ubp."""
+    grid4 = grid_graph(4)
+    ubp = gen_ubp(3, [1, 1, 1]).graph
+    ntd_grid4 = default_nice_decomposition(grid4)
+    ntd_ubp = default_nice_decomposition(ubp)
+    for k in range(1, 6):
+        yield f"grid4 k={k}", grid4, ntd_grid4, None, k
+    for k in range(1, 11):
+        yield f"ubp k={k}", ubp, ntd_ubp, None, k
+    for idx, g in enumerate(suite_graphs()[:40]):
+        ntd = default_nice_decomposition(g)
+        for k in range(1, 6):
+            yield f"suite #{idx} k={k}", g, ntd, None, k
+    k55 = complete_bipartite(5, 5)
+    yield "K5,5 k=4", k55, default_nice_decomposition(k55), None, 4
+    for eps in (Fraction(1, 2), Fraction(1)):
+        for k in (4, 7, 10):
+            yield f"ubp eps={eps} k={k}", ubp, ntd_ubp, eps, k
+
+
+@pytest.fixture(scope="module")
+def doom_runs():
+    """Each case run with every table kept, as it is and with _doomed
+    patched to never fire: (name, G, ntd, pruned run, unpruned run)."""
+    out = []
+    for name, g, ntd, eps, k in _doom_cases():
+        runs = []
+        for doom in (_doomed, lambda G, closed, edges: False):
+            arith = ExactArith(k) if eps is None else RoundedArith(k, eps, ntd.height)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stc.dp, "_doomed", doom)
+                runs.append(_run_dp(g, ntd, arith, keep_tables=True))
+        out.append((name, g, ntd, *runs))
     return out
 
 
@@ -338,6 +390,173 @@ def test_join_zips_states_with_at_most_one_anonymous_vertex(kept_runs):
     assert pairs > 1000
 
 
+def _introduce_by_dict(G, nd, child_table):
+    """Reference introduce: decode each child state to adjacency dicts, copy
+    them for every placement and canonicalize each result."""
+    v = nd.vertex
+    bag = nd.bag
+    vnbrs = G.neighbors(v)
+    out = {}
+
+    def copy(adj):
+        return {x: dict(nb) for x, nb in adj.items()}
+
+    for state, F in child_table.items():
+        adj, vlab = _decode(state, bag - {v})
+        if not adj:
+            _insert(out, len(bag), {v: {}}, {v: 0}, F)
+            continue
+        future_edges = [
+            (a, b) for a in adj for b in adj[a] if a < b and adj[a][b][0] == 1
+        ]
+        for u in adj:
+            opts = []
+            if u >= 0:
+                opts.append(1)
+                if u in vnbrs:
+                    opts.append(0)
+            elif vlab[u] == 1:
+                opts.append(1)
+            for lbl in opts:
+                adj2, vlab2 = copy(adj), dict(vlab)
+                adj2[v] = {u: (lbl, 0)}
+                adj2[u][v] = (lbl, 0)
+                vlab2[v] = 0
+                F2 = F | {edge_key(u, v)} if lbl == 0 else F
+                _insert(out, len(bag), adj2, vlab2, F2)
+        for x in [x for x in adj if x < 0 and vlab[x] == 1]:
+            upgradable = [u for u in adj[x] if u >= 0 and u in vnbrs]
+            for r in range(len(upgradable) + 1):
+                for chosen in itertools.combinations(upgradable, r):
+                    adj2, vlab2 = copy(adj), dict(vlab)
+                    nb = adj2.pop(x)
+                    del vlab2[x]
+                    adj2[v] = {}
+                    vlab2[v] = 0
+                    zero_edges = set()
+                    for u, (lbl, c) in nb.items():
+                        del adj2[u][x]
+                        if u in chosen:
+                            lbl = 0
+                            zero_edges.add(edge_key(u, v))
+                        adj2[v][u] = adj2[u][v] = (lbl, c)
+                    _insert(out, len(bag), adj2, vlab2, F | zero_edges)
+        for a, b in future_edges:
+            c_ab = adj[a][b][1]
+            for la in [1] + ([0] if a >= 0 and a in vnbrs else []):
+                for lb in [1] + ([0] if b >= 0 and b in vnbrs else []):
+                    adj2, vlab2 = copy(adj), dict(vlab)
+                    del adj2[a][b], adj2[b][a]
+                    adj2[v] = {a: (la, c_ab), b: (lb, c_ab)}
+                    adj2[a][v] = (la, c_ab)
+                    adj2[b][v] = (lb, c_ab)
+                    vlab2[v] = 0
+                    F2 = F
+                    if la == 0:
+                        F2 = F2 | {edge_key(a, v)}
+                    if lb == 0:
+                        F2 = F2 | {edge_key(b, v)}
+                    _insert(out, len(bag), adj2, vlab2, F2)
+        for a, b in future_edges:
+            c_ab = adj[a][b][1]
+            adj2, vlab2 = copy(adj), dict(vlab)
+            w = min(-1, min((x for x in adj2 if x < 0), default=0) - 1)
+            del adj2[a][b], adj2[b][a]
+            adj2[w] = {a: (1, c_ab), b: (1, c_ab), v: (1, 0)}
+            adj2[a][w] = adj2[b][w] = (1, c_ab)
+            adj2[v] = {w: (1, 0)}
+            vlab2[w] = 1
+            vlab2[v] = 0
+            _insert(out, len(bag), adj2, vlab2, F)
+    return out
+
+
+def test_tuple_introduce_equals_the_dict_introduce(doom_runs):
+    # with _doomed never firing, every introduce table is the reference's
+    # output on the child table: same states, order and forests
+    nodes = 0
+    for name, g, ntd, _, unpruned in doom_runs:
+        for i, table in unpruned.tables.items():
+            nd = ntd.nodes[i]
+            if nd.kind == "introduce":
+                nodes += 1
+                want = _introduce_by_dict(g, nd, unpruned.tables[nd.children[0]])
+                assert list(table.items()) == list(want.items()), f"{name}, node {i}"
+    assert nodes > 3000
+
+
+def test_doomed_pruning_drops_exactly_the_doomed_states(doom_runs):
+    # every table is the unpruned run's table minus its doomed states, in
+    # the same order and with the same forests, so the answers are the same
+    doomed = 0
+    for name, g, ntd, pruned, unpruned in doom_runs:
+        proc = _processed_sets(ntd)
+        for i, table in unpruned.tables.items():
+            closed = _closed(g, ntd.nodes[i].bag, proc[i])
+            kept = [(s, F) for s, F in table.items() if not _doomed(g, closed, s[0])]
+            assert list(pruned.tables[i].items()) == kept, f"{name}, node {i}"
+            doomed += len(table) - len(kept)
+        assert pruned.forest == unpruned.forest, name
+    assert doomed > 50_000
+
+
+def test_doomed_needs_a_future_edge_at_a_closed_vertex():
+    g = path_graph(3)  # 0 - 1 - 2
+    closed = frozenset({0})
+    assert _doomed(g, closed, [(-1, 0, 1, 0)])  # to an anonymous vertex
+    assert _doomed(g, closed, [(0, 2, 1, 0)])  # to a bag non-neighbour
+    assert not _doomed(g, closed, [(0, 1, 1, 0)])  # a graph edge may still join
+    assert not _doomed(g, closed, [(-1, 0, 0, 0), (0, 2, -1, 0)])  # not future
+    assert not _doomed(g, frozenset({1}), [(0, 2, 1, 0), (-1, 2, 1, 0)])
+    assert _closed(g, frozenset({0, 1}), frozenset({0, 1})) == frozenset({0})
+
+
+def test_introduce_tables_are_fixed_points_of_dominance(doom_runs):
+    # introduce runs no dominance pass: on these graphs it would drop nothing
+    for name, _, ntd, pruned, unpruned in doom_runs:
+        for run in (pruned, unpruned):
+            for i, table in run.tables.items():
+                if ntd.nodes[i].kind == "introduce":
+                    kept = _drop_dominated(table)
+                    assert len(kept) == len(table), f"{name}, node {i}"
+
+
+def test_refuted_run_stops_at_the_first_empty_table(monkeypatch):
+    # grid 4x4 at k = 2: the 26th of 51 nodes in postorder comes out empty
+    g = grid_graph(4)
+    ntd = default_nice_decomposition(g)
+    calls = []
+    for rule in ("_leaf_table", "_introduce_table", "_forget_table", "_join_table"):
+        real = getattr(stc.dp, rule)
+
+        def counted(*args, real=real):
+            calls.append(real)
+            return real(*args)
+
+        monkeypatch.setattr(stc.dp, rule, counted)
+    kept = _run_dp(g, ntd, ExactArith(2), keep_tables=True)
+    post = ntd.postorder()
+    first = next(p for p, i in enumerate(post) if not kept.tables[i])
+    assert (first, len(post), len(calls)) == (25, 51, 51)
+    parent = {c: i for i, nd in enumerate(ntd.nodes) for c in nd.children}
+    i = post[first]
+    while i != ntd.root:  # every ancestor is empty too
+        i = parent[i]
+        assert not kept.tables[i]
+    calls.clear()
+    assert _run_dp(g, ntd, ExactArith(2)) == stc.dp.DPRun(None, None)
+    assert len(calls) == first + 1
+
+
+def test_validator_accepts_grid3_and_small_suite_graphs():
+    graphs = [grid_graph(3)] + [g for g in suite_graphs() if g.n <= 7]
+    for g in graphs:
+        k, _ = solve_stc_tw(g)
+        assert solve_exact_tw(g, k, validate=True) is not None
+        if k > 1:
+            assert solve_exact_tw(g, k - 1, validate=True) is None
+
+
 def test_drop_dominated_keeps_only_undominated_states():
     def state(c01, c12, lbl=1):
         return (((0, 1, lbl, c01), (1, 2, 1, c12)), ())
@@ -373,11 +592,15 @@ def test_bounds_alone_settle_k4_and_long_cycles(monkeypatch):
         assert k == want == congestion_report(g, T).max_congestion
 
 
-def test_dominance_keeps_grid4_tables_small(kept_runs):
-    # every state stored on the 4x4 grid at k = 4 (50,356 without pruning)
-    # and on ubp at k = 10; any change to the node rules, the canonical form
-    # or the pruning that keeps a different state set moves these counts
-    for name, stored in (("grid4", 20_345), ("ubp", 3_453)):
+def test_dominance_keeps_grid4_tables_small(kept_runs, doom_runs):
+    # every state stored on the 4x4 grid at k = 4 (50,356 without any
+    # pruning), on ubp at k = 10 and on K5,5 at k = 4 (refuted); any change
+    # to the node rules, the canonical form or the pruning that keeps a
+    # different state set moves these counts
+    k55 = next(pruned for name, *_, pruned, _ in doom_runs if name == "K5,5 k=4")
+    assert k55.forest is None
+    assert sum(len(t) for t in k55.tables.values()) == 43_587
+    for name, stored in (("grid4", 13_004), ("ubp", 3_390)):
         _, _, run = kept_runs[name]
         assert run.forest is not None
         assert sum(len(t) for t in run.tables.values()) == stored

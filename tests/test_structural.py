@@ -14,13 +14,17 @@ from conftest import (
     star_graph,
 )
 from stc.errors import GraphError
-from stc.graph import Graph, congestion_report
+from stc.graph import (
+    Graph,
+    SpanningTree,
+    congestion_report,
+    edge_key,
+    require_connected,
+)
 from stc.oracle import stc_exact
 import stc.structural.vi
 from stc.structural import (
     Signature,
-    dtc_bound_tree,
-    dtc_congestion_bound,
     enumerate_types,
     fes_value,
     ilp_minimize_max,
@@ -34,6 +38,7 @@ from stc.structural import (
     tree_from_signature,
     vertex_integrity_set,
 )
+from stc.structural.dtc import _check_modulator
 
 
 def theta_graph(*lengths: int) -> Graph:
@@ -189,6 +194,81 @@ def test_dtc_universal_modulators_make_bigger_clique():
     G = Graph.from_edges(27, edges)
     k, T = solve_dtc(G, frozenset({25, 26}))
     assert k == 26
+
+
+# The paper's closed-form bound and a tree meeting it; solve_dtc does not
+# use them, so they live here with the tests that check the bound.
+
+
+def dtc_bound_tree(G: Graph, S) -> SpanningTree:
+    """Witness tree for stc < 2N - N/q + 2q^2 (q >= 1).
+
+    Hub r covers every modulator vertex that dominates most of the clique;
+    r's neighbors all become its children, a maximum matching pulls in as
+    many remaining modulator vertices as possible, and what is left attaches
+    greedily.
+    """
+    require_connected(G)
+    S = frozenset(S)
+    C = _check_modulator(G, S)
+    q, N = len(S), len(C)
+    if q < 1 or N < 1:
+        raise GraphError("bound construction needs q >= 1 and a nonempty clique")
+    big = [s for s in sorted(S) if len(G.neighbors(s) & frozenset(C)) * q > (N * q - N)]
+    r = None
+    for c in C:
+        if all(G.has_edge(c, s) for s in big):
+            r = c
+            break
+    assert r is not None, "counting argument guarantees a hub"
+    S0 = G.neighbors(r) & S
+    rest = sorted(S - S0)
+    left = sorted(set(C) | S0)
+    matching = _max_matching(G, left, rest)
+    edges = {edge_key(r, v) for v in G.neighbors(r)}
+    for a, b in matching.items():
+        edges.add(edge_key(a, b))
+    # attach the leftovers through any already-connected neighbor
+    connected = {r} | G.neighbors(r) | set(matching) | set(matching.values())
+    Z = [s for s in rest if s not in matching.values() and s not in connected]
+    while Z:
+        progress = False
+        for z in list(Z):
+            nbrs = sorted(G.neighbors(z) & frozenset(connected))
+            if nbrs:
+                edges.add(edge_key(z, nbrs[0]))
+                connected.add(z)
+                Z.remove(z)
+                progress = True
+        assert progress, "disconnected leftover (host not connected?)"
+    return SpanningTree(G, frozenset(edges))
+
+
+def _max_matching(G: Graph, left: list[int], right: list[int]) -> dict[int, int]:
+    """Maximum bipartite matching on G's edges between left and right.
+
+    Returns {left vertex: right vertex}; augmenting-path search.
+    """
+    match_r: dict[int, int] = {}
+
+    def try_assign(l, seen):
+        for rgt in sorted(G.neighbors(l) & frozenset(right)):
+            if rgt in seen:
+                continue
+            seen.add(rgt)
+            if rgt not in match_r or try_assign(match_r[rgt], seen):
+                match_r[rgt] = l
+                return True
+        return False
+
+    for l in left:
+        try_assign(l, set())
+    return {l: rgt for rgt, l in match_r.items()}
+
+
+def dtc_congestion_bound(N: int, q: int) -> Fraction:
+    """Strict upper bound 2N - N/q + 2q^2 on stc, exact rational."""
+    return 2 * N - Fraction(N, q) + 2 * q * q
 
 
 def test_bound_tree_pendant_modulator():
