@@ -75,11 +75,9 @@ from .structural import (
     ilp_minimize_max,
     lift_tree,
     reduce_graph,
-    reconstruct,
     solve_dtc,
     solve_fes,
     solve_vi,
-    vertex_integrity_set,
 )
 
 __version__ = "0.1.0"
@@ -124,7 +122,6 @@ __all__ = [
     "parse_gr",
     "parse_solution",
     "parse_td",
-    "reconstruct",
     "reduce_graph",
     "solve",
     "solve_approx_tw",
@@ -138,7 +135,6 @@ __all__ = [
     "validate_nice",
     "validate_td",
     "verify_solution",
-    "vertex_integrity_set",
     "witness_tree",
     "witness_tree_weighted",
     "write_gr",

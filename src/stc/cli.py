@@ -13,6 +13,7 @@ is always backed by a checked witness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,9 @@ class UsageError(ValueError):
     pass
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use and kept: parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="stc", description="Spanning tree congestion toolkit"
     )

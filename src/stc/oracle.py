@@ -1,9 +1,42 @@
-"""Brute-force oracle: enumerate all spanning trees, take the best.
+"""Brute-force oracle: enumerate spanning trees, take the best.
 
-Enumeration is the classic include/exclude recursion on a fixed edge order:
-including an edge freezes out every edge that would now close a cycle,
-excluding an edge forces the bridges of what remains.  Each spanning tree is
-emitted exactly once, in an order determined entirely by the sorted edge list.
+Enumeration is the classic include/exclude recursion on a fixed edge order.
+A search node (avail, part), with part inside avail, yields every spanning
+tree T with part <= T <= avail.  Including an edge freezes out every edge
+that would now close a cycle; excluding an edge forces the bridges of what
+remains, found when that node is popped.  Each spanning tree is emitted
+exactly once, in an order determined entirely by the sorted edge list.
+
+Every bridge of avail lies in part, so an excluded edge is never a bridge
+and avail stays connected.  At the root part is the bridges of G, and an
+exclude child forces the bridges of its own avail.  An include step removes
+only edges f whose ends part already joins, and removing f makes a bridge
+only of an edge on every remaining path between f's ends: one in part.
+
+Branch and bound (`stc_exact`).  After each tree the consumer sends its best
+congestion b into the search.  A node that runs the bridge search is skipped
+when some bridge e of its avail has cut load >= b, where the cut load of e
+with side Y is wt2(e) plus wt1(f) summed over the edges f != e of G that
+leave Y (|delta_G(Y)| on unit weights).  Soundness:
+
+- every tree T that the node yields satisfies part <= T <= avail;
+- e lies in T, and the two components of T - e are exactly the two sides of
+  avail - e, so e's congestion in T is its cut load: the node fixes it;
+- if that load is >= b, no tree of the node beats the best so far.
+  `stc_exact` keeps a tree only when it is strictly better, so the scan
+  still reaches the first tree of each strictly lower value and returns the
+  full scan's first optimal tree, on weighted input too;
+- a node whose avail is disconnected yields no tree, so skipping it would
+  always be sound (by the invariant above there is none);
+- the check runs when the node is popped, against the best at that moment;
+  the bound only falls, so this is sound and cuts at least as much as a
+  check when the node is pushed.
+
+The DFS forest of the bridge search is a spanning tree of avail; by the
+second point its congestion on a bridge is that bridge's cut load, so the
+congestion evaluator prices all bridges in one pass.
+`enumerate_spanning_trees` and `count_spanning_trees` run the same search
+with no bound and do no cut work.
 """
 from __future__ import annotations
 
@@ -18,6 +51,7 @@ from .graph import (
     SpanningTree,
     _max_load,
     _split_weights,
+    _vertex_loads,
     edge_key,
     require_connected,
 )
@@ -34,8 +68,11 @@ class EnumerationBudget:
     max_millis: int = DEFAULT_MAX_MILLIS
 
 
-def _bridges(n: int, adj: dict[int, set[int]]) -> set[Edge]:
-    """Bridges via lowpoint DFS, iterative; tolerates a disconnected adjacency."""
+def _bridges(n: int, adj: dict[int, set[int]], tree: set[Edge] | None = None) -> set[Edge]:
+    """Bridges via lowpoint DFS, iterative; tolerates a disconnected adjacency.
+
+    With a set `tree`, also adds the edges of the DFS forest to it.
+    """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: set[Edge] = set()
@@ -57,6 +94,8 @@ def _bridges(n: int, adj: dict[int, set[int]]) -> set[Edge]:
                 else:
                     disc[u] = low[u] = clock
                     clock += 1
+                    if tree is not None:
+                        tree.add(edge_key(v, u))
                     stack.append((u, v, iter(adj[u])))
                     break
             else:
@@ -69,16 +108,19 @@ def _bridges(n: int, adj: dict[int, set[int]]) -> set[Edge]:
     return out
 
 
-def enumerate_spanning_trees(G: Graph, budget: EnumerationBudget | None = None):
-    """Yield every spanning tree edge set (frozenset) of a connected graph.
+def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
+    """The include/exclude search over the spanning trees of G (a generator).
 
-    Raises BudgetExceededError (with .emitted) when either cap is hit.
+    With weights given, the value sent back after a tree is taken as the
+    bound of the module docstring.  Raises BudgetExceededError (with
+    .emitted) when either cap is hit.
     """
     require_connected(G)
     budget = budget or EnumerationBudget()
     deadline = time.monotonic() + budget.max_millis / 1000.0
     n = G.n
     emitted = 0
+    bound = None
 
     def check(now_trees: int):
         if now_trees >= budget.max_trees:
@@ -110,28 +152,42 @@ def enumerate_spanning_trees(G: Graph, budget: EnumerationBudget | None = None):
             adj[v].add(u)
         return adj
 
-    initial = frozenset(G.edges)
-    forced = frozenset(_bridges(n, adj_of(initial)))
-    stack = [(initial, forced)]
+    # (avail, part, fresh): fresh marks the root and exclude children, whose
+    # bridges are not yet in part
+    stack = [(frozenset(G.edges), frozenset(), True)]
     while stack:
         check(emitted)
-        avail, part = stack.pop()
+        avail, part, fresh = stack.pop()
+        if fresh:
+            forest = None if bound is None else set()
+            bridges = _bridges(n, adj_of(avail), forest)
+            if forest:
+                # price each bridge (a, b) on the DFS forest, from its lower end
+                parent, _, load = _vertex_loads(G, wt1, forest)
+                if any(load[a if parent[a] == b else b] + wt2[(a, b)] >= bound
+                       for a, b in bridges):
+                    continue
+            part |= bridges
         if len(part) == n - 1:
             emitted += 1
-            yield part
-            continue
-        if avail == part:
+            bound = yield part
             continue
         e = min(avail - part)
-        # exclude e: the bridges of the remaining graph become forced
-        rest = avail - {e}
-        new_forced = _bridges(n, adj_of(rest)) | part
-        stack.append((rest, frozenset(new_forced)))
+        # exclude e: its bridges are forced when it is popped
+        stack.append((avail - {e}, part, True))
         # include e: edges joining vertices already connected are frozen out
         part2 = part | {e}
         comp = components(part2)
         closing = {f for f in avail - part2 if comp[f[0]] == comp[f[1]]}
-        stack.append((avail - closing, part2))
+        stack.append((avail - closing, part2, False))
+
+
+def enumerate_spanning_trees(G: Graph, budget: EnumerationBudget | None = None):
+    """Yield every spanning tree edge set (frozenset) of a connected graph.
+
+    Raises BudgetExceededError (with .emitted) when either cap is hit.
+    """
+    return _search(G, budget)
 
 
 def count_spanning_trees(G: Graph, budget: EnumerationBudget | None = None) -> int:
@@ -139,25 +195,29 @@ def count_spanning_trees(G: Graph, budget: EnumerationBudget | None = None) -> i
 
 
 def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, SpanningTree]:
-    """Exact spanning tree congestion by full enumeration.
+    """Exact spanning tree congestion by enumeration with branch and bound.
 
     Ties break toward the first optimal tree in enumeration order.  Accepts a
-    Graph or a DoubleWeightedGraph.  On a Graph the scan stops at the first
-    tree of congestion min-degree: every tree has a leaf, and a leaf's edge
-    carries the leaf's degree, so no tree goes lower.
+    Graph or a DoubleWeightedGraph.  The budget counts the trees measured;
+    nodes cut off by the bound (module docstring) measure none.  On a Graph
+    the scan stops at the first tree of congestion min-degree: every tree has
+    a leaf, and a leaf's edge carries the leaf's degree, so no tree goes lower.
     """
     base, wt1, wt2 = _split_weights(G)
     floor = -1
+    tree_wt2 = wt2
     if not isinstance(G, DoubleWeightedGraph):
-        wt2 = None  # unit tree-edge weights: the maximum needs no per-edge pass
+        tree_wt2 = None  # unit tree-edge weights: the maximum needs no per-edge pass
         floor = min(base.degree(v) for v in range(base.n))
-    require_connected(base)
-    best: tuple[int, frozenset[Edge]] | None = None
-    for tree in enumerate_spanning_trees(base, budget):
-        c = _max_load(base, wt1, wt2, tree)
-        if best is None or c < best[0]:
+    search = _search(base, budget, wt1, wt2)
+    tree = next(search)
+    best = (_max_load(base, wt1, tree_wt2, tree), tree)
+    while best[0] != floor:
+        try:
+            tree = search.send(best[0])
+        except StopIteration:
+            break
+        c = _max_load(base, wt1, tree_wt2, tree)
+        if c < best[0]:
             best = (c, tree)
-            if c == floor:
-                break
-    assert best is not None
     return best[0], SpanningTree(base, best[1])

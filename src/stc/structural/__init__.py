@@ -1,7 +1,7 @@
 """Parameterized solvers: feedback edge number, distance to clique, vertex
 integrity."""
 
-from .fes import ReductionTrace, fes_value, lift_tree, reconstruct, reduce_graph, solve_fes
+from .fes import ReductionTrace, fes_value, lift_tree, reduce_graph, solve_fes
 from .dtc import small_case_threshold, solve_dtc
 from .vi import (
     ComponentType,
@@ -11,7 +11,6 @@ from .vi import (
     ilp_minimize_max,
     solve_vi,
     tree_from_signature,
-    vertex_integrity_set,
 )
 
 __all__ = [
@@ -23,12 +22,10 @@ __all__ = [
     "fes_value",
     "ilp_minimize_max",
     "lift_tree",
-    "reconstruct",
     "reduce_graph",
     "small_case_threshold",
     "solve_dtc",
     "solve_fes",
     "solve_vi",
     "tree_from_signature",
-    "vertex_integrity_set",
 ]

@@ -186,18 +186,6 @@ def _apply(adj, alive, drop, add):
         adj[y].add(x)
 
 
-def reconstruct(core: Graph, trace: ReductionTrace) -> Graph:
-    """Replay the trace; the result must equal the host graph."""
-    to_host = trace.core_vertices
-    edges = {edge_key(to_host[u], to_host[v]) for u, v in core.edges}
-    for artifact, path in trace.sections:
-        edges.discard(artifact)
-        edges.update(path)
-    for leaf, anchor in trace.peeled:
-        edges.add(edge_key(leaf, anchor))
-    return Graph.from_edges(trace.original.n, edges)
-
-
 def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree:
     """Kernel tree to host tree: sections expand, absences drop one edge."""
     to_host = trace.core_vertices

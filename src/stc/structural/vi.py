@@ -278,17 +278,6 @@ def ilp_minimize_max(groups, a, b):
     return best[0]
 
 
-def vertex_integrity_set(G: Graph, cap: int) -> frozenset[int] | None:
-    """Lex-smallest S with |S| + max component of G - S minimal, up to cap."""
-    for k in range(1, cap + 1):
-        for ssize in range(0, k + 1):
-            for S in itertools.combinations(range(G.n), ssize):
-                comps = connected_components(G, skip=frozenset(S))
-                if all(len(c) <= k - ssize for c in comps):
-                    return frozenset(S)
-    return None
-
-
 def _tree_paths(edges, verts):
     """Parent/depth tables for a tree given by its edge set."""
     adj: dict[int, list[int]] = {v: [] for v in verts}

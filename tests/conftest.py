@@ -1,10 +1,10 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and helpers for the test suite."""
 from __future__ import annotations
 
 import itertools
 import random
 
-from stc.graph import Graph
+from stc.graph import Graph, connected_components
 
 
 def path_graph(n: int) -> Graph:
@@ -66,3 +66,14 @@ def suite_graphs(count: int = 200) -> list[Graph]:
         m = rng.randint(n - 1, min(14, n * (n - 1) // 2))
         out.append(random_connected_graph(rng, n, m))
     return out
+
+
+def vertex_integrity_set(G: Graph, cap: int) -> frozenset[int] | None:
+    """Lex-smallest S with |S| + max component of G - S minimal, up to cap."""
+    for k in range(1, cap + 1):
+        for ssize in range(0, k + 1):
+            for S in itertools.combinations(range(G.n), ssize):
+                comps = connected_components(G, skip=frozenset(S))
+                if all(len(c) <= k - ssize for c in comps):
+                    return frozenset(S)
+    return None

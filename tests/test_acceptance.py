@@ -12,7 +12,12 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import complete_bipartite, random_connected_graph, suite_graphs
+from conftest import (
+    complete_bipartite,
+    random_connected_graph,
+    suite_graphs,
+    vertex_integrity_set,
+)
 from stc.dp import (
     check_approx_invariant,
     solve_approx_tw,
@@ -42,7 +47,6 @@ from stc.structural import (
     solve_dtc,
     solve_fes,
     solve_vi,
-    vertex_integrity_set,
 )
 
 DEMO = [[1, -2, 3], [1, 2, -3], [-1, -2, 3], [-1, 2, -3]]

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stc
 from conftest import complete_graph, cycle_graph, path_graph
 from stc import formats
-from stc.cli import main
+from stc.cli import _parser, main
 from stc.graph import DoubleWeightedGraph, Graph
 from stc.oracle import stc_exact
 from stc.reductions import gen_grid
@@ -477,6 +481,26 @@ def test_route_cap_flags_are_gone(tmp_path, capsys):
     for flag in ("--oracle-cap", "--fes-cap"):
         code, _, err = run(capsys, "solve", path, flag, "3")
         assert code == 2 and flag in err
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):
+    # one process builds the parser once; a call must not see the flags or
+    # defaults of the call before it
+    path = write_gr(tmp_path, gen_grid(3))
+    env = dict(os.environ, PYTHONPATH=str(Path(stc.__file__).resolve().parents[1]))
+    calls = [
+        ("solve", path, "--alg", "dp", "--k", "3"),
+        ("solve", path),
+        ("approx", path, "--eps", "0.5", "--json"),
+        ("solve", path, "--alg", "nonsense"),  # a usage error after successes
+        ("oracle", path, "--json"),
+    ]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "stc.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert run(capsys, "solve", path, "--alg", "nonsense")[0] == 2
+    assert _parser() is _parser()
 
 
 def test_binary_input_exits_two(tmp_path, capsys):

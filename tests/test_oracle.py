@@ -13,6 +13,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+import stc.oracle
 from stc.errors import BudgetExceededError, DisconnectedGraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
 from stc.oracle import (
@@ -145,16 +146,60 @@ def test_stc_tiebreak_deterministic():
 
 
 def test_stc_returns_the_first_optimal_tree_of_the_full_scan():
-    # the scan stops at the first tree meeting the min-degree bound, which
-    # must be the first optimal tree the full scan would keep
+    # the scan stops at the first tree meeting the min-degree bound and skips
+    # nodes whose bridges already cost the best so far; what it returns must
+    # be the first optimal tree the full, unbounded scan would keep
     rng = random.Random(7)
     graphs = [random_connected_graph(rng, rng.randint(4, 8), rng.randint(4, 12))
               for _ in range(40)]
+    for _ in range(40):
+        base = random_connected_graph(rng, rng.randint(4, 8), rng.randint(4, 12))
+        graphs.append(DoubleWeightedGraph(base, {e: rng.randint(1, 5) for e in base.edges},
+                                          {e: rng.randint(1, 5) for e in base.edges}))
     for G in graphs + [complete_graph(5), cycle_graph(6), grid_graph(3)]:
-        trees = list(enumerate_spanning_trees(G))
+        base = G.base if isinstance(G, DoubleWeightedGraph) else G
+        trees = list(enumerate_spanning_trees(base))
         loads = [congestion_report(G, t).max_congestion for t in trees]
         k, T = stc_exact(G)
         assert k == min(loads) and T.edges == trees[loads.index(k)]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(stc.oracle, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(stc.oracle, name, counted)
+    return calls
+
+
+PETERSEN = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("G, k, measured, total", [
+    (PETERSEN, 5, 433, 2000), (grid_graph(3), 3, 25, 192)], ids=["petersen", "grid3"])
+def test_bridge_cuts_skip_most_trees(monkeypatch, G, k, measured, total):
+    # without the bound the scan would measure all `total` trees
+    loads = _counting(monkeypatch, "_max_load")
+    assert stc_exact(G)[0] == k and len(loads) == measured
+    # plain enumeration runs the same search with no cut work
+    cut_work = _counting(monkeypatch, "_vertex_loads")
+    assert count_spanning_trees(G) == total == kirchhoff_count(G)
+    assert cut_work == []
+
+
+def test_long_cycle_runs_one_bridge_search(monkeypatch):
+    # exclude children find their bridges when popped, and the first tree of
+    # a cycle meets the min-degree floor, so no exclude child is ever popped
+    bridge_calls = _counting(monkeypatch, "_bridges")
+    k, T = stc_exact(cycle_graph(1500))
+    assert k == 2 and len(T.edges) == 1499
+    assert len(bridge_calls) == 1
 
 
 def test_weighted_oracle_cycle_value():
