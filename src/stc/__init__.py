@@ -7,17 +7,9 @@ graphs, tree decompositions and solutions.  `solve` reduces the graph to its
 feedback-edge kernel, picks a solver from the kernel's structure, runs it
 and re-measures the tree it returns.
 """
-from .decomposition import (
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    decompose,
-    make_nice,
-    validate_nice,
-    validate_td,
-)
+from .decomposition import NiceTreeDecomposition, TreeDecomposition, decompose, make_nice
 from .dp import (
     WinWinResult,
-    check_approx_invariant,
     default_nice_decomposition,
     solve_approx_tw,
     solve_cw_winwin,
@@ -33,23 +25,13 @@ from .errors import (
     InvalidDecompositionError,
     InvalidSpanningTreeError,
 )
-from .formats import (
-    build_solution,
-    parse_gr,
-    parse_solution,
-    parse_td,
-    verify_solution,
-    write_gr,
-    write_td,
-)
+from .formats import build_solution, parse_gr, parse_solution, verify_solution
 from .graph import (
     CongestionReport,
     DoubleWeightedGraph,
     Graph,
     SpanningTree,
     congestion_report,
-    edge_key,
-    find_biclique,
 )
 from .oracle import (
     EnumerationBudget,
@@ -66,13 +48,10 @@ from .reductions import (
     gen_grid,
     gen_ubp,
     witness_tree,
-    witness_tree_weighted,
 )
 from .route import solve
 from .structural import (
     ReductionTrace,
-    fes_value,
-    ilp_minimize_max,
     lift_tree,
     reduce_graph,
     solve_dtc,
@@ -101,27 +80,21 @@ __all__ = [
     "TreeDecomposition",
     "WinWinResult",
     "build_solution",
-    "check_approx_invariant",
     "congestion_report",
     "count_spanning_trees",
     "decompose",
     "default_nice_decomposition",
-    "edge_key",
     "enumerate_spanning_trees",
     "expand_double_weighted",
     "expand_single_weighted",
-    "fes_value",
-    "find_biclique",
     "gen_3partition",
     "gen_bsat",
     "gen_grid",
     "gen_ubp",
-    "ilp_minimize_max",
     "lift_tree",
     "make_nice",
     "parse_gr",
     "parse_solution",
-    "parse_td",
     "reduce_graph",
     "solve",
     "solve_approx_tw",
@@ -132,11 +105,6 @@ __all__ = [
     "solve_stc_tw",
     "solve_vi",
     "stc_exact",
-    "validate_nice",
-    "validate_td",
     "verify_solution",
     "witness_tree",
-    "witness_tree_weighted",
-    "write_gr",
-    "write_td",
 ]

@@ -51,7 +51,8 @@ def solve(
     alg="dp" and a given k the DP decides stc <= k instead: the tree then has
     congestion <= k, and congestion and tree are None when k is refuted.
     The budget caps the enumerations.  A DoubleWeightedGraph is accepted
-    only with alg="oracle".
+    only with alg="oracle".  A modulator vertex outside 0..n-1 raises
+    GraphError on every route.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}")
@@ -62,6 +63,8 @@ def solve(
     if alg in ("dtc", "vi") and modulator is None:
         raise ValueError(f"alg={alg!r} needs a modulator")
     S = None if modulator is None else frozenset(modulator)
+    if S is not None and any(not 0 <= s < G.n for s in S):
+        raise GraphError("modulator vertex out of range")
 
     kstar: int | None = None
     if alg == "auto":

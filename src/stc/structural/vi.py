@@ -21,6 +21,7 @@ from ..graph import (
     Edge,
     Graph,
     SpanningTree,
+    _vertex_loads,
     congestion_report,
     connected_components,
     edge_key,
@@ -73,11 +74,21 @@ def _internal_edges(G: Graph, comp) -> list[Edge]:
 
 
 def _canonical_component(G: Graph, S: frozenset[int], comp):
-    """Minimal relabeling of comp to positions 0..|comp|-1; the key pairs the
-    relabeled edge list with each position's exact S-neighborhood."""
+    """Minimal relabeling of comp to positions 0..|comp|-1, and comp's
+    S-fixing automorphisms (edge- and S-neighborhood-preserving bijections).
+
+    The key pairs the relabeled edge list with each position's exact
+    S-neighborhood; pos is the first permutation that reaches the minimal
+    key.  A permutation q reaches it exactly when the bijection
+    v -> q[pos[v]] is an S-fixing automorphism: equal keys mean that edges
+    and S-neighborhoods agree position by position, and conversely an
+    automorphism a gives q = a o pos^-1 the same key.  So the permutations
+    at the minimal key yield every automorphism once, in no fixed order.
+    """
     internal = _internal_edges(G, comp)
     best_key = None
     best_pos = None
+    minimal: list[tuple[int, ...]] = []
     for perm in itertools.permutations(comp):
         pos = {v: i for i, v in enumerate(perm)}
         edges = tuple(sorted(edge_key(pos[u], pos[v]) for u, v in internal))
@@ -85,24 +96,16 @@ def _canonical_component(G: Graph, S: frozenset[int], comp):
         key = (edges, attach)
         if best_key is None or key < best_key:
             best_key, best_pos = key, pos
-    return best_key, best_pos
-
-
-def _s_fixing_automorphisms(G: Graph, S: frozenset[int], comp) -> list[dict[int, int]]:
-    internal = set(_internal_edges(G, comp))
-    autos = []
-    for perm in itertools.permutations(comp):
-        m = dict(zip(comp, perm))
-        if any(G.neighbors(v) & S != G.neighbors(m[v]) & S for v in comp):
-            continue
-        if {edge_key(m[u], m[v]) for u, v in internal} != internal:
-            continue
-        autos.append(m)
-    return autos
+            minimal = [perm]
+        elif key == best_key:
+            minimal.append(perm)
+    autos = [{v: q[best_pos[v]] for v in comp} for q in minimal]
+    return best_key, best_pos, autos
 
 
 def _pattern_canon(edges, autos) -> frozenset[Edge]:
-    """Least image of a pattern under the automorphism group (S fixed)."""
+    """Least image of a pattern under the automorphism group (S fixed); a
+    minimum, so the order of autos does not matter."""
     best = None
     for m in autos:
         img = tuple(sorted(edge_key(m.get(a, a), m.get(b, b)) for a, b in edges))
@@ -182,7 +185,7 @@ def _forest_patterns(G: Graph, S: frozenset[int], comp, autos) -> list[ForestTyp
     return sorted(found.values(), key=lambda f: (not f.leaf, sorted(f.edges)))
 
 
-def enumerate_types(G: Graph, S, cap: int | None = None):
+def enumerate_types(G: Graph, S):
     """Classify components of G - S and enumerate each class's patterns.
 
     Returns (classes, forests) where forests[i] lists class i's ForestTypes,
@@ -192,15 +195,11 @@ def enumerate_types(G: Graph, S, cap: int | None = None):
     if any(not 0 <= s < G.n for s in S):
         raise GraphError("modulator vertex out of range")
     comps = connected_components(G, skip=S)
-    if cap is not None:
-        big = max((len(c) for c in comps), default=0)
-        if len(S) + big > cap:
-            raise GraphError(f"component of size {big} exceeds cap {cap} with |S|={len(S)}")
     keys: list = []
     classes: list[ComponentType] = []
     canon_pos: list[dict[int, int]] = []
     for comp in comps:
-        key, pos = _canonical_component(G, S, comp)
+        key, pos, autos = _canonical_component(G, S, comp)
         if key in keys:
             ci = keys.index(key)
             rep_inv = {i: v for v, i in canon_pos[ci].items()}
@@ -213,7 +212,7 @@ def enumerate_types(G: Graph, S, cap: int | None = None):
                 ComponentType(
                     members=[tuple(comp)],
                     isos=[{v: v for v in comp}],
-                    autos=_s_fixing_automorphisms(G, S, comp),
+                    autos=autos,
                 )
             )
     forests = [_forest_patterns(G, S, c.rep, c.autos) for c in classes]
@@ -278,41 +277,21 @@ def ilp_minimize_max(groups, a, b):
     return best[0]
 
 
-def _tree_paths(edges, verts):
-    """Parent/depth tables for a tree given by its edge set."""
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    rootv = min(verts)
-    parent = {rootv: rootv}
-    depth = {rootv: 0}
-    stack = [rootv]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                stack.append(u)
-    assert len(parent) == len(verts), "overlay is not connected"
-    return parent, depth
-
-
 def _count_uses(tree_edges, verts, graph_edges, counted):
-    """For each counted tree edge, how many of graph_edges detour over it."""
-    parent, depth = _tree_paths(tree_edges, verts)
-    pos = {e: i for i, e in enumerate(counted)}
-    out = [0] * len(counted)
-    for u, v in graph_edges:
-        a, w = u, v
-        while a != w:
-            if depth[a] < depth[w]:
-                a, w = w, a
-            e = edge_key(a, parent[a])
-            if e in pos:
-                out[pos[e]] += 1
-            a = parent[a]
+    """For each counted tree edge, how many of graph_edges detour over it.
+
+    The overlay is relabelled to 0..|verts|-1 and measured by the one
+    congestion evaluator: a tree edge's count is the load of its endpoint
+    farther from the root, plus one when the edge itself is in graph_edges.
+    """
+    name = {v: i for i, v in enumerate(sorted(verts))}
+    base = Graph(len(name), frozenset(edge_key(name[u], name[v]) for u, v in graph_edges))
+    tree = frozenset(edge_key(name[u], name[v]) for u, v in tree_edges)
+    parent, _, load = _vertex_loads(base, dict.fromkeys(base.edges, 1), tree)
+    out = []
+    for u, v in counted:
+        a, b = name[u], name[v]
+        out.append(load[a if parent[a] == b else b] + (edge_key(a, b) in base.edges))
     return out
 
 
@@ -350,15 +329,13 @@ def tree_from_signature(
     return SpanningTree(G, frozenset(edges))
 
 
-def solve_vi(G: Graph, S, cap: int | None = None) -> tuple[int, SpanningTree]:
+def solve_vi(G: Graph, S) -> tuple[int, SpanningTree]:
     """Exact stc given a modulator S bounding the vertex integrity."""
     require_connected(G)
     S = frozenset(S)
     comps = connected_components(G, skip=S)
     maxc = max((len(c) for c in comps), default=0)
     k = len(S) + maxc
-    if cap is not None and k > cap:
-        raise GraphError(f"integrity witness value {k} exceeds cap {cap}")
 
     # answers below k^2 are in reach of the treewidth solver; past this
     # point every leaf-local edge congestion (< k^2) is irrelevant

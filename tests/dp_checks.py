@@ -1,0 +1,229 @@
+"""Reference checkers for the treewidth DP, for tiny inputs only.
+
+`make_validator` checks the consistent-solution properties of every stored
+table entry through the `_run_dp(validator=...)` hook, and `validated_tree`
+runs one exact decision with it.  `check_approx_invariant` asserts the
+two-sided rounding invariant of the approximation scheme at every node.
+Both search exhaustively, so they are test code, not library code.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+
+from stc.decomposition import NiceTreeDecomposition
+from stc.dp import (
+    ExactArith,
+    RoundedArith,
+    _checked_ntd,
+    _decode,
+    _isomorphisms,
+    _path,
+    _run_dp,
+    _shape_key,
+    _to_fraction,
+    solve_stc_tw,
+)
+from stc.graph import Graph, SpanningTree, congestion_report, edge_key, require_connected
+
+
+def validated_tree(
+    G: Graph, k: int, ntd: NiceTreeDecomposition | None = None
+) -> SpanningTree | None:
+    """`solve_exact_tw(G, k, ntd)` with every stored entry validated."""
+    require_connected(G)
+    ntd = _checked_ntd(G, ntd)
+    run = _run_dp(G, ntd, ExactArith(k), validator=make_validator(G, k))
+    if run.forest is None:
+        return None
+    T = SpanningTree(G, run.forest)
+    got = congestion_report(G, T).max_congestion
+    assert got <= k, f"DP returned congestion {got} > {k}"
+    return T
+
+
+def make_validator(G: Graph, k: int):
+    """Check the consistent-solution properties of every stored entry.
+
+    Past anonymous vertices are existential branch points; the checker
+    searches all embeddings into the processed region, so keep it to tiny
+    inputs.
+    """
+
+    def validator(bag, proc, state, F):
+        adj, vlab = _decode(state, bag)
+        # property 1: forest inside the processed subgraph
+        parent = {x: x for x in proc}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in F:
+            if edge_key(u, v) not in G.edges or u not in proc or v not in proc:
+                return f"forest edge ({u},{v}) outside G[T_t]"
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return "forest has a cycle"
+            parent[ru] = rv
+        past = sorted(x for x in adj if x < 0 and vlab[x] == -1)
+        candidates = sorted(set(proc) - set(bag))
+        msg = "no embedding of past branch vertices fits"
+        for emb in itertools.permutations(candidates, len(past)):
+            eta = dict(zip(past, emb))
+            msg = check_embedding(G, bag, proc, adj, vlab, F, k, eta)
+            if msg is None:
+                return None
+        return msg
+
+    return validator
+
+
+def check_embedding(G, bag, proc, adj, vlab, F, k, eta):
+    def real(x):
+        return eta.get(x, x)
+
+    # property 4: forest plus future edges forms a tree
+    tnodes = set(proc)
+    tedges = set(F)
+    for x in adj:
+        for y, (lbl, _c) in adj[x].items():
+            if x < y and lbl == 1:
+                tnodes.update((x, y))
+                tedges.add((x, y))
+    tadj: dict[int, list[int]] = {v: [] for v in tnodes}
+    for u, v in tedges:
+        tadj[u].append(v)
+        tadj[v].append(u)
+    if tnodes:
+        start = next(iter(tnodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in tadj[a]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if seen != tnodes or len(tedges) != len(tnodes) - 1:
+            return "F plus future edges is not a tree"
+    # detour crossings induced by processed edges outside the bag
+    H = [
+        e
+        for e in G.edges
+        if e[0] in proc and e[1] in proc and not (e[0] in bag and e[1] in bag)
+    ]
+    cross: dict[tuple[int, int], int] = {tuple(sorted(e)): 0 for e in tedges}
+    for a, b in H:
+        path = _path(tadj, a, b)
+        if path is None:
+            return f"processed edge ({a},{b}) has no detour"
+        for e in path:
+            cross[e] += 1
+    # properties 2, 3, 5, 6
+    fadj: dict[int, list[int]] = {v: [] for v in proc}
+    for u, v in F:
+        fadj[u].append(v)
+        fadj[v].append(u)
+    for x in adj:
+        for y, (lbl, c) in adj[x].items():
+            if x > y:
+                continue
+            if lbl == 0:
+                if edge_key(x, y) not in F:
+                    return f"present skeleton edge ({x},{y}) missing from F"
+                if cross[edge_key(x, y)] != c:
+                    return "counter mismatch on a present edge"
+            elif lbl == 1:
+                if cross[(x, y) if x < y else (y, x)] != c:
+                    return "counter mismatch on a future edge"
+            else:
+                a, b = real(x), real(y)
+                path = _path(fadj, a, b)
+                if path is None:
+                    return f"past skeleton edge ({x},{y}) has no F path"
+                for u, v in path:
+                    if u in bag and v in bag:
+                        return "past path uses a bag-internal edge"
+                    if cross[(u, v)] > c:
+                        return "past path exceeds its counter"
+    # property 7
+    if any(val > k for val in cross.values()):
+        return "an edge of F plus future exceeds k"
+    return None
+
+
+def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = None):
+    """Assert the two-sided rounding invariant at every node (tiny inputs).
+
+    For each exact state some approx state overestimates it by at most
+    (1+delta)^height(t) per edge, and each approx state's counters upper
+    bound some exact run's counters (at the relaxed cap floor((1+eps)k)).
+    """
+    require_connected(G)
+    eps = _to_fraction(eps)
+    ntd = _checked_ntd(G, ntd)
+    k, _ = solve_stc_tw(G, ntd)
+    if k == 0:
+        return
+    h = ntd.height
+    arith = RoundedArith(k, eps, h)
+    relaxed_cap = math.floor((1 + eps) * k)
+    exact = _run_dp(G, ntd, ExactArith(k), keep_tables=True)
+    approx = _run_dp(G, ntd, arith, keep_tables=True)
+    exact_relaxed = _run_dp(G, ntd, ExactArith(relaxed_cap), keep_tables=True)
+    heights = ntd.subtree_heights()
+
+    def decoded(table, bag):
+        out = []
+        for s in table:
+            adj, vlab = _decode(s, bag)
+            out.append((adj, vlab, _shape_key(adj, vlab)))
+        return out
+
+    def dominates(adjA, vlabA, adjB, vlabB, cA_bound_fn):
+        """Some isomorphism under which every counter pair obeys the bound."""
+        for phi in _isomorphisms(adjA, adjB):
+            if any(vlabB[phi[x]] != vlabA[x] for x in vlabA if x < 0):
+                continue
+            ok = True
+            for x in adjA:
+                for y, (lA, cA) in adjA[x].items():
+                    if x > y:
+                        continue
+                    a, b = phi.get(x, x), phi.get(y, y)
+                    lB, cB = adjB[a][b]
+                    if lB != lA or not cA_bound_fn(cA, cB):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return True
+        return False
+
+    def check(tableA, tableB, bag, bound, msg, i):
+        buckets: dict = {}
+        for adj, vlab, key in decoded(tableB, bag):
+            buckets.setdefault(key, []).append((adj, vlab))
+        for adjA, vlabA, key in decoded(tableA, bag):
+            assert any(
+                dominates(adjA, vlabA, adjB, vlabB, bound)
+                for adjB, vlabB in buckets.get(key, ())
+            ), f"node {i}: {msg}"
+
+    for i in exact.tables:
+        bag = ntd.nodes[i].bag
+        factor = (1 + arith.delta) ** heights[i]
+        check(
+            exact.tables[i], approx.tables[i], bag,
+            lambda cE, cA: arith.vals[cA] <= factor * cE,
+            "exact state has no rounded shadow", i,
+        )
+        check(
+            approx.tables[i], exact_relaxed.tables[i], bag,
+            lambda cA, cE: cE <= math.ceil(arith.vals[cA]),
+            "rounded state dominates no exact state", i,
+        )

@@ -18,8 +18,8 @@ from conftest import (
     suite_graphs,
     vertex_integrity_set,
 )
+from dp_checks import check_approx_invariant
 from stc.dp import (
-    check_approx_invariant,
     solve_approx_tw,
     solve_cw_winwin,
     solve_stc_tw,

@@ -25,7 +25,6 @@ from stc.dp import (
     _zip_key,
     ExactArith,
     RoundedArith,
-    check_approx_invariant,
     default_nice_decomposition,
     solve_approx_tw,
     solve_cw_winwin,
@@ -47,6 +46,7 @@ from conftest import (
     star_graph,
     suite_graphs,
 )
+from dp_checks import check_approx_invariant, validated_tree
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +199,9 @@ def test_consistency_validator_accepts_real_runs():
         (complete_graph(4), 3),
         (Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]), 2),
     ]:
-        assert solve_exact_tw(g, k, validate=True) is not None
+        assert validated_tree(g, k) is not None
         if k > 1:
-            assert solve_exact_tw(g, k - 1, validate=True) is None
+            assert validated_tree(g, k - 1) is None
 
 
 def test_simplify_prunes_and_contracts():
@@ -552,9 +552,9 @@ def test_validator_accepts_grid3_and_small_suite_graphs():
     graphs = [grid_graph(3)] + [g for g in suite_graphs() if g.n <= 7]
     for g in graphs:
         k, _ = solve_stc_tw(g)
-        assert solve_exact_tw(g, k, validate=True) is not None
+        assert validated_tree(g, k) is not None
         if k > 1:
-            assert solve_exact_tw(g, k - 1, validate=True) is None
+            assert validated_tree(g, k - 1) is None
 
 
 def test_drop_dominated_keeps_only_undominated_states():

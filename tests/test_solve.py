@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import stc.route
@@ -117,6 +120,14 @@ def test_modulator_solvers_need_a_modulator(alg):
         solve(CHORDED, alg=alg)
 
 
+@pytest.mark.parametrize("alg", stc.route.ALGORITHMS)
+def test_modulator_out_of_range_rejected(alg):
+    G = gen_grid(4)
+    for S in ({G.n}, {999}, {0, -1}):
+        with pytest.raises(GraphError, match="modulator vertex out of range"):
+            solve(G, modulator=S, alg=alg)
+
+
 def test_weighted_input_only_with_oracle():
     base = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     Gw = DoubleWeightedGraph.single(base, {e: 2 for e in base.edges})
@@ -130,3 +141,9 @@ def test_weighted_input_only_with_oracle():
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError, match="unknown algorithm"):
         solve(path_graph(3), alg="cycle")
+
+
+def test_every_exported_name_is_documented():
+    readme = (Path(stc.__file__).resolve().parents[2] / "README.md").read_text()
+    missing = [name for name in stc.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert not missing

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conftest import (
     star_graph,
     vertex_integrity_set,
 )
+from stc.dp import solve_stc_tw
 from stc.errors import GraphError
 from stc.graph import (
     Graph,
@@ -472,6 +474,120 @@ def test_vi_nonleaf_components_bounded():
         if out >= 2:
             nonleaf += 1
     assert nonleaf <= len(S) - 1
+
+
+def _detour_counts(tree_edges, verts, graph_edges, counted):
+    """Reference for vi._count_uses: walk each graph edge's tree path and
+    count the counted tree edges it crosses."""
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v in tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    rootv = min(verts)
+    parent = {rootv: rootv}
+    depth = {rootv: 0}
+    stack = [rootv]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                depth[u] = depth[v] + 1
+                stack.append(u)
+    assert len(parent) == len(verts), "overlay is not connected"
+    pos = {e: i for i, e in enumerate(counted)}
+    out = [0] * len(counted)
+    for u, v in graph_edges:
+        a, w = u, v
+        while a != w:
+            if depth[a] < depth[w]:
+                a, w = w, a
+            e = edge_key(a, parent[a])
+            if e in pos:
+                out[pos[e]] += 1
+            a = parent[a]
+    return out
+
+
+def test_count_uses_matches_a_detour_walk():
+    rng = random.Random(41)
+    for _ in range(200):
+        verts = rng.sample(range(40), rng.randint(2, 12))
+        tree = [edge_key(v, rng.choice(verts[:i])) for i, v in enumerate(verts) if i]
+        pairs = [edge_key(u, v) for i, u in enumerate(verts) for v in verts[:i]]
+        graph_edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        counted = rng.sample(tree, rng.randint(0, len(tree)))
+        got = stc.structural.vi._count_uses(tree, set(verts), graph_edges, counted)
+        assert got == _detour_counts(tree, set(verts), graph_edges, counted)
+
+
+def pairs_and_singletons(paths: int, full: int, single: int) -> Graph:
+    """Modulator {0, 1} with three component classes: edges a-b joined as
+    0-a-b-1, edges a-b with both ends joined to 0 and 1, and single vertices
+    joined to 0 and 1; plus the edge 0-1."""
+    edges = [(0, 1)]
+    n = 2
+    for _ in range(paths):
+        edges += [(0, n), (n, n + 1), (n + 1, 1)]
+        n += 2
+    for _ in range(full):
+        edges += [(0, n), (n, n + 1), (n + 1, 1), (0, n + 1), (n, 1)]
+        n += 2
+    for _ in range(single):
+        edges += [(0, n), (n, 1)]
+        n += 1
+    return Graph.from_edges(n, edges)
+
+
+def test_vi_ilp_coefficients_on_two_vertex_components(monkeypatch):
+    # k = |S| + 2 = 4 and stc = 16 = k^2, so the ILP phase runs, on overlays
+    # that hold two-vertex components
+    calls = []
+    real = stc.structural.vi._count_uses
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stc.structural.vi, "_count_uses", spy)
+    G = pairs_and_singletons(8, 2, 3)
+    got, T = solve_vi(G, frozenset({0, 1}))
+    assert got == solve_stc_tw(G)[0] == 16 == congestion_report(G, T).max_congestion
+    assert any(len(verts) > 3 for _, verts, _, _ in calls)
+    for args in calls:
+        assert real(*args) == _detour_counts(*args)
+
+
+def _s_fixing_automorphisms(G: Graph, S: frozenset[int], comp):
+    """Reference: every bijection of comp that keeps its internal edges and
+    each vertex's S-neighborhood."""
+    internal = {e for e in G.edges if e[0] in comp and e[1] in comp}
+    autos = []
+    for perm in itertools.permutations(comp):
+        m = dict(zip(comp, perm))
+        if any(G.neighbors(v) & S != G.neighbors(m[v]) & S for v in comp):
+            continue
+        if {edge_key(m[u], m[v]) for u, v in internal} != internal:
+            continue
+        autos.append(m)
+    return autos
+
+
+def test_canonical_component_returns_every_s_fixing_automorphism():
+    rng = random.Random(29)
+    graphs = [pairs_and_singletons(1, 1, 1), complete_graph(5), cycle_graph(6)]
+    for _ in range(20):
+        n = rng.randint(5, 9)
+        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)))
+    for G in graphs:
+        S = frozenset(rng.sample(range(G.n), 2))
+        for comp in _components(G, S):
+            comp = sorted(comp)
+            *_, autos = stc.structural.vi._canonical_component(G, S, comp)
+            want = _s_fixing_automorphisms(G, S, comp)
+            assert sorted(map(sorted, map(dict.items, autos))) == sorted(
+                map(sorted, map(dict.items, want))
+            )
 
 
 def _components(G: Graph, S: frozenset[int]):
