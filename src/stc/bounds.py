@@ -1,0 +1,232 @@
+"""Bounds on spanning tree congestion, computed before any DP run or enumeration.
+
+Lower bound.  Let u != v be vertices and T a spanning tree.  The tree path
+from u to v has an edge e, and T - e splits the vertices into two sides
+with u on one and v on the other.  Every graph edge that crosses that cut
+has its detour through e (e itself included), so e carries the size of the
+cut, which is at least lambda(u, v), the size of a minimum u-v edge cut.
+So stc(G) >= max over u != v of lambda(u, v), and any one pair gives a
+sound bound.  The minimum degree delta is a bound too: every tree has a
+leaf, and the leaf's edge carries the leaf's degree.
+
+`lower_bound` starts at delta and takes the maximum with Gusfield's
+flow-equivalent tree (Gomory and Hu, 1961; Gusfield, SIAM J. Comput. 1990):
+for each vertex s after the first, one maximum flow from s to its current
+tree parent t, and every later vertex with parent t on s's side of the cut
+moves under s.  The maximum over all pairs is the largest of these flows.
+Since lambda(u, v) <= min(deg u, deg v), only vertices of degree above
+delta are visited, in descending order of degree, so a parent never has a
+lower degree than its child; once deg s is at most the bound so far, no
+later flow can raise it, and the scan stops.  It also stops once the bound
+reaches a known upper bound.  Flows use unit capacities and BFS augmenting
+paths.  (Rooting the tree at vertex 0 and skipping pairs by degree would
+not do: on the 4x4 grid that skips every pair through the degree-2 corner
+and returns 2 instead of 4.)
+
+Upper bound.  Every spanning tree's congestion is one.  `bounds` takes the
+least congested BFS tree over all roots, stopping at the first one that
+meets the lower bound, and improves it by single edge swaps: add a non-tree
+edge f and drop an edge of the cycle it closes, which leaves a spanning
+tree.  The non-tree edges are scanned in cyclic order of the sorted edge
+list, and the scan goes on from where it is after a swap.  For each f the
+cycle's edges are tried in descending order of congestion, and the first
+candidate whose congestion profile (all tree-edge congestions, sorted in
+descending order) is lexicographically smaller replaces the tree.  The
+search stops after a full lap with no swap, once the maximum meets the
+lower bound, or after 2m measured candidate trees.  A candidate is measured
+on the cycle alone (see `_swap_search`); the tree returned is a validated
+SpanningTree, re-measured in full.
+"""
+from __future__ import annotations
+
+from .graph import Edge, Graph, SpanningTree, _tree_order, congestion_report, edge_key
+
+
+def _min_cut(G: Graph, s: int, t: int) -> tuple[int, dict[int, int | None]]:
+    """lambda(s, t), and the vertices on s's side of a minimum s-t cut (the
+    keys of the returned dict): unit capacities, BFS augmenting paths."""
+    flow: dict[tuple[int, int], int] = {}  # net flow on the arc (u, v)
+    value = 0
+    while True:
+        prev: dict[int, int | None] = {s: None}
+        queue = [s]
+        for u in queue:
+            for v in G.neighbors(u):
+                if v not in prev and flow.get((u, v), 0) < 1:
+                    prev[v] = u
+                    queue.append(v)
+            if t in prev:
+                break
+        if t not in prev:
+            return value, prev
+        v = t
+        while v != s:
+            u = prev[v]
+            flow[(u, v)] = flow.get((u, v), 0) + 1
+            flow[(v, u)] = flow.get((v, u), 0) - 1
+            v = u
+        value += 1
+
+
+def lower_bound(G: Graph, stop: int | None = None) -> int:
+    """max(delta, max over u != v of lambda(u, v)) (see the module
+    docstring); the scan ends early, with a bound of at least stop, once it
+    reaches stop, a known upper bound."""
+    if G.n == 1:
+        return 0
+    deg = [G.degree(v) for v in range(G.n)]
+    best = min(deg)
+    order = sorted((v for v in range(G.n) if deg[v] > best), key=lambda v: -deg[v])
+    parent = {v: order[0] for v in order[1:]}
+    for i in range(1, len(order)):
+        s = order[i]
+        if deg[s] <= best or (stop is not None and best >= stop):
+            break
+        t = parent[s]
+        value, side = _min_cut(G, s, t)
+        best = max(best, value)
+        for j in order[i + 1:]:
+            if parent[j] == t and j in side:
+                parent[j] = s
+    return best
+
+
+def _bfs_tree(G: Graph, root: int) -> SpanningTree:
+    seen = {root}
+    order = [root]
+    edges = []
+    for v in order:
+        for u in G.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                edges.append(edge_key(v, u))
+    return SpanningTree(G, frozenset(edges))
+
+
+def _best_bfs_tree(G: Graph, floor: int = 0) -> tuple[int, SpanningTree]:
+    """The least congested BFS tree over all roots, re-measured; the scan
+    stops at the first tree whose congestion is at most floor."""
+    best = None
+    for root in range(G.n):
+        T = _bfs_tree(G, root)
+        c = congestion_report(G, T).max_congestion
+        if best is None or c < best[0]:
+            best = (c, T)
+            if c <= floor:
+                break
+    return best
+
+
+def _cycle_chords(G: Graph, parent, depth, order, f: Edge):
+    """The cycle that the non-tree edge f = (a, b) closes in the tree given
+    by _tree_order, as its vertices from a up to the lca and down to b, and
+    its chords: (i, j), i < j, mapped to the number of graph edges between
+    the parts of the tree hanging from cycle vertices i and j.  Each vertex
+    hangs from the cycle vertex that its tree path to the cycle meets first."""
+    up, down = [f[0]], [f[1]]
+    while up[-1] != down[-1]:
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    cyc = up + down[-2::-1]
+    index = {w: q for q, w in enumerate(cyc)}
+    h = [0] * G.n
+    for v in order:  # parents first; above the lca everything hangs from it
+        q = index.get(v)
+        h[v] = q if q is not None else h[parent[v]] if parent[v] >= 0 else len(up) - 1
+    chords: dict[tuple[int, int], int] = {}
+    for a, b in G.edges:
+        ha, hb = h[a], h[b]
+        if ha != hb:
+            key = (ha, hb) if ha < hb else (hb, ha)
+            chords[key] = chords.get(key, 0) + 1
+    return cyc, chords
+
+
+def _swap_loads(chords, N: int, p: int) -> list[int]:
+    """Congestions of the cycle's tree edges after the swap that drops cycle
+    edge p (edge q joins cycle vertices q and q+1 mod N, and f is edge
+    N-1), listed from edge p+1 on around the cycle; each chord loads the
+    cycle path between its ends that avoids edge p."""
+    diff = [0] * N
+    for (i, j), cnt in chords.items():
+        a, b = (i - p - 1) % N, (j - p - 1) % N
+        if a > b:
+            a, b = b, a
+        diff[a] += cnt
+        diff[b] -= cnt
+    out = []
+    acc = 0
+    for t in range(N - 1):
+        acc += diff[t]
+        out.append(acc)
+    return out
+
+
+def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTree]:
+    """Single edge swaps from T while the sorted congestion profile falls
+    (see the module docstring); returns the final tree, re-measured.
+
+    A swap that adds f = (a, b) and drops e changes the congestion of no
+    tree edge off the cycle C that f closes: such an edge g leaves f's ends,
+    and so e, on one side of T - g, so T - g and T + f - e - g split the
+    vertices alike.  So a candidate is measured on C alone, and its profile
+    falls exactly when the sorted congestions of C - e (after the swap) fall
+    below those of C - f (before it).  Each vertex hangs from the cycle
+    vertex its tree path to C first meets (_cycle_chords); every graph edge
+    between the parts hanging from two cycle vertices loads the cycle path
+    between them (_swap_loads).
+    """
+    loads = dict(congestion_report(G, T).per_edge)
+    if max(loads.values()) <= floor:
+        return max(loads.values()), T
+    edges = G.sorted_edges()
+    m = len(edges)
+    tree = set(T.edges)
+    parent, depth, order = _tree_order(G.n, tree)
+    measured = idle = i = 0
+    while idle < m and measured < 2 * m:
+        f = edges[i]
+        i = (i + 1) % m
+        idle += 1
+        if f in tree:
+            continue
+        cyc, chords = _cycle_chords(G, parent, depth, order, f)
+        N = len(cyc)
+        path = [edge_key(cyc[q], cyc[q + 1]) for q in range(N - 1)]
+        before = sorted((loads[e] for e in path), reverse=True)
+        for p in sorted(range(N - 1), key=lambda q: (-loads[path[q]], path[q])):
+            after = _swap_loads(chords, N, p)
+            measured += 1
+            if sorted(after, reverse=True) < before:
+                del loads[path[p]]
+                kept = path[p + 1:] + [f] + path[:p]
+                loads.update(zip(kept, after))
+                tree.remove(path[p])
+                tree.add(f)
+                parent, depth, order = _tree_order(G.n, tree)
+                idle = 0
+                break
+            if measured == 2 * m:
+                break
+        if max(loads.values()) <= floor:
+            break
+    T = SpanningTree(G, frozenset(tree))
+    rep = congestion_report(G, T)
+    assert rep.per_edge == loads, "the swap search's congestions disagree with the report"
+    return rep.max_congestion, T
+
+
+def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
+    """(lower bound, upper bound, a tree of the upper bound's congestion);
+    see the module docstring.
+
+    The lower bound's scan stops at the congestion of the BFS tree from
+    vertex 0, the first tree the upper bound's scan measures.
+    """
+    if G.n == 1:
+        return 0, 0, SpanningTree(G, frozenset())
+    lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
+    return (lam, *_swap_search(G, _best_bfs_tree(G, lam)[1], lam))

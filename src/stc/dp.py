@@ -124,21 +124,26 @@ A refuted run stops at its first empty table, since every ancestor of an
 empty table is empty, unless the tables are kept.
 
 Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
-a limit) and solve_approx_tw (with eps).  It starts at the minimum degree,
-which a leaf's tree edge always carries, or with eps at the smallest k with
-(1+eps)k >= the minimum degree, since a run at k accepts only with a tree of
-congestion <= (1+eps)k.  It stops below UB, the congestion of the best BFS
-tree over all roots, and returns that tree when every k below UB is refused.
-Each tree the DP returns is re-measured by congestion_report and checked
-against its cap, k for exact counters and (1+eps)k for rounded ones.  The
-exact search returns stc: no k below the first accepted one admits a tree.
-The approximation stays within its bound on both exits: the first accepted
-k is at most stc, because a rounded run accepts whenever stc <= k, so its
-tree has congestion <= (1+eps)stc; and when every k < UB is refused, then
-stc >= UB and the BFS tree is optimal.  A rounded run's tree may still be
-more congested than the BFS tree ((1+eps)k can exceed UB), so the driver
-returns whichever of the two measures lower; an exact run's tree is always
-below UB.
+a limit), solve_approx_tw (with eps) and the fes kernel route.  It first
+computes the bounds of stc.bounds once: lam, a lower bound (the minimum
+degree, or the largest minimum edge cut between two vertices), and UB, the
+congestion of the best BFS tree improved by edge swaps, with that tree.  It
+scans k from lam, or with eps from the smallest k with (1+eps)k >= lam,
+since a run at k accepts only with a tree of congestion <= (1+eps)k, up to
+UB - 1, and returns the UB tree when every k is refused.  When lam = UB no
+k is left, and no decomposition is built: the default one is made at the
+first k that needs a run (a decomposition given by the caller is validated
+up front all the same).  Each tree the DP returns is re-measured by
+congestion_report and checked against its cap, k for exact counters and
+(1+eps)k for rounded ones.  The exact search returns stc: no k below the
+first accepted one admits a tree.  The approximation stays within its bound
+on both exits: the first accepted k is at most stc, because a rounded run
+accepts whenever stc <= k, so its tree has congestion <= (1+eps)stc; and
+when every k < UB is refused, then stc >= UB and the UB tree is optimal.
+Which tree gives UB does not matter to either argument, only that its
+congestion is UB.  A rounded run's tree may still be more congested than
+the UB tree ((1+eps)k can exceed UB), so search_k returns whichever of
+the two measures lower; an exact run's tree is always below UB.
 """
 from __future__ import annotations
 
@@ -148,6 +153,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import bounds
 from .decomposition import (
     NiceTreeDecomposition,
     decompose,
@@ -783,29 +789,9 @@ def solve_exact_tw(
     return T
 
 
-def _best_bfs_tree(G: Graph) -> tuple[int, SpanningTree]:
-    """The least congested BFS tree over all roots, re-measured."""
-    best = None
-    for root in range(G.n):
-        seen = {root}
-        order = [root]
-        edges = []
-        for v in order:
-            for u in G.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-                    edges.append(edge_key(v, u))
-        T = SpanningTree(G, frozenset(edges))
-        c = congestion_report(G, T).max_congestion
-        if best is None or c < best[0]:
-            best = (c, T)
-    return best
-
-
 def search_k(
     G: Graph,
-    ntd: NiceTreeDecomposition,
+    ntd: NiceTreeDecomposition | None = None,
     limit: int | None = None,
     eps: Fraction | None = None,
 ) -> tuple[int, SpanningTree] | None:
@@ -813,15 +799,16 @@ def search_k(
 
     Returns a tree with its re-measured congestion, exact without eps and
     within (1+eps) of stc with it, or None when no tree below limit is found.
+    The default decomposition is built at the first k that needs a DP run.
     """
     if G.n == 1:
         return 0, SpanningTree(G, frozenset())
-    ub, T_ub = _best_bfs_tree(G)
+    lam, ub, T_ub = bounds(G)
     stop = ub if limit is None else min(ub, limit)
-    lo = min(G.degree(v) for v in range(G.n))
-    if eps is not None:
-        lo = math.ceil(lo / (1 + eps))
+    lo = lam if eps is None else math.ceil(lam / (1 + eps))
     for k in range(lo, stop):
+        if ntd is None:
+            ntd = default_nice_decomposition(G)
         if eps is None or eps * k < 1:
             arith, cap = ExactArith(k), k
         else:
@@ -841,7 +828,7 @@ def solve_stc_tw(
 ) -> tuple[int, SpanningTree]:
     """Exact spanning tree congestion: the DP searches k between bounds."""
     require_connected(G)
-    return search_k(G, _checked_ntd(G, ntd))
+    return search_k(G, None if ntd is None else _checked_ntd(G, ntd))
 
 
 def solve_approx_tw(
@@ -854,7 +841,7 @@ def solve_approx_tw(
     eps = _to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return search_k(G, _checked_ntd(G, ntd), eps=eps)
+    return search_k(G, None if ntd is None else _checked_ntd(G, ntd), eps=eps)
 
 
 def _to_fraction(eps) -> Fraction:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .bounds import lower_bound
 from .errors import BudgetExceededError
 from .graph import (
     DoubleWeightedGraph,
@@ -132,19 +133,6 @@ def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
                 f"time cap {budget.max_millis} ms reached", emitted=now_trees
             )
 
-    def components(part: frozenset[Edge]) -> list[int]:
-        comp = list(range(n))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for u, v in part:
-            comp[find(u)] = find(v)
-        return [find(v) for v in range(n)]
-
     def adj_of(edges) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(n)}
         for u, v in edges:
@@ -152,12 +140,14 @@ def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
             adj[v].add(u)
         return adj
 
-    # (avail, part, fresh): fresh marks the root and exclude children, whose
-    # bridges are not yet in part
-    stack = [(frozenset(G.edges), frozenset(), True)]
+    # (avail, part, comp, fresh): fresh marks the root and exclude children,
+    # whose bridges are not yet in part.  comp labels the vertices so that
+    # two ends of an included edge share a label and two trees of the
+    # forest part share none; forced bridges need not be merged (below)
+    stack = [(frozenset(G.edges), frozenset(), list(range(n)), True)]
     while stack:
         check(emitted)
-        avail, part, fresh = stack.pop()
+        avail, part, comp, fresh = stack.pop()
         if fresh:
             forest = None if bound is None else set()
             bridges = _bridges(n, adj_of(avail), forest)
@@ -174,12 +164,42 @@ def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
             continue
         e = min(avail - part)
         # exclude e: its bridges are forced when it is popped
-        stack.append((avail - {e}, part, True))
-        # include e: edges joining vertices already connected are frozen out
-        part2 = part | {e}
-        comp = components(part2)
-        closing = {f for f in avail - part2 if comp[f[0]] == comp[f[1]]}
-        stack.append((avail - closing, part2, False))
+        stack.append((avail - {e}, part, comp, True))
+        # include e: the edges it closes a cycle with are frozen out.  No edge
+        # of avail - part joins two vertices of one tree of part (an include
+        # removes them, and a forced bridge lies on no cycle), so those are
+        # the edges f of avail between the two trees that e joins.  The cycle
+        # f closes runs through e and avail, so it crosses no forced bridge
+        # (a bridge of avail stays one as avail shrinks): f's end in the
+        # other tree is joined to w by included edges, and shares its label
+        small, w = _smaller_side(G, part, e)
+        other = comp[w]
+        closing = {f for x in small for y in G.neighbors(x) if comp[y] == other
+                   and (f := (x, y) if x < y else (y, x)) in avail and f != e}
+        comp = comp.copy()
+        for x in small:
+            comp[x] = other
+        stack.append((avail - closing, part | {e}, comp, False))
+
+
+def _smaller_side(G: Graph, part, e: Edge) -> tuple[list[int], int]:
+    """The vertices of the smaller of the two trees of the forest part that
+    e joins (either on a tie), and the end of e in the other tree.  Both
+    trees are walked in step, so the cost is about the degree sum of the
+    smaller one, twice."""
+    sides = ([e[0]], [e[1]])
+    came_from = ([-1], [-1])
+    pos = 0
+    while True:
+        for i, side in enumerate(sides):
+            if pos == len(side):
+                return side, e[1 - i]
+            x, back = side[pos], came_from[i][pos]
+            for y in G.neighbors(x):
+                if y != back and ((x, y) if x < y else (y, x)) in part:
+                    side.append(y)
+                    came_from[i].append(x)
+        pos += 1
 
 
 def enumerate_spanning_trees(G: Graph, budget: EnumerationBudget | None = None):
@@ -200,15 +220,15 @@ def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, Spanning
     Ties break toward the first optimal tree in enumeration order.  Accepts a
     Graph or a DoubleWeightedGraph.  The budget counts the trees measured;
     nodes cut off by the bound (module docstring) measure none.  On a Graph
-    the scan stops at the first tree of congestion min-degree: every tree has
-    a leaf, and a leaf's edge carries the leaf's degree, so no tree goes lower.
+    the scan stops at the first tree whose congestion equals the lower bound
+    of `stc.bounds` (the minimum degree, or the largest minimum edge cut
+    between two vertices): no tree goes lower, so that tree is the full
+    scan's first optimal tree.
     """
+    floor = -1 if isinstance(G, DoubleWeightedGraph) else lower_bound(G)
     base, wt1, wt2 = _split_weights(G)
-    floor = -1
-    tree_wt2 = wt2
-    if not isinstance(G, DoubleWeightedGraph):
-        tree_wt2 = None  # unit tree-edge weights: the maximum needs no per-edge pass
-        floor = min(base.degree(v) for v in range(base.n))
+    # unit tree-edge weights: the maximum needs no per-edge pass
+    tree_wt2 = wt2 if isinstance(G, DoubleWeightedGraph) else None
     search = _search(base, budget, wt1, wt2)
     tree = next(search)
     best = (_max_load(base, wt1, tree_wt2, tree), tree)

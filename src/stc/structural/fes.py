@@ -7,16 +7,18 @@ compressed: an attached cycle keeps two inner vertices (a triangle), a chain
 parallel to an existing edge keeps one, and a chain with no parallel edge
 becomes a single edge.  Since subdividing edges never changes the spanning
 tree congestion, the kernel has the same optimum, and its size is bounded by
-the feedback edge number alone.  `solve_reduced` enumerates a small kernel's
-spanning trees and gives a larger one to the treewidth DP.  The kernel tree
-is lifted back by re-expanding each compressed section (an excluded section
-re-appears minus its last edge) and re-attaching the peeled leaves.
+the feedback edge number alone.  `solve_reduced` answers a kernel whose
+bounds meet directly, enumerates a small kernel's spanning trees and gives a
+larger one to the treewidth DP.  The kernel tree is lifted back by
+re-expanding each compressed section (an excluded section re-appears minus
+its last edge) and re-attaching the peeled leaves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..dp import solve_stc_tw
+from ..bounds import bounds
+from ..dp import search_k
 from ..graph import (
     Edge,
     Graph,
@@ -209,9 +211,15 @@ def solve_reduced(
     """Exact stc of the host from its reduction; returns (route, congestion, tree).
 
     A tree ("trivial") and a cycle ("cycle", 2) are answered directly.  A
-    kernel of at most ORACLE_CAP vertices is enumerated ("fes"; the budget
-    caps it), a larger one goes to the treewidth DP ("dp").  The kernel tree
-    is lifted and re-measured on the host.
+    kernel gets the bounds of `stc.bounds` first (a kernel of more than
+    ORACLE_CAP vertices inside `search_k`); when its lower bound meets its
+    upper bound, the upper bound's tree is optimal and is taken with no
+    enumeration or DP run.  Otherwise a kernel of at most ORACLE_CAP
+    vertices is enumerated, stopping at the first tree that meets the lower
+    bound ("fes"; the budget caps it), and a larger one goes to the
+    treewidth DP's search over k between the bounds ("dp").  The route name
+    follows the kernel's size either way.  The kernel tree is lifted and
+    re-measured on the host.
     """
     G = trace.original
     if trace.kind == "tree":
@@ -223,9 +231,13 @@ def solve_reduced(
         T = SpanningTree(G, G.edges - {max(e for e, _ in trace.sections)})
     else:
         if core.n <= ORACLE_CAP:
-            route, (k_core, core_tree) = "fes", stc_exact(core, budget)
+            route = "fes"
+            lam, k_core, core_tree = bounds(core)
+            if lam < k_core:
+                k_core, core_tree = stc_exact(core, budget)
         else:
-            route, (k_core, core_tree) = "dp", solve_stc_tw(core)
+            route = "dp"
+            k_core, core_tree = search_k(core)
         T = lift_tree(trace, core_tree.edges)
     got = congestion_report(G, T).max_congestion
     assert got == k_core, f"lifting changed congestion: {k_core} -> {got}"

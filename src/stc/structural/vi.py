@@ -29,7 +29,7 @@ from ..graph import (
     require_connected,
 )
 from ..oracle import enumerate_spanning_trees
-from ..dp import default_nice_decomposition, search_k
+from ..dp import search_k
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ def solve_vi(G: Graph, S) -> tuple[int, SpanningTree]:
 
     # answers below k^2 are in reach of the treewidth solver; past this
     # point every leaf-local edge congestion (< k^2) is irrelevant
-    found = search_k(G, default_nice_decomposition(G), k * k)
+    found = search_k(G, limit=k * k)
     if found is not None:
         return found
 

@@ -1,0 +1,143 @@
+"""The bounds on stc that the search over k and the kernel route start from."""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import stc.bounds
+import stc.dp
+from stc.bounds import _best_bfs_tree, _cycle_chords, _swap_loads, bounds, lower_bound
+from stc.dp import solve_approx_tw, solve_stc_tw
+from stc.graph import Graph, _edge_loads, _tree_order, congestion_report, edge_key
+from stc.oracle import stc_exact
+from stc.reductions import gen_ubp
+
+from conftest import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    random_connected_graph,
+    suite_graphs,
+)
+from test_oracle import PETERSEN
+
+
+def _dp_runs(monkeypatch, refute=False):
+    """The k of every DP run; with refute, each run answers no at once."""
+    ks = []
+    real = stc.dp._run_dp
+
+    def counted(G, ntd, arith, **kw):
+        ks.append(arith.k)
+        return stc.dp.DPRun(None, None) if refute else real(G, ntd, arith, **kw)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", counted)
+    return ks
+
+
+def test_bounds_bracket_stc_on_the_suite():
+    lower_tight = upper_tight = 0
+    for idx, g in enumerate(suite_graphs()):
+        lam, ub, T = bounds(g)
+        k, _ = stc_exact(g)
+        bfs, _ = _best_bfs_tree(g)
+        assert lam <= k <= ub <= bfs, f"suite graph #{idx}: {lam} {k} {ub} {bfs}"
+        assert congestion_report(g, T).max_congestion == ub
+        lower_tight += lam == k
+        upper_tight += ub == k
+    assert (lower_tight, upper_tight) == (197, 199)
+
+
+@pytest.mark.parametrize("G, want", [
+    (complete_graph(5), 4), (cycle_graph(9), 2), (grid_graph(3), 3), (grid_graph(4), 4),
+    (PETERSEN, 3), (complete_bipartite(5, 5), 5), (gen_ubp(3, [1, 1, 1]).graph, 9),
+], ids=["K5", "C9", "grid3", "grid4", "petersen", "K5,5", "ubp"])
+def test_lower_bound_values(G, want):
+    # grid4: every pair through the degree-2 corners has lambda 2; the flow
+    # tree is rooted at a vertex of top degree, so it still finds 4
+    assert lower_bound(G) == want
+
+
+def test_lower_bound_stops_at_a_known_upper_bound():
+    g = gen_ubp(3, [1, 1, 1]).graph
+    assert lower_bound(g, stop=1) == 2  # the minimum degree, no flow run
+    assert lower_bound(g, stop=100) == 9
+
+
+def test_dp_runs_per_solve(monkeypatch):
+    # a scan from the minimum degree to below the best BFS tree makes more
+    # runs: grid4 3, ubp 9, K5,5 4, suite graphs 0..18 19 in all
+    ks = _dp_runs(monkeypatch)
+    assert solve_stc_tw(grid_graph(4))[0] == 4 and ks == []
+    # grid4's best BFS tree has congestion 5 in the edge order above and 4
+    # in each shuffled order below; either way no DP run is left
+    edges = sorted(grid_graph(4).edges)
+    for seed in range(8):
+        random.Random(seed).shuffle(edges)
+        assert solve_stc_tw(Graph(16, frozenset(edges)))[0] == 4 and ks == []
+    assert solve_stc_tw(gen_ubp(3, [1, 1, 1]).graph)[0] == 10 and ks == [9]
+    ks.clear()
+    for g in suite_graphs()[:19]:
+        solve_stc_tw(g)
+    assert ks == []
+    # K5,5: lambda 5, upper bound 8 = stc, so 5, 6 and 7 are run and refuted
+    # (refuted here without the DP; acceptance 8 runs it on K5,5 at k = 4)
+    ks = _dp_runs(monkeypatch, refute=True)
+    k, T = solve_stc_tw(complete_bipartite(5, 5))
+    assert ks == [5, 6, 7] and k == 8 == congestion_report(T.host, T).max_congestion
+
+
+def test_no_decomposition_when_the_bounds_meet(monkeypatch):
+    def no_decomposition(G):
+        raise AssertionError("decomposed although no k was left to run")
+
+    monkeypatch.setattr(stc.dp, "default_nice_decomposition", no_decomposition)
+    assert solve_stc_tw(grid_graph(4))[0] == 4
+    assert solve_approx_tw(grid_graph(3), 0.1)[0] == 3
+
+
+def _counted_candidates(monkeypatch):
+    calls = []
+    real = stc.bounds._swap_loads
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(stc.bounds, "_swap_loads", counted)
+    return calls
+
+
+def test_swap_search_stops_after_2m_candidates(monkeypatch):
+    calls = _counted_candidates(monkeypatch)
+    g = grid_graph(2, 30)  # the 2x30 ladder: BFS trees reach 15
+    assert _best_bfs_tree(g)[0] == 15
+    lam, ub, T = bounds(g)
+    assert (lam, ub) == (3, 5) and len(calls) == 2 * g.m
+    calls.clear()
+    g = grid_graph(2, 10)  # here the search meets lambda first
+    assert bounds(g)[:2] == (3, 3) and 0 < len(calls) < 2 * g.m
+
+
+def test_swap_loads_match_a_full_measurement():
+    # every candidate of every non-tree edge, on random graphs and BFS trees
+    rng = random.Random(837)
+    for _ in range(30):
+        n = rng.randrange(4, 10)
+        g = random_connected_graph(rng, n, rng.randrange(n, n + 8))
+        tree = set(_best_bfs_tree(g)[1].edges)
+        one = dict.fromkeys(g.edges, 1)
+        before = _edge_loads(g, one, one, tree)
+        parent, depth, order = _tree_order(g.n, tree)
+        for f in g.edges - tree:
+            cyc, chords = _cycle_chords(g, parent, depth, order, f)
+            N = len(cyc)
+            path = [edge_key(cyc[q], cyc[q + 1]) for q in range(N - 1)]
+            for p in range(N - 1):
+                full = _edge_loads(g, one, one, (tree - {path[p]}) | {f})
+                kept = path[p + 1:] + [f] + path[:p]
+                assert _swap_loads(chords, N, p) == [full[e] for e in kept]
+                # and no tree edge off the cycle changes
+                assert all(full[e] == before[e] for e in tree - set(path))

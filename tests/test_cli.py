@@ -516,8 +516,10 @@ def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
     def broken(G, budget=None):
         raise ValueError("solver fault")
 
-    # auto routes K5 to the enumeration of its kernel
+    # auto routes Petersen to the enumeration of its kernel, Petersen itself,
+    # since its bounds do not meet (3 = lambda < 5 = stc)
     monkeypatch.setattr(stc.structural.fes, "stc_exact", broken)
-    path = write_gr(tmp_path, complete_graph(5))
+    petersen, _ = _subdivided_petersen(random.Random(0), 0, 0)
+    path = write_gr(tmp_path, petersen)
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])

@@ -736,12 +736,18 @@ def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
         n = rng.randrange(4, 9)
         m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 6) + 1)
         g = random_connected_graph(rng, n, m)
-        ub, _ = stc.dp._best_bfs_tree(g)
+        ub_bfs, _ = stc.bounds._best_bfs_tree(g)
+        lam, ub, _ = stc.bounds.bounds(g)
+        assert ub <= ub_bfs
         for eps in (0.1, 0.5, 1):
             tried.clear()
             solve_approx_tw(g, eps)
             assert all(k < ub for k in tried)
             runs += len(tried)
+            # the scan starts at ceil(lam / (1+eps)), below lam whenever
+            # eps * lam > 1 (here at eps 1 from lam >= 2), so the DP runs
+            if math.ceil(lam / (1 + Fraction(str(eps)))) < ub:
+                assert tried
     assert runs > 0
 
 
@@ -749,29 +755,31 @@ def test_approx_is_never_above_the_best_bfs_tree():
     # at eps 1 a rounded run may accept with a tree above the BFS bound
     # ((1+eps)k can exceed UB); the driver then returns the BFS tree
     for idx, g in enumerate(suite_graphs()):
-        ub, _ = stc.dp._best_bfs_tree(g)
+        ub, _ = stc.bounds._best_bfs_tree(g)
         ka, T = solve_approx_tw(g, 1)
         assert congestion_report(g, T).max_congestion == ka
-        assert ka <= ub, f"suite graph #{idx}: {ka} > {ub}"
+        assert ka <= stc.bounds.bounds(g)[1] <= ub, f"suite graph #{idx}: {ka} > {ub}"
 
 
 def test_driver_rejects_a_forest_over_its_cap(monkeypatch):
-    # grid 3x3: min degree 2 < BFS bound 3, so the DP runs at k = 2 (exact)
-    # and, at eps 1, at k = 1 with rounded counters capped at 2
-    g = grid_graph(3)
-    _, T_ub = stc.dp._best_bfs_tree(g)
-    assert congestion_report(g, T_ub).max_congestion == 3
+    # ubp: lower bound 9 < upper bound 10, so the DP runs at k = 9 (exact)
+    # and, at eps 1, at k = ceil(9 / 2) = 5 with rounded counters capped at
+    # 10; the patched run answers with the best BFS tree (congestion 12)
+    g = gen_ubp(3, [1, 1, 1]).graph
+    assert stc.bounds.bounds(g)[:2] == (9, 10)
+    _, T_bfs = stc.bounds._best_bfs_tree(g)
+    assert congestion_report(g, T_bfs).max_congestion == 12
 
     def too_congested(G, ntd, arith, **kw):
-        return stc.dp.DPRun(T_ub.edges, None)
+        return stc.dp.DPRun(T_bfs.edges, None)
 
     monkeypatch.setattr(stc.dp, "_run_dp", too_congested)
-    with pytest.raises(AssertionError, match="congestion 3 > 2 at k = 2"):
+    with pytest.raises(AssertionError, match="congestion 12 > 9 at k = 9"):
         solve_stc_tw(g)
     ks = _count_rounded_runs(monkeypatch)
-    with pytest.raises(AssertionError, match="congestion 3 > 2 at k = 1"):
+    with pytest.raises(AssertionError, match="congestion 12 > 10 at k = 5"):
         solve_approx_tw(g, 1)
-    assert ks == [1]
+    assert ks == [5]
 
 
 def test_approx_rounding_invariants_hold_nodewise():

@@ -182,9 +182,12 @@ PETERSEN = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
 
 
 @pytest.mark.parametrize("G, k, measured, total", [
-    (PETERSEN, 5, 433, 2000), (grid_graph(3), 3, 25, 192)], ids=["petersen", "grid3"])
+    (PETERSEN, 5, 433, 2000), (grid_graph(3), 3, 23, 192)], ids=["petersen", "grid3"])
 def test_bridge_cuts_skip_most_trees(monkeypatch, G, k, measured, total):
-    # without the bound the scan would measure all `total` trees
+    # without the bound the scan would measure all `total` trees.  It stops
+    # at the first tree meeting the lower bound: on grid3 that is lambda = 3,
+    # the 23rd tree (against the minimum degree 2 the scan went on to its
+    # end, 25 trees); on Petersen lambda = 3 = the minimum degree, below stc
     loads = _counting(monkeypatch, "_max_load")
     assert stc_exact(G)[0] == k and len(loads) == measured
     # plain enumeration runs the same search with no cut work
@@ -200,6 +203,25 @@ def test_long_cycle_runs_one_bridge_search(monkeypatch):
     k, T = stc_exact(cycle_graph(1500))
     assert k == 2 and len(T.edges) == 1499
     assert len(bridge_calls) == 1
+
+
+def test_long_cycle_include_steps_walk_only_the_merged_vertices(monkeypatch):
+    # each include step walks the smaller of the two components it merges;
+    # on the cycle that is one new vertex per step, n - 1 in all, where
+    # rebuilding the components would visit all n vertices on every step
+    walked = []
+    real = stc.oracle._smaller_side
+
+    def counted(G, part, e):
+        small, w = real(G, part, e)
+        walked.append(len(small))
+        return small, w
+
+    monkeypatch.setattr(stc.oracle, "_smaller_side", counted)
+    n = 1500
+    k, T = stc_exact(cycle_graph(n))
+    assert k == 2 and T.edges == cycle_graph(n).edges - {(n - 2, n - 1)}
+    assert len(walked) == sum(walked) == n - 1
 
 
 def test_weighted_oracle_cycle_value():

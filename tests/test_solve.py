@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import stc.dp
 import stc.route
 import stc.structural.fes
 from conftest import complete_graph, cycle_graph, grid_graph, path_graph
 from stc import solve
 from stc.errors import GraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
-from stc.oracle import stc_exact
+from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_grid
 
 # three length-3 paths between hubs 0 and 1: n = 8, feedback edge number 2
@@ -101,8 +102,41 @@ def test_subdivided_grid_with_a_chord_takes_the_kernel_dp():
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_cliques_stop_at_the_min_degree_bound(n):
-    # K9 has 4.78M spanning trees; the first star already meets deg = n - 1
-    assert solve(complete_graph(n))[:2] == ("fes", n - 1)
+    # K9 has 4.78M spanning trees; the enumeration's first tree, a star,
+    # already meets deg = n - 1, so a budget of one measured tree suffices
+    G = complete_graph(n)
+    k, T = stc_exact(G, EnumerationBudget(max_trees=1))
+    assert k == n - 1 == congestion_report(G, T).max_congestion
+    # solve answers it from the bounds alone (lambda = n - 1 = the BFS star's
+    # congestion), with no enumeration
+    assert solve(G)[:2] == ("fes", n - 1)
+
+
+def clique_plus_two(N: int) -> Graph:
+    """K_N plus vertex N joined to clique vertices 0 and 1 and vertex N+1
+    joined to 2 and 3: {N, N+1} is a clique modulator.  stc = N: lambda(0, 1)
+    = N, and the star at 0 with N under 0 and N+1 under 2 meets it."""
+    edges = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    return Graph.from_edges(N + 2, edges + [(0, N), (1, N), (2, N + 1), (3, N + 1)])
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 16])
+@pytest.mark.parametrize("alg", ["auto", "dp", "dtc"])
+def test_clique_plus_two_is_answered_by_its_bounds(N, alg, monkeypatch):
+    # the treewidth DP here has width about N (N = 7 ran for minutes); the
+    # lower and upper bounds meet, so no route runs it
+    runs = []
+
+    def no_dp(*args, **kwargs):
+        runs.append(None)
+        raise AssertionError("the DP ran although the bounds meet")
+
+    monkeypatch.setattr(stc.dp, "_run_dp", no_dp)
+    G = clique_plus_two(N)
+    S = None if alg == "dp" else {N, N + 1}
+    got_alg, got, tree = solve(G, modulator=S, alg=alg)
+    assert runs == [] and got == N == congestion_report(G, tree).max_congestion
+    assert got_alg == {"auto": "fes" if N + 2 <= 12 else "dp"}.get(alg, alg)
 
 
 def test_dp_decision_contract():
