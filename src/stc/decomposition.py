@@ -67,14 +67,6 @@ class NiceTreeDecomposition:
                     stack.append((c, False))
         return out
 
-    def subtree_heights(self) -> dict[int, int]:
-        """Per node: longest downward distance to a leaf."""
-        h: dict[int, int] = {}
-        for i in self.postorder():
-            kids = self.nodes[i].children
-            h[i] = 0 if not kids else 1 + max(h[c] for c in kids)
-        return h
-
 
 def _reachable_through(adj: list[set[int]], removed: int, v: int) -> set[int]:
     """Remaining vertices adjacent to v directly or via eliminated ones.

@@ -202,8 +202,8 @@ def build_solution(
     }
 
 
-def build_infeasible(k: int, algorithm: str, certified: bool = True, **extra) -> dict:
-    doc = {"feasible": False, "k": k, "algorithm": algorithm, "certified": certified}
+def build_infeasible(k: int, algorithm: str, **extra) -> dict:
+    doc = {"feasible": False, "k": k, "algorithm": algorithm, "certified": True}
     doc.update(extra)
     return doc
 

@@ -80,9 +80,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(component_of(self, 0)) == self.n
 
-    def is_tree(self) -> bool:
-        return self.m == self.n - 1 and self.is_connected()
-
 
 def component_of(G: Graph, start: int) -> set[int]:
     seen = {start}

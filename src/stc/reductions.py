@@ -94,18 +94,6 @@ def grid_corners(n: int) -> tuple[int, int, int, int]:
     return (0, n - 1, n * n - n, n * n - 1)
 
 
-def grid_comb_tree(n: int) -> SpanningTree:
-    """Comb spanning tree of the n x n grid with max congestion exactly n.
-
-    The spine runs along the middle row, so every tooth edge cuts off at
-    most (n-1)/2 vertices of one column; that needs n odd (or n = 2, where
-    the single-vertex halves are small enough anyway).
-    """
-    if n != 2 and n % 2 == 0:
-        raise GraphError("comb tree needs n = 2 or odd n")
-    return SpanningTree(gen_grid(n), frozenset(_comb_edges(n, 0)))
-
-
 def expand_single_weighted(Gw: DoubleWeightedGraph) -> tuple[Graph, dict]:
     """Replace every weight-w edge by the edge itself plus w - 1 length-2 paths.
 

@@ -15,6 +15,7 @@ from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
 from .oracle import ORACLE_CAP, EnumerationBudget, stc_exact
 from .structural import reduce_graph, small_case_threshold, solve_dtc, solve_fes, solve_vi
 from .structural.fes import solve_reduced
+from .structural.vi import checked_modulator
 
 ALGORITHMS = ("auto", "oracle", "dp", "fes", "dtc", "vi")
 
@@ -62,9 +63,7 @@ def solve(
         )
     if alg in ("dtc", "vi") and modulator is None:
         raise ValueError(f"alg={alg!r} needs a modulator")
-    S = None if modulator is None else frozenset(modulator)
-    if S is not None and any(not 0 <= s < G.n for s in S):
-        raise GraphError("modulator vertex out of range")
+    S = None if modulator is None else checked_modulator(G, modulator)
 
     kstar: int | None = None
     if alg == "auto":

@@ -25,12 +25,11 @@ from ..graph import (
     twin_classes,
 )
 from .fes import solve_fes
-from .vi import _bounded_counts
+from .vi import _bounded_counts, checked_modulator
 
 
 def _check_modulator(G: Graph, S: frozenset[int]) -> list[int]:
-    if any(not 0 <= s < G.n for s in S):
-        raise GraphError("modulator vertex out of range")
+    """The clique G - S, sorted; GraphError when it is not one."""
     C = [v for v in range(G.n) if v not in S]
     for i, u in enumerate(C):
         for v in C[i + 1:]:
@@ -46,7 +45,7 @@ def small_case_threshold(q: int) -> int:
 def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     """Exact stc given a clique modulator S."""
     require_connected(G)
-    S = frozenset(S)
+    S = checked_modulator(G, S)
     C = _check_modulator(G, S)
     q, N = len(S), len(C)
     if N <= small_case_threshold(q):

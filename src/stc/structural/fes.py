@@ -7,11 +7,23 @@ compressed: an attached cycle keeps two inner vertices (a triangle), a chain
 parallel to an existing edge keeps one, and a chain with no parallel edge
 becomes a single edge.  Since subdividing edges never changes the spanning
 tree congestion, the kernel has the same optimum, and its size is bounded by
-the feedback edge number alone.  `solve_reduced` answers a kernel whose
-bounds meet directly, enumerates a small kernel's spanning trees and gives a
-larger one to the treewidth DP.  The kernel tree is lifted back by
-re-expanding each compressed section (an excluded section re-appears minus
-its last edge) and re-attaching the peeled leaves.
+the feedback edge number alone.
+
+The chains are compressed in one pass, each from its smallest vertex in
+increasing order, with its rule decided against the graph as it then
+stands.  Two facts make one pass enough.  The branch set is fixed: every
+rule replaces a u-v path by a shorter u-v path, so no vertex changes degree.
+A skipped chain stays skipped: a later compression only adds an edge between
+branch vertices and deletes inner vertices of its own chain, so a cycle
+with two inner vertices, or a one-vertex chain parallel to an edge, stays
+as it is.  Rescanning the graph after every compression would therefore
+compress the same chains in the same order.
+
+`solve_reduced` answers a kernel whose bounds meet directly, enumerates a
+small kernel's spanning trees and gives a larger one to the treewidth DP.
+The kernel tree is lifted back by re-expanding each compressed section (an
+excluded section re-appears minus its last edge) and re-attaching the peeled
+leaves.
 """
 from __future__ import annotations
 
@@ -39,9 +51,9 @@ class ReductionTrace:
     """Everything needed to rebuild the host graph or lift a kernel tree.
 
     peeled: (leaf, anchor) pairs in deletion order, host ids.
-    sections: kernel edge -> the host path it stands for, in order from the
-        kernel edge's first endpoint; untouched kernel edges map to
-        themselves.  All ids are host ids.
+    sections: kernel edge -> the host path it stands for, as consecutive
+        edges from one of its endpoints to the other; untouched kernel edges
+        map to themselves.  All ids are host ids.
     core_vertices: host id of each kernel vertex, index-aligned with the
         dense kernel graph.
     kind: "tree" (kernel is one vertex), "cycle", or "kernel".
@@ -55,137 +67,107 @@ class ReductionTrace:
 
 
 def _peel_leaves(G: Graph):
-    deg = {v: G.degree(v) for v in range(G.n)}
-    alive = set(range(G.n))
-    adj = {v: set(G.neighbors(v)) for v in range(G.n)}
+    """Delete degree-1 vertices exhaustively, in rounds of sorted leaves.
+
+    Returns (adj, peeled): adjacency sets of the surviving vertices only, in
+    increasing vertex order, and the (leaf, anchor) pairs in deletion order.
+    """
+    deg = [G.degree(v) for v in range(G.n)]
     peeled = []
-    frontier = sorted(v for v in alive if deg[v] == 1)
+    frontier = [v for v in range(G.n) if deg[v] == 1]
     while frontier:
         nxt = []
         for v in frontier:
-            if v not in alive or deg[v] != 1:
+            if deg[v] != 1:
                 continue
-            (u,) = adj[v]
+            u = next(x for x in G.neighbors(v) if deg[x] > 0)
             peeled.append((v, u))
-            alive.remove(v)
-            adj[u].discard(v)
-            adj[v].clear()
+            deg[v] = -1
             deg[u] -= 1
-            deg[v] = 0
             if deg[u] == 1:
                 nxt.append(u)
         frontier = sorted(nxt)
-    return alive, adj, peeled
+    # copy, then discard: a set built from the surviving neighbours alone can
+    # iterate in another order, and the kernel's edge order (so the tree its
+    # enumeration finds first) follows these sets
+    adj = {v: set(G.neighbors(v)) for v in range(G.n) if deg[v] >= 0}
+    for leaf, anchor in peeled:
+        if anchor in adj:
+            adj[anchor].discard(leaf)
+    return adj, peeled
+
+
+def _half_chain(adj, branch, w, cur):
+    """Degree-2 vertices from w's neighbour cur to the branch vertex ending them."""
+    inner, prev = [], w
+    while cur not in branch:
+        inner.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+    return inner, cur
+
+
+def _compress_chains(adj, branch) -> dict[Edge, tuple[Edge, ...]]:
+    """Compress every maximal degree-2 chain of adj in place, each from its
+    smallest vertex; returns the sections of the kernel edges they leave."""
+    sections: dict[Edge, tuple[Edge, ...]] = {}
+    done: set[int] = set()
+    for w in list(adj):
+        if w in branch or w in done:
+            continue
+        # the path u ... w ... v; w's smaller neighbour goes on u's side,
+        # which fixes the two vertices a hanging cycle keeps
+        a, b = sorted(adj[w])
+        left, u = _half_chain(adj, branch, w, a)
+        right, v = _half_chain(adj, branch, w, b)
+        path = [u, *reversed(left), w, *right, v]
+        done.update(path)
+        # a hanging cycle keeps two inner vertices, a chain parallel to an
+        # edge keeps one, any other chain none; the rest becomes one section
+        keep = 2 if u == v else 1 if v in adj[u] else 0
+        if len(path) - 2 <= keep:
+            continue
+        x = path[keep]
+        for i in range(keep):
+            e = edge_key(path[i], path[i + 1])
+            sections[e] = (e,)
+        sections[edge_key(x, v)] = tuple(
+            edge_key(path[i], path[i + 1]) for i in range(keep, len(path) - 1)
+        )
+        adj[x].discard(path[keep + 1])
+        adj[v].discard(path[-2])
+        for y in path[keep + 1:-1]:
+            del adj[y]
+        adj[x].add(v)
+        adj[v].add(x)
+    return sections
 
 
 def reduce_graph(G: Graph) -> tuple[Graph, ReductionTrace]:
     """Kernelize to a graph whose size depends only on fes(G)."""
     require_connected(G)
-    alive, adj, peeled = _peel_leaves(G)
-    if len(alive) <= 1:
-        (v,) = alive
-        core = Graph.from_edges(1, [])
-        trace = ReductionTrace(G, tuple(peeled), (), (v,), "tree")
-        return core, trace
-    if all(len(adj[v]) == 2 for v in alive):
-        verts = sorted(alive)
-        back = {v: i for i, v in enumerate(verts)}
-        edges = {edge_key(back[u], back[v]) for u in alive for v in adj[u]}
-        core = Graph.from_edges(len(verts), edges)
-        sections = tuple(
-            (edge_key(u, v), (edge_key(u, v),)) for u in alive for v in adj[u] if u < v
-        )
-        return core, ReductionTrace(G, tuple(peeled), sections, tuple(verts), "cycle")
-
-    sections: dict[Edge, tuple[Edge, ...]] = {}
-    changed = True
-    while changed:
-        changed = False
-        branch = {v for v in alive if len(adj[v]) >= 3}
-        for w in sorted(alive):
-            if w in branch or w not in alive:
-                continue
-            # walk the maximal degree-2 chain through w
-            chain = [w]
-            a, b = sorted(adj[w])
-            for end, grow in ((a, "left"), (b, "right")):
-                prev = w
-                cur = end
-                while cur not in branch and cur != w:
-                    if grow == "left":
-                        chain.insert(0, cur)
-                    else:
-                        chain.append(cur)
-                    nbrs = [x for x in adj[cur] if x != prev]
-                    prev, cur = cur, nbrs[0]
-                if grow == "left":
-                    u_end = cur
-                else:
-                    v_end = cur
-            u, v = u_end, v_end
-            internals = chain
-            j = len(internals)
-            if u == v:
-                if j < 3:
-                    continue
-                # cycle hanging at u: keep the two inner vertices nearest u
-                x1, x2 = internals[0], internals[1]
-                drop = internals[2:]
-                path = [edge_key(internals[i], internals[i + 1]) for i in range(1, j - 1)]
-                path.append(edge_key(internals[-1], u))
-                _apply(adj, alive, drop, add=[edge_key(x2, u)])
-                sections[edge_key(u, x1)] = (edge_key(u, x1),)
-                sections[edge_key(x1, x2)] = (edge_key(x1, x2),)
-                sections[edge_key(x2, u)] = tuple(path)
-            elif v in adj[u]:
-                if j < 2:
-                    continue
-                x1 = internals[0]
-                drop = internals[1:]
-                path = [edge_key(internals[i], internals[i + 1]) for i in range(j - 1)]
-                path.append(edge_key(internals[-1], v))
-                _apply(adj, alive, drop, add=[edge_key(x1, v)])
-                sections[edge_key(u, x1)] = (edge_key(u, x1),)
-                sections[edge_key(x1, v)] = tuple(path)
-            else:
-                path = [edge_key(u, internals[0])]
-                path += [edge_key(internals[i], internals[i + 1]) for i in range(j - 1)]
-                path.append(edge_key(internals[-1], v))
-                _apply(adj, alive, internals, add=[edge_key(u, v)])
-                sections[edge_key(u, v)] = tuple(path)
-            changed = True
-            break
-    verts = sorted(alive)
+    adj, peeled = _peel_leaves(G)
+    peeled = tuple(peeled)
+    if len(adj) == 1:
+        return Graph.from_edges(1, []), ReductionTrace(G, peeled, (), tuple(adj), "tree")
+    branch = {v for v, nbrs in adj.items() if len(nbrs) >= 3}
+    sections = _compress_chains(adj, branch) if branch else {}
+    verts = list(adj)
     back = {x: i for i, x in enumerate(verts)}
-    kernel_edges = {edge_key(back[x], back[y]) for x in alive for y in adj[x]}
+    kernel_edges = {edge_key(back[x], back[y]) for x in adj for y in adj[x]}
     core = Graph.from_edges(len(verts), kernel_edges)
-    all_sections = dict(sections)
-    for x in alive:
-        for y in adj[x]:
-            e = edge_key(x, y)
-            if x < y and e not in all_sections:
-                all_sections[e] = (e,)
+    as_is = tuple(((x, y), ((x, y),)) for x in adj for y in adj[x] if x < y)
+    if not branch:
+        return core, ReductionTrace(G, peeled, as_is, tuple(verts), "cycle")
     fes = fes_value(G)
     branch3 = [v for v in range(core.n) if core.degree(v) >= 3]
     assert len(branch3) < 2 * fes, "branch vertex bound violated"
     degsum = sum(core.degree(v) for v in branch3)
     assert degsum == 2 * (len(branch3) + fes - 1), "branch degree-sum identity violated"
     assert degsum < 6 * fes and core.m < 9 * fes, "kernel edge bound violated"
-    trace = ReductionTrace(
-        G, tuple(peeled), tuple(sorted(all_sections.items())), tuple(verts), "kernel"
-    )
+    sections = dict(as_is) | sections
+    trace = ReductionTrace(G, peeled, tuple(sorted(sections.items())), tuple(verts), "kernel")
     return core, trace
-
-
-def _apply(adj, alive, drop, add):
-    for x in drop:
-        for y in list(adj[x]):
-            adj[y].discard(x)
-        adj[x].clear()
-        alive.discard(x)
-    for x, y in add:
-        adj[x].add(y)
-        adj[y].add(x)
 
 
 def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree:

@@ -68,6 +68,14 @@ class Signature:
     counts: tuple[tuple[int, int, int], ...]
 
 
+def checked_modulator(G: Graph, S) -> frozenset[int]:
+    """S as a frozenset; GraphError when a vertex lies outside 0..n-1."""
+    S = frozenset(S)
+    if any(not 0 <= s < G.n for s in S):
+        raise GraphError("modulator vertex out of range")
+    return S
+
+
 def _internal_edges(G: Graph, comp) -> list[Edge]:
     cs = set(comp)
     return sorted(e for e in G.edges if e[0] in cs and e[1] in cs)
@@ -191,9 +199,7 @@ def enumerate_types(G: Graph, S):
     Returns (classes, forests) where forests[i] lists class i's ForestTypes,
     leaf patterns first.
     """
-    S = frozenset(S)
-    if any(not 0 <= s < G.n for s in S):
-        raise GraphError("modulator vertex out of range")
+    S = checked_modulator(G, S)
     comps = connected_components(G, skip=S)
     keys: list = []
     classes: list[ComponentType] = []
@@ -301,13 +307,11 @@ def _pull_back(pattern: ForestType, iso: dict[int, int]) -> set[Edge]:
     return {edge_key(inv.get(a, a), inv.get(b, b)) for a, b in pattern.edges}
 
 
-def tree_from_signature(
-    G: Graph, classes, forests, sig: Signature, reverse_members: bool = False
-) -> SpanningTree:
+def tree_from_signature(G: Graph, classes, forests, sig: Signature) -> SpanningTree:
     """Rebuild a spanning tree from T[S] and type counts.
 
-    Members are paired with pattern indices in order (reversed when asked);
-    any pairing yields the same congestion.
+    Members are paired with pattern indices in order; any pairing yields the
+    same congestion.
     """
     per_class: dict[int, list[tuple[int, int]]] = {}
     for ci, j, cnt in sig.counts:
@@ -321,18 +325,15 @@ def tree_from_signature(
                 f"signature covers {len(expanded)} of {len(cls.members)} "
                 f"components in class {ci}"
             )
-        members = list(range(len(cls.members)))
-        if reverse_members:
-            members.reverse()
-        for mi, j in zip(members, expanded):
-            edges |= _pull_back(forests[ci][j], cls.isos[mi])
+        for iso, j in zip(cls.isos, expanded):
+            edges |= _pull_back(forests[ci][j], iso)
     return SpanningTree(G, frozenset(edges))
 
 
 def solve_vi(G: Graph, S) -> tuple[int, SpanningTree]:
     """Exact stc given a modulator S bounding the vertex integrity."""
     require_connected(G)
-    S = frozenset(S)
+    S = checked_modulator(G, S)
     comps = connected_components(G, skip=S)
     maxc = max((len(c) for c in comps), default=0)
     k = len(S) + maxc

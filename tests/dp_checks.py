@@ -4,7 +4,8 @@
 table entry through the `_run_dp(validator=...)` hook, and `validated_tree`
 runs one exact decision with it.  `check_approx_invariant` asserts the
 two-sided rounding invariant of the approximation scheme at every node.
-Both search exhaustively, so they are test code, not library code.
+Both search exhaustively, so they are test code, not library code;
+`subtree_heights` gives the node heights the invariant is stated with.
 """
 from __future__ import annotations
 
@@ -25,6 +26,15 @@ from stc.dp import (
     solve_stc_tw,
 )
 from stc.graph import Graph, SpanningTree, congestion_report, edge_key, require_connected
+
+
+def subtree_heights(ntd: NiceTreeDecomposition) -> dict[int, int]:
+    """Per node: longest downward distance to a leaf."""
+    h: dict[int, int] = {}
+    for i in ntd.postorder():
+        kids = ntd.nodes[i].children
+        h[i] = 0 if not kids else 1 + max(h[c] for c in kids)
+    return h
 
 
 def validated_tree(
@@ -174,7 +184,7 @@ def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = No
     exact = _run_dp(G, ntd, ExactArith(k), keep_tables=True)
     approx = _run_dp(G, ntd, arith, keep_tables=True)
     exact_relaxed = _run_dp(G, ntd, ExactArith(relaxed_cap), keep_tables=True)
-    heights = ntd.subtree_heights()
+    heights = subtree_heights(ntd)
 
     def decoded(table, bag):
         out = []

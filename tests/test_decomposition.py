@@ -11,6 +11,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
+from dp_checks import subtree_heights
 from stc.decomposition import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -148,5 +149,5 @@ def test_nice_height_and_postorder():
         for c in ntd.nodes[i].children:
             assert c in seen
         seen.add(i)
-    h = ntd.subtree_heights()
+    h = subtree_heights(ntd)
     assert h[ntd.root] == ntd.height

@@ -13,13 +13,13 @@ from stc.graph import (
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
 from stc.reductions import (
+    _comb_edges,
     expand_double_weighted,
     expand_single_weighted,
     gen_3partition,
     gen_bsat,
     gen_grid,
     gen_ubp,
-    grid_comb_tree,
     grid_corners,
     witness_tree,
     witness_tree_weighted,
@@ -38,6 +38,18 @@ def swap_edges(T: SpanningTree, drop, add) -> SpanningTree:
 
 
 # -- grids and comb trees -----------------------------------------------------
+
+
+def grid_comb_tree(n: int) -> SpanningTree:
+    """Comb spanning tree of the n x n grid with max congestion exactly n.
+
+    The spine runs along the middle row, so every tooth edge cuts off at
+    most (n-1)/2 vertices of one column; that needs n odd (or n = 2, where
+    the single-vertex halves are small enough anyway).
+    """
+    if n != 2 and n % 2 == 0:
+        raise GraphError("comb tree needs n = 2 or odd n")
+    return SpanningTree(gen_grid(n), frozenset(_comb_edges(n, 0)))
 
 
 def test_grid_shape():

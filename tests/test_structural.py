@@ -25,8 +25,10 @@ from stc.graph import (
     require_connected,
 )
 from stc.oracle import stc_exact
+from stc.reductions import gen_grid
 import stc.structural.vi
 from stc.structural import (
+    ComponentType,
     Signature,
     enumerate_types,
     fes_value,
@@ -90,6 +92,39 @@ def test_reduce_theta_shape():
     assert degs == [2, 2, 3, 3]
     k, T = solve_fes(G)
     assert k == stc_exact(G)[0] == 3
+
+
+def test_reduce_pins_chain_order():
+    # hubs 0 and 1 joined by 0-2-3-4-1 (leaf 13 on 4), 0-5-6-1 and 0-7-1;
+    # cycles 0-8-9-10-0 and 1-11-12-1 hang at the hubs.  Chains go by their
+    # smallest vertex: 2's becomes the edge (0, 1), so 5's chain is parallel
+    # to it and keeps 5, and 0-7-1, now parallel with one inner vertex, is
+    # skipped; the first cycle keeps 8 and 9, the triangle at 1 is skipped.
+    G = Graph.from_edges(14, [
+        (0, 2), (2, 3), (3, 4), (4, 1), (4, 13), (0, 5), (5, 6), (6, 1), (0, 7),
+        (7, 1), (0, 8), (8, 9), (9, 10), (10, 0), (1, 11), (11, 12), (12, 1),
+    ])
+    core, trace = reduce_graph(G)
+    assert trace.kind == "kernel" and trace.peeled == ((13, 4),)
+    assert trace.core_vertices == (0, 1, 5, 7, 8, 9, 11, 12)
+    assert sorted(core.edges) == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (1, 7),
+        (4, 5), (6, 7),
+    ]
+    assert trace.sections == (
+        ((0, 1), ((0, 2), (2, 3), (3, 4), (1, 4))),
+        ((0, 5), ((0, 5),)),
+        ((0, 7), ((0, 7),)),
+        ((0, 8), ((0, 8),)),
+        ((0, 9), ((9, 10), (0, 10))),
+        ((1, 5), ((5, 6), (1, 6))),
+        ((1, 7), ((1, 7),)),
+        ((1, 11), ((1, 11),)),
+        ((1, 12), ((1, 12),)),
+        ((8, 9), ((8, 9),)),
+        ((11, 12), ((11, 12),)),
+    )
+    assert reconstruct(core, trace) == G
 
 
 def reconstruct(core: Graph, trace) -> Graph:
@@ -394,6 +429,14 @@ def test_ilp_forced_and_infeasible():
         ilp_minimize_max([(1, [])], [0], [])
 
 
+def test_modulator_range_checked_without_routing():
+    G = gen_grid(4)
+    for S in ({999}, {-1}):
+        for call in (solve_vi, solve_dtc, enumerate_types):
+            with pytest.raises(GraphError, match="modulator vertex out of range"):
+                call(G, S)
+
+
 def test_vi_path_is_tree():
     k, T = solve_vi(path_graph(6), frozenset({2}))
     assert k == 1
@@ -611,7 +654,11 @@ def test_signature_sufficiency_two_orderings():
             via[s] = j
     sig = Signature(frozenset({(0, 1)}), ((0, via[0], 4), (0, via[1], 4)))
     T1 = tree_from_signature(G, classes, forests, sig)
-    T2 = tree_from_signature(G, classes, forests, sig, reverse_members=True)
+    # the same class with its members (and their isomorphisms) in reverse order
+    reversed_classes = [
+        ComponentType(c.members[::-1], c.isos[::-1], c.autos) for c in classes
+    ]
+    T2 = tree_from_signature(G, reversed_classes, forests, sig)
     assert T1.edges != T2.edges
     c1 = congestion_report(G, T1).max_congestion
     c2 = congestion_report(G, T2).max_congestion
