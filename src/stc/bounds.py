@@ -36,10 +36,31 @@ search stops after a full lap with no swap, once the maximum meets the
 lower bound, or after 2m measured candidate trees.  A candidate is measured
 on the cycle alone (see `_swap_search`); the tree returned is a validated
 SpanningTree, re-measured in full.
+
+Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds still
+differ after the steps above, `bounds` takes two more, each cheap at this
+size.  First, a balanced-cut lower bound (`_centroid_bound`).  Every
+spanning tree T has a centroid c: each component of T - c has at most
+floor(n/2) vertices.  T - c has deg_T(c) <= Delta components holding n - 1
+vertices, so the largest, Y, has ceil((n-1)/Delta) <= |Y| <= floor(n/2).
+G[Y] is connected (Y is a subtree), and so is G[V - Y] (c and the other
+components, each joined to c in T).  The tree edge from c into Y splits T
+into Y and V - Y, so it carries |delta(Y)|, and stc(G) >= the least
+|delta(Y)| over such Y.  The lower bound becomes the larger of the two.
+Second, if a gap is left, the swap search runs from the BFS tree of every
+root in turn, keeping the least congested tree, until one meets the lower
+bound.  Both serve the enumeration of small fes kernels and `search_k` on
+small graphs; larger graphs keep the steps above.
 """
 from __future__ import annotations
 
+import itertools
+
 from .graph import Edge, Graph, SpanningTree, _tree_order, congestion_report, edge_key
+
+# graphs this small are enumerated rather than given to the DP, and get the
+# balanced-cut bound and the swap search from every root (module docstring)
+ORACLE_CAP = 12
 
 
 def _min_cut(G: Graph, s: int, t: int) -> tuple[int, dict[int, int | None]]:
@@ -219,6 +240,43 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
     return rep.max_congestion, T
 
 
+def _connected(nbr: list[int], mask: int) -> bool:
+    """Whether the vertex bitmask mask induces a connected subgraph."""
+    seen = todo = mask & -mask
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        new = nbr[v] & mask & ~seen
+        seen |= new
+        todo |= new
+    return seen == mask
+
+
+def _centroid_bound(G: Graph, stop: int = -1) -> int:
+    """The least |delta(Y)| over vertex sets Y with ceil((n-1)/Delta) <= |Y|
+    <= floor(n/2) and G[Y], G[V - Y] both connected: a lower bound on stc
+    (see the module docstring).  The scan ends at the first such Y with
+    |delta(Y)| <= stop and returns that cut."""
+    n = G.n
+    if n < 2:
+        return 0
+    nbr = [sum(1 << u for u in G.neighbors(v)) for v in range(n)]
+    full = (1 << n) - 1
+    delta_max = max(G.degree(v) for v in range(n))
+    best = None
+    for size in range(-(-(n - 1) // delta_max), n // 2 + 1):
+        for Y in itertools.combinations(range(n), size):
+            mask = sum(1 << v for v in Y)
+            cut = sum(bin(nbr[v] & ~mask).count("1") for v in Y)
+            if (best is None or cut < best) and _connected(nbr, mask) and _connected(
+                nbr, full & ~mask
+            ):
+                best = cut
+                if cut <= stop:
+                    return cut
+    return best
+
+
 def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     """(lower bound, upper bound, a tree of the upper bound's congestion);
     see the module docstring.
@@ -229,4 +287,13 @@ def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     if G.n == 1:
         return 0, 0, SpanningTree(G, frozenset())
     lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
-    return (lam, *_swap_search(G, _best_bfs_tree(G, lam)[1], lam))
+    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
+    if G.n <= ORACLE_CAP and lam < ub:
+        lam = max(lam, _centroid_bound(G, lam))
+        for root in range(G.n):
+            if ub <= lam:
+                break
+            c, T_root = _swap_search(G, _bfs_tree(G, root), lam)
+            if c < ub:
+                ub, T = c, T_root
+    return lam, ub, T

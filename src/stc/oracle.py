@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bounds import lower_bound
+from .bounds import ORACLE_CAP, lower_bound  # noqa: F401 (the routers' enumeration cap)
 from .errors import BudgetExceededError
 from .graph import (
     DoubleWeightedGraph,
@@ -59,8 +59,6 @@ from .graph import (
 
 DEFAULT_MAX_TREES = 2_000_000
 DEFAULT_MAX_MILLIS = 120_000
-# kernels this small are enumerated rather than given to the DP
-ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)

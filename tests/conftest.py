@@ -57,6 +57,16 @@ def random_connected_graph(rng: random.Random, n: int, m: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def subdivided(G: Graph, times: int) -> Graph:
+    """G with every edge replaced by a path through `times` new vertices."""
+    edges, n = [], G.n
+    for u, v in G.sorted_edges():
+        path = [u, *range(n, n + times), v]
+        n += times
+        edges += zip(path, path[1:])
+    return Graph.from_edges(n, edges)
+
+
 def suite_graphs(count: int = 200) -> list[Graph]:
     """The shared random-instance suite: connected, n <= 9, m <= 14."""
     rng = random.Random(101)

@@ -7,7 +7,16 @@ import pytest
 
 import stc.bounds
 import stc.dp
-from stc.bounds import _best_bfs_tree, _cycle_chords, _swap_loads, bounds, lower_bound
+import stc.structural.fes
+from stc import solve
+from stc.bounds import (
+    _best_bfs_tree,
+    _centroid_bound,
+    _cycle_chords,
+    _swap_loads,
+    bounds,
+    lower_bound,
+)
 from stc.dp import solve_approx_tw, solve_stc_tw
 from stc.graph import Graph, _edge_loads, _tree_order, congestion_report, edge_key
 from stc.oracle import stc_exact
@@ -18,7 +27,9 @@ from conftest import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    path_graph,
     random_connected_graph,
+    subdivided,
     suite_graphs,
 )
 from test_oracle import PETERSEN
@@ -47,7 +58,10 @@ def test_bounds_bracket_stc_on_the_suite():
         assert congestion_report(g, T).max_congestion == ub
         lower_tight += lam == k
         upper_tight += ub == k
-    assert (lower_tight, upper_tight) == (197, 199)
+    # the three graphs with lambda < stc are 133, 171 and 193 (4 < 5); the
+    # balanced-cut bound gives 4 on 133 and 193 and 3 on 171, so none moves,
+    # but the swap search from every root now meets stc on all 200
+    assert (lower_tight, upper_tight) == (197, 200)
 
 
 @pytest.mark.parametrize("G, want", [
@@ -66,6 +80,42 @@ def test_lower_bound_stops_at_a_known_upper_bound():
     assert lower_bound(g, stop=100) == 9
 
 
+def test_centroid_bound_is_sound():
+    rng = random.Random(414)
+    graphs = suite_graphs()
+    for _ in range(100):
+        n = rng.randint(4, 10)
+        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)))
+    for idx, g in enumerate(graphs):
+        assert _centroid_bound(g) <= stc_exact(g)[0], f"graph #{idx}"
+
+
+@pytest.mark.parametrize("G, want", [
+    (path_graph(1), 0), (path_graph(2), 1), (PETERSEN, 5), (complete_bipartite(5, 5), 8),
+    (complete_bipartite(2, 5), 5),
+], ids=["n=1", "n=2", "petersen", "K5,5", "K2,5"])
+def test_centroid_bound_values(G, want):
+    # Petersen: a 3-vertex path or the outer 5-cycle; K5,5: one edge; K2,5:
+    # a 3-vertex path (two vertices of degree 2 would cut 4 but are not
+    # connected)
+    assert _centroid_bound(G) == want
+    assert bounds(G)[:2] == (want, want)
+
+
+def test_meeting_bounds_skip_enumeration_and_dp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated or ran the DP although the bounds meet")
+
+    monkeypatch.setattr(stc.structural.fes, "stc_exact", refuse)
+    monkeypatch.setattr(stc.dp, "_run_dp", refuse)
+    # Petersen is its own kernel, as is the core of a subdivided Petersen;
+    # suite graph 193's kernel drops a degree-2 vertex, and its bounds meet
+    for G, want in ((PETERSEN, 5), (subdivided(PETERSEN, 3), 5), (suite_graphs()[193], 5)):
+        alg, k, T = solve(G)
+        assert (alg, k) == ("fes", want) == ("fes", congestion_report(G, T).max_congestion)
+    assert solve_stc_tw(complete_bipartite(5, 5))[0] == 8
+
+
 def test_dp_runs_per_solve(monkeypatch):
     # a scan from the minimum degree to below the best BFS tree makes more
     # runs: grid4 3, ubp 9, K5,5 4, suite graphs 0..18 19 in all
@@ -82,11 +132,15 @@ def test_dp_runs_per_solve(monkeypatch):
     for g in suite_graphs()[:19]:
         solve_stc_tw(g)
     assert ks == []
-    # K5,5: lambda 5, upper bound 8 = stc, so 5, 6 and 7 are run and refuted
-    # (refuted here without the DP; acceptance 8 runs it on K5,5 at k = 4)
+    # K5,5: lambda 5 and the BFS trees' 8 = stc; the balanced-cut bound
+    # meets 8, so 5, 6 and 7 are no longer run and refuted
+    assert solve_stc_tw(complete_bipartite(5, 5))[0] == 8 and ks == []
+    # suite graph 133: both bounds of the small-graph steps stay at 4 < 5 =
+    # stc, so k = 4 is run; refuted (here without the DP), the search
+    # returns the upper bound's tree
     ks = _dp_runs(monkeypatch, refute=True)
-    k, T = solve_stc_tw(complete_bipartite(5, 5))
-    assert ks == [5, 6, 7] and k == 8 == congestion_report(T.host, T).max_congestion
+    k, T = solve_stc_tw(suite_graphs()[133])
+    assert ks == [4] and k == 5 == congestion_report(T.host, T).max_congestion
 
 
 def test_no_decomposition_when_the_bounds_meet(monkeypatch):

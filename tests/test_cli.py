@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stc
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, subdivided, suite_graphs
 from stc import formats
 from stc.cli import _parser, main
 from stc.graph import DoubleWeightedGraph, Graph
@@ -516,10 +516,10 @@ def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
     def broken(G, budget=None):
         raise ValueError("solver fault")
 
-    # auto routes Petersen to the enumeration of its kernel, Petersen itself,
-    # since its bounds do not meet (3 = lambda < 5 = stc)
+    # auto routes suite graph 133, subdivided, to the enumeration of its
+    # 7-vertex kernel, since its bounds do not meet (4 = lambda < 5 = stc);
+    # Petersen's bounds meet at 5, so it never reaches the enumeration
     monkeypatch.setattr(stc.structural.fes, "stc_exact", broken)
-    petersen, _ = _subdivided_petersen(random.Random(0), 0, 0)
-    path = write_gr(tmp_path, petersen)
+    path = write_gr(tmp_path, subdivided(suite_graphs()[133], 1))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])

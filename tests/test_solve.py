@@ -8,7 +8,7 @@ import pytest
 import stc.dp
 import stc.route
 import stc.structural.fes
-from conftest import complete_graph, cycle_graph, grid_graph, path_graph
+from conftest import complete_graph, cycle_graph, grid_graph, path_graph, subdivided
 from stc import solve
 from stc.errors import GraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
@@ -44,16 +44,6 @@ def universal_vertex_stc(G: Graph) -> int:
     h's.  The star at h meets it, and the tree edge above any u != h (rooted
     at h) carries at least deg(u)."""
     return sorted(G.degree(v) for v in range(G.n))[-2]
-
-
-def subdivided(G: Graph, times: int) -> Graph:
-    """G with every edge replaced by a path through `times` new vertices."""
-    edges, n = [], G.n
-    for u, v in G.sorted_edges():
-        path = [u, *range(n, n + times), v]
-        n += times
-        edges += zip(path, path[1:])
-    return Graph.from_edges(n, edges)
 
 
 # the dtc, vi and dp kernels have more than ORACLE_CAP vertices
