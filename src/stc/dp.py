@@ -18,31 +18,38 @@ subdivision plus a fresh branch vertex) whose projection is that child state.
 Join matches states with isomorphic skeletons whose labels complement each
 other off the bag and whose counters sum within budget.
 
-Join: a state with at most one anonymous vertex is joined without decoding.
-Its canonical naming is forced, since bag ids are fixed and a lone anonymous
-vertex is always -1.  So two such states are isomorphic exactly when their
-counter-free edge tuples (u, v, label == 0) are equal: a bijection fixes the
-bag and can only send -1 to -1, so it is the identity and must map every
-edge onto itself with the same present flag.  The stored edge tuples are
-sorted by (u, v), which is unique per edge, so equal counter-free tuples
-line up position by position.  Zipping them with min labels and joined
-counters keeps every (u, v) and the name -1, so the result is sorted and
-canonical as it stands.  Such a state never pairs with one of two or more
-anonymous vertices (a bijection preserves their number), and those keep the
-decode, _shape_key and _isomorphisms path.  Both kinds are met in one loop
-over the first table, so pairs reach the output in the same order either way.
+Join: one rule, _zip_join, combines two states whose stored edge tuples
+line up position by position: no anonymous vertex and no edge may be past
+on both sides, labels take the min and counters join.  A state with at most
+one anonymous vertex has a forced canonical naming, since bag ids are fixed
+and a lone anonymous vertex is always -1.  So two such states are isomorphic
+exactly when their counter-free edge tuples (u, v, label == 0) are equal: a
+bijection fixes the bag and can only send -1 to -1, so it is the identity
+and must map every edge onto itself with the same present flag.  The stored
+edge tuples are sorted by (u, v), which is unique per edge, so equal
+counter-free tuples line up, and the zipped result keeps every (u, v) and
+the name -1, so it is sorted and canonical as it stands.  States with two or
+more anonymous vertices are bucketed by _shape_key, and for each bijection
+phi from s1's names onto s2's that _isomorphisms finds, s2 is renamed into
+s1's names by phi^-1 (its vertex phi(x) becomes x), its edges are sorted and
+its anonymous labels put in s1's order.  The renamed tuples then line up
+with s1's, _zip_join combines them, and _freeze canonicalizes the result.  A
+bijection preserves the number of anonymous vertices, so the two kinds never
+pair.  Both are met in one loop over the first table, so pairs reach the
+output in the same order either way.
 
 Introduce: every placement is built on the child's stored edge tuple, with
 no decoding or copying.  Leaf attachment and subdivision keep the anonymous
 vertices and their names, adopting x drops x and moves the names below it up
 by one, and a fresh branch vertex takes the next name down, so each output
-is a list of sorted pairs over the names -1 .. -m.  With m <= 1 that naming
-is forced (see "Join"), and sorting the list freezes the state; only an
-output with two or more anonymous vertices goes through _canonical.  The
-placements are emitted in the order the decoded form met them (bag vertices
-in the iteration order of the child's bag, then -1, -2, ...; future edges
-grouped by their first endpoint in that order, then by the second), so
-every table keeps the same dict order and the same representative forests.
+is a list of sorted pairs over the names -1 .. -m.  _freeze, the one place a
+new state is frozen, sorts the list when m <= 1, as that naming is forced
+(see "Join"), and sends an output with more anonymous vertices through
+_canonical.  The placements are emitted in the order the decoded form met
+them (bag vertices in the iteration order of the child's bag, then -1, -2,
+...; future edges grouped by their first endpoint in that order, then by the
+second), so every table keeps the same dict order and the same
+representative forests.
 
 Doomed future edges: let P(t) be the vertices introduced below t.  A bag
 vertex x is closed when N(x) is inside P(t), and a state is doomed when a
@@ -305,7 +312,7 @@ def _canonical(adj, vlab) -> State:
     return (tuple(edges), tuple(vlab[x] for x in order))
 
 
-def _shape_key(adj, vlab):
+def _shape_key(state: State):
     """Bucket key of a state for join.
 
     The key records the bag ids, the tree structure and which edges are
@@ -315,16 +322,17 @@ def _shape_key(adj, vlab):
     the key, and bucketing by it loses no pair that the exact comparison of
     labels and counters would accept.
     """
-    if not adj:
+    edges = state[0]
+    if not edges:
         return ()
+    adj: dict[int, list[tuple[int, bool]]] = {}
+    for u, v, lbl, _c in edges:
+        adj.setdefault(u, []).append((v, lbl == 0))
+        adj.setdefault(v, []).append((u, lbl == 0))
     root = min(v for v in adj if v >= 0)
 
     def sig(v: int, parent: int):
-        kids = []
-        for u, (lbl, _c) in adj[v].items():
-            if u == parent:
-                continue
-            kids.append((int(lbl == 0), sig(u, v)))
+        kids = [(present, sig(u, v)) for u, present in adj[v] if u != parent]
         kids.sort()
         token = ("b", v) if v >= 0 else ("a",)
         return (token, tuple(kids))
@@ -391,9 +399,18 @@ def _leaf_table():
     return {EMPTY_STATE: frozenset()}
 
 
-def _insert(table, bag_size: int, adj, vlab, forest) -> None:
-    assert len(adj) <= 2 * bag_size + 1, "skeleton exceeds the 2w+1 size bound"
-    table.setdefault(_canonical(adj, vlab), forest)
+def _freeze(edges, anon_labels: tuple[int, ...]) -> State:
+    """The one way a new state is frozen: edges are (u, v, label, c) tuples
+    over the anonymous names -1 .. -m, a list sorted in place when the naming
+    is forced (m <= 1, see "Join"), canonicalized otherwise."""
+    if len(anon_labels) <= 1:
+        edges.sort()
+        return (tuple(edges), anon_labels)
+    adj: dict[int, dict[int, tuple[int, int]]] = {}
+    for a, b, lbl, c in edges:
+        adj.setdefault(a, {})[b] = (lbl, c)
+        adj.setdefault(b, {})[a] = (lbl, c)
+    return _canonical(adj, {-(i + 1): lbl for i, lbl in enumerate(anon_labels)})
 
 
 def _doomed(G: Graph, closed: frozenset[int], edges) -> bool:
@@ -424,16 +441,7 @@ def _introduce_table(G: Graph, nd, child_table, closed: frozenset[int]):
         assert len(anon_labels) <= max_anon, "skeleton exceeds the 2w+1 size bound"
         if closed and _doomed(G, closed, edges):
             return
-        if len(anon_labels) <= 1:  # the naming is forced: sorting freezes it
-            edges.sort()
-            state = (tuple(edges), anon_labels)
-        else:
-            adj: dict[int, dict[int, tuple[int, int]]] = {}
-            for a, b, lbl, c in edges:
-                adj.setdefault(a, {})[b] = (lbl, c)
-                adj.setdefault(b, {})[a] = (lbl, c)
-            vlab = {-(i + 1): lbl for i, lbl in enumerate(anon_labels)}
-            state = _canonical(adj, vlab)
+        state = _freeze(edges, anon_labels)
         if state not in out:
             out[state] = F
 
@@ -548,40 +556,26 @@ def _forget_table(G: Graph, arith, nd, child_table):
     return out
 
 
-def _isomorphisms(adjA, adjB):
-    """Bijections of anonymous vertices mapping A onto B, bag ids fixed.
+def _isomorphisms(s1: State, s2: State):
+    """Bijections phi of anonymous names mapping s1 onto s2, bag ids fixed,
+    as dicts over the names -m .. -1 in the order of
+    itertools.permutations(-m .. -1).
 
     Structure and the 0/non-0 edge distinction must be preserved; label signs
     and counters are left to the caller.
     """
-    anonsA = sorted(x for x in adjA if x < 0)
-    anonsB = sorted(x for x in adjB if x < 0)
-    if len(anonsA) != len(anonsB):
+    (edges1, anon1), (edges2, anon2) = s1, s2
+    if len(anon1) != len(anon2) or len(edges1) != len(edges2):
         return
-    edgesB = {}
-    countB = 0
-    for x in adjB:
-        for y, (lbl, _c) in adjB[x].items():
-            if x < y:
-                edgesB[(x, y)] = int(lbl == 0)
-                countB += 1
-    for perm in itertools.permutations(anonsB):
-        phi = dict(zip(anonsA, perm))
-        count = 0
-        ok = True
-        for x in adjA:
-            if not ok:
+    present2 = {(u, v): lbl == 0 for u, v, lbl, _c in edges2}
+    names = range(-len(anon1), 0)
+    for perm in itertools.permutations(names):
+        phi = dict(zip(names, perm))
+        for x, y, lbl, _c in edges1:
+            a, b = phi.get(x, x), phi.get(y, y)
+            if present2.get((a, b) if a < b else (b, a)) != (lbl == 0):
                 break
-            for y, (lbl, _c) in adjA[x].items():
-                if x > y:
-                    continue
-                a, b = phi.get(x, x), phi.get(y, y)
-                flag = edgesB.get((a, b) if a < b else (b, a))
-                if flag is None or flag != int(lbl == 0):
-                    ok = False
-                    break
-                count += 1
-        if ok and count == countB:
+        else:
             yield phi
 
 
@@ -593,11 +587,12 @@ def _zip_key(state: State):
 
 
 def _zip_join(arith, s1: State, s2: State) -> State | None:
-    """Join two states with at most one anonymous vertex and equal _zip_key:
-    the identity is their only bijection and the result is canonical."""
+    """The one join rule: combine two states whose edge tuples line up
+    position by position and whose anonymous labels do by index, or None
+    when some vertex or edge is past on both sides or a counter overflows."""
     (edges1, anon1), (edges2, anon2) = s1, s2
-    if anon1 and anon1[0] == -1 and anon2[0] == -1:
-        return None
+    if -1 in anon1 and -1 in anon2 and -1 in map(max, anon1, anon2):
+        return None  # labels are -1, 0 or 1: max is -1 when both are past
     edges = []
     for (u, v, l1, c1), (_, _, l2, c2) in zip(edges1, edges2):
         if l1 == -1 and l2 == -1:
@@ -606,21 +601,19 @@ def _zip_join(arith, s1: State, s2: State) -> State | None:
         if c is None:
             return None
         edges.append((u, v, l1 if l1 < l2 else l2, c))
-    return (tuple(edges), (min(anon1[0], anon2[0]),) if anon1 else ())
+    return (tuple(edges), tuple(map(min, anon1, anon2)) if anon1 else ())
 
 
-def _join_table(arith, nd, t1, t2, bag):
+def _join_table(arith, t1, t2):
+    """Join two child tables (see "Join" in the module docstring)."""
     out: dict[State, frozenset[Edge]] = {}
     zipped: dict[tuple, list] = {}
     buckets: dict[tuple, list] = {}
-    decoded2 = {}
     for s2, F2 in t2.items():
         if len(s2[1]) <= 1:
             zipped.setdefault(_zip_key(s2), []).append((s2, F2))
-            continue
-        adj2, vlab2 = _decode(s2, bag)
-        decoded2[s2] = (adj2, vlab2)
-        buckets.setdefault(_shape_key(adj2, vlab2), []).append((s2, F2))
+        else:
+            buckets.setdefault(_shape_key(s2), []).append((s2, F2))
     for s1, F1 in t1.items():
         if len(s1[1]) <= 1:
             for s2, F2 in zipped.get(_zip_key(s1), ()):
@@ -628,49 +621,19 @@ def _join_table(arith, nd, t1, t2, bag):
                 if sJ is not None and sJ not in out:
                     out[sJ] = F1 | F2
             continue
-        adj1, vlab1 = _decode(s1, bag)
-        key = _shape_key(adj1, vlab1)
-        for s2, F2 in buckets.get(key, ()):
-            adj2, vlab2 = decoded2[s2]
-            for phi in _isomorphisms(adj1, adj2):
-                # off-bag material must be past on at most one side
-                okv = True
-                for x, l1 in vlab1.items():
-                    if x < 0:
-                        l2 = vlab2[phi[x]]
-                        if l1 == -1 and l2 == -1:
-                            okv = False
-                            break
-                if not okv:
-                    continue
-                adjJ: dict[int, dict[int, tuple[int, int]]] = {
-                    v: {} for v in adj1
-                }
-                vlabJ = {
-                    x: (min(l, vlab2[phi[x]]) if x < 0 else 0)
-                    for x, l in vlab1.items()
-                }
-                good = True
-                for x in adj1:
-                    if not good:
-                        break
-                    for y, (l1, c1) in adj1[x].items():
-                        if x > y:
-                            continue
-                        a, b = phi.get(x, x), phi.get(y, y)
-                        l2, c2 = adj2[a][b]
-                        if l1 == -1 and l2 == -1:
-                            good = False
-                            break
-                        c = arith.join(c1, c2)
-                        if c is None:
-                            good = False
-                            break
-                        pay = (min(l1, l2), c)
-                        adjJ[x][y] = pay
-                        adjJ[y][x] = pay
-                if good:
-                    _insert(out, len(bag), adjJ, vlabJ, F1 | F2)
+        for s2, F2 in buckets.get(_shape_key(s1), ()):
+            edges2, anon2 = s2
+            for phi in _isomorphisms(s1, s2):
+                inv = {y: x for x, y in phi.items()}
+                renamed = []
+                for u, v, lbl, c in edges2:
+                    a, b = inv.get(u, u), inv.get(v, v)
+                    renamed.append((a, b, lbl, c) if a < b else (b, a, lbl, c))
+                renamed.sort()
+                aligned = tuple(anon2[-phi[-(i + 1)] - 1] for i in range(len(anon2)))
+                sJ = _zip_join(arith, s1, (renamed, aligned))
+                if sJ is not None:
+                    out.setdefault(_freeze(*sJ), F1 | F2)
     return out
 
 
@@ -739,7 +702,7 @@ def _run_dp(
             proc = processed[nd.children[0]]
         else:
             c1, c2 = nd.children
-            tbl = _join_table(arith, nd, tables[c1], tables[c2], nd.bag)
+            tbl = _join_table(arith, tables[c1], tables[c2])
             proc = processed[c1] | processed[c2]
             closed = _closed(G, nd.bag, proc)
             if closed:

@@ -187,15 +187,11 @@ def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = No
     heights = subtree_heights(ntd)
 
     def decoded(table, bag):
-        out = []
-        for s in table:
-            adj, vlab = _decode(s, bag)
-            out.append((adj, vlab, _shape_key(adj, vlab)))
-        return out
+        return [(s, *_decode(s, bag)) for s in table]
 
-    def dominates(adjA, vlabA, adjB, vlabB, cA_bound_fn):
+    def dominates(sA, adjA, vlabA, sB, adjB, vlabB, cA_bound_fn):
         """Some isomorphism under which every counter pair obeys the bound."""
-        for phi in _isomorphisms(adjA, adjB):
+        for phi in _isomorphisms(sA, sB):
             if any(vlabB[phi[x]] != vlabA[x] for x in vlabA if x < 0):
                 continue
             ok = True
@@ -216,12 +212,11 @@ def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = No
 
     def check(tableA, tableB, bag, bound, msg, i):
         buckets: dict = {}
-        for adj, vlab, key in decoded(tableB, bag):
-            buckets.setdefault(key, []).append((adj, vlab))
-        for adjA, vlabA, key in decoded(tableA, bag):
+        for B in decoded(tableB, bag):
+            buckets.setdefault(_shape_key(B[0]), []).append(B)
+        for A in decoded(tableA, bag):
             assert any(
-                dominates(adjA, vlabA, adjB, vlabB, bound)
-                for adjB, vlabB in buckets.get(key, ())
+                dominates(*A, *B, bound) for B in buckets.get(_shape_key(A[0]), ())
             ), f"node {i}: {msg}"
 
     for i in exact.tables:

@@ -15,7 +15,6 @@ from stc.dp import (
     _decode,
     _doomed,
     _drop_dominated,
-    _insert,
     _isomorphisms,
     _join_table,
     _run_dp,
@@ -346,18 +345,17 @@ def test_join_zips_states_with_at_most_one_anonymous_vertex(kept_runs):
             buckets = {}
             for s2 in t2:
                 if len(s2[1]) <= 1:
-                    adj2, vlab2 = _decode(s2, bag)
-                    buckets.setdefault(_shape_key(adj2, vlab2), []).append(s2)
+                    buckets.setdefault(_shape_key(s2), []).append(s2)
             expected = {}
             for s1, F1 in t1.items():
                 if len(s1[1]) > 1:
                     continue
                 adj1, vlab1 = _decode(s1, bag)
-                for s2 in buckets.get(_shape_key(adj1, vlab1), ()):
+                for s2 in buckets.get(_shape_key(s1), ()):
                     pairs += 1
                     assert _zip_key(s1) == _zip_key(s2)
                     adj2, vlab2 = _decode(s2, bag)
-                    phis = list(_isomorphisms(adj1, adj2))
+                    phis = list(_isomorphisms(s1, s2))
                     assert len(phis) == 1
                     phi = phis[0]
                     joined = None
@@ -384,10 +382,115 @@ def test_join_zips_states_with_at_most_one_anonymous_vertex(kept_runs):
             zip_keys = {_zip_key(s2) for s2s in buckets.values() for s2 in s2s}
             assert len(zip_keys) == len(buckets)
             # the table keeps the general path's states, order and forests
-            out = _join_table(arith, nd, t1, t2, bag)
+            out = _join_table(arith, t1, t2)
             fast = [(s, F) for s, F in out.items() if len(s[1]) <= 1]
             assert fast == list(expected.items())
     assert pairs > 1000
+
+
+def _join_by_permutation(arith, t1, t2, bag):
+    """Reference join of the states with two or more anonymous vertices:
+    decode both, try every bijection of anonymous names, combine on the
+    adjacency dicts and canonicalize.  Asserts that isomorphic states share
+    a _shape_key, and returns the table with the isomorphic pair count."""
+    out = {}
+    pairs = 0
+    decoded2 = [(s2, F2, *_decode(s2, bag)) for s2, F2 in t2.items() if len(s2[1]) > 1]
+    for s1, F1 in t1.items():
+        if len(s1[1]) <= 1:
+            continue
+        adj1, vlab1 = _decode(s1, bag)
+        names = range(-len(s1[1]), 0)
+        for s2, F2, adj2, vlab2 in decoded2:
+            if len(s2[1]) != len(s1[1]) or len(s2[0]) != len(s1[0]):
+                continue
+            for perm in itertools.permutations(names):
+                phi = dict(zip(names, perm))
+                if any(
+                    phi.get(y, y) not in adj2[phi.get(x, x)]
+                    or (adj2[phi.get(x, x)][phi.get(y, y)][0] == 0) != (l1 == 0)
+                    for x, y, l1, _ in s1[0]
+                ):
+                    continue
+                pairs += 1
+                assert _shape_key(s1) == _shape_key(s2)
+                if any(vlab1[x] == vlab2[phi[x]] == -1 for x in names):
+                    continue
+                adjJ = {v: {} for v in adj1}
+                for x, y, l1, c1 in s1[0]:
+                    l2, c2 = adj2[phi.get(x, x)][phi.get(y, y)]
+                    c = arith.join(c1, c2)
+                    if l1 == l2 == -1 or c is None:
+                        break
+                    adjJ[x][y] = adjJ[y][x] = (min(l1, l2), c)
+                else:
+                    vlabJ = {x: min(vlab1[x], vlab2[phi[x]]) for x in names}
+                    out.setdefault(_canonical(adjJ, vlabJ), F1 | F2)
+    return out, pairs
+
+
+def test_join_of_several_anonymous_vertices_equals_decode_and_permute(kept_runs):
+    # the states with two or more anonymous vertices come out of the renamed
+    # zip exactly as the reference builds them: same states, order, forests
+    pairs = states = 0
+    for ntd, arith, run in kept_runs.values():
+        for nd in ntd.nodes:
+            if nd.kind != "join":
+                continue
+            t1, t2 = (run.tables[c] for c in nd.children)
+            want, n = _join_by_permutation(arith, t1, t2, nd.bag)
+            pairs += n
+            states += len(want)
+            out = _join_table(arith, t1, t2)
+            assert [(s, F) for s, F in out.items() if len(s[1]) > 1] == list(want.items())
+    assert pairs > 1000 and states > 500
+
+
+def test_zip_join_refuses_any_anonymous_vertex_past_on_both_sides():
+    edges = ((-2, 0, 1, 1), (-1, 0, 1, 2))
+    assert _zip_join(ExactArith(5), (edges, (1, -1)), (edges, (-1, 1))) == (
+        ((-2, 0, 1, 2), (-1, 0, 1, 4)), (-1, -1)
+    )
+    assert _zip_join(ExactArith(5), (edges, (1, -1)), (edges, (1, -1))) is None
+
+
+def test_join_renames_the_second_state_by_the_inverse_bijection():
+    # bag vertex 0 with anonymous children a, b, c over the bag leaves 1 2,
+    # 3 4 and 5 6; their edges to 0 carry counters (1, 2, 3) in s1 and
+    # (3, 1, 2) in s2, where b is future and a, c are past, so s1 names
+    # a, b, c -1, -2, -3 and s2 names c, a, b -1, -2, -3: the only bijection
+    # is a 3-cycle of names, which is not its own inverse
+    def state(counters, labels):
+        adj = {v: {} for v in range(7)}
+        vlab = dict.fromkeys(range(7), 0)
+        for x, c, lbl, leaves in zip(
+            (-1, -2, -3), counters, labels, ((1, 2), (3, 4), (5, 6))
+        ):
+            adj[x] = {}
+            vlab[x] = lbl
+            for u, cu in ((0, c), (leaves[0], 0), (leaves[1], 0)):
+                adj[x][u] = adj[u][x] = (lbl, cu)
+        return _canonical(adj, vlab)
+
+    s1 = state((1, 2, 3), (1, 1, 1))
+    s2 = state((3, 1, 2), (-1, 1, -1))
+    assert s2[1] == (-1, -1, 1)
+    assert s2[0][:3] == ((-3, 0, 1, 1), (-3, 3, 1, 0), (-3, 4, 1, 0))
+    assert list(_isomorphisms(s1, s2)) == [{-3: -1, -2: -3, -1: -2}]
+    F1, F2 = frozenset({(0, 1)}), frozenset({(0, 3)})
+    # a, b, c now carry 1 + 3, 2 + 1 and 3 + 2 to 0, and b alone is still
+    # future, so a, c, b are named -1, -2, -3
+    want = ((
+        (-3, 0, 1, 3), (-3, 3, 1, 0), (-3, 4, 1, 0),
+        (-2, 0, -1, 5), (-2, 5, -1, 0), (-2, 6, -1, 0),
+        (-1, 0, -1, 4), (-1, 1, -1, 0), (-1, 2, -1, 0),
+    ), (-1, -1, 1))
+    assert _join_table(ExactArith(10), {s1: F1}, {s2: F2}) == {want: F1 | F2}
+
+
+def _insert(table, bag_size: int, adj, vlab, forest) -> None:
+    assert len(adj) <= 2 * bag_size + 1, "skeleton exceeds the 2w+1 size bound"
+    table.setdefault(_canonical(adj, vlab), forest)
 
 
 def _introduce_by_dict(G, nd, child_table):
