@@ -49,8 +49,9 @@ into Y and V - Y, so it carries |delta(Y)|, and stc(G) >= the least
 |delta(Y)| over such Y.  The lower bound becomes the larger of the two.
 Second, if a gap is left, the swap search runs from the BFS tree of every
 root in turn, keeping the least congested tree, until one meets the lower
-bound.  Both serve the enumeration of small fes kernels and `search_k` on
-small graphs; larger graphs keep the steps above.
+bound; a BFS tree already searched is not searched again.  Both serve the
+enumeration of small fes kernels and `search_k` on small graphs; larger
+graphs keep the steps above.
 """
 from __future__ import annotations
 
@@ -283,17 +284,33 @@ def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
 
     The lower bound's scan stops at the congestion of the BFS tree from
     vertex 0, the first tree the upper bound's scan measures.
+
+    The every-root pass skips a BFS tree whose edge set was already
+    searched, the tree _best_bfs_tree chose included, and this changes no
+    output.  _swap_search is deterministic, and its floor only stops it.
+    Each swap lowers the sorted congestion profile, so the maximum only
+    falls along a search.  While the pass runs, the upper bound, and so the
+    end of every earlier search, is above the raised lambda, so no earlier
+    search met either floor: a repeat would take the same swaps and end at
+    the same congestion, which is not below the upper bound, and so would
+    replace nothing.
     """
     if G.n == 1:
         return 0, 0, SpanningTree(G, frozenset())
     lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
-    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
+    T_bfs = _best_bfs_tree(G, lam)[1]
+    ub, T = _swap_search(G, T_bfs, lam)
     if G.n <= ORACLE_CAP and lam < ub:
         lam = max(lam, _centroid_bound(G, lam))
+        searched = {T_bfs.edges}
         for root in range(G.n):
             if ub <= lam:
                 break
-            c, T_root = _swap_search(G, _bfs_tree(G, root), lam)
+            T_root = _bfs_tree(G, root)
+            if T_root.edges in searched:
+                continue
+            searched.add(T_root.edges)
+            c, T_root = _swap_search(G, T_root, lam)
             if c < ub:
                 ub, T = c, T_root
     return lam, ub, T

@@ -10,7 +10,7 @@ actual optimal tree out of the run.
 
 Node rules: Leaf starts with the empty state.  Forget(v) refuses future edges
 at v, routes every graph edge from v into the bag along its skeleton path
-(incrementing the counters), then relabels v to past and simplifies away what
+(incrementing the counters), then relabels v to past and contracts what
 drops below degree 3.  Introduce(v) runs in reverse: rather than projecting
 parent states down, each child state is grown by every placement of v (leaf
 attachment, adoption of a future vertex, subdivision of a future edge, or
@@ -38,18 +38,27 @@ bijection preserves the number of anonymous vertices, so the two kinds never
 pair.  Both are met in one loop over the first table, so pairs reach the
 output in the same order either way.
 
-Introduce: every placement is built on the child's stored edge tuple, with
-no decoding or copying.  Leaf attachment and subdivision keep the anonymous
-vertices and their names, adopting x drops x and moves the names below it up
-by one, and a fresh branch vertex takes the next name down, so each output
-is a list of sorted pairs over the names -1 .. -m.  _freeze, the one place a
-new state is frozen, sorts the list when m <= 1, as that naming is forced
-(see "Join"), and sends an output with more anonymous vertices through
-_canonical.  The placements are emitted in the order the decoded form met
-them (bag vertices in the iteration order of the child's bag, then -1, -2,
-...; future edges grouped by their first endpoint in that order, then by the
-second), so every table keeps the same dict order and the same
-representative forests.
+Introduce: every placement is built on the child's stored edge tuple.  Leaf
+attachment and subdivision keep the anonymous vertices and their names,
+adopting x drops x and moves the names below it up by one, and a fresh
+branch vertex takes the next name down, so each output is a list of sorted
+pairs over the names -1 .. -m.  The placements are emitted in the order a
+rule on decoded adjacency dicts meets them (bag vertices in the iteration
+order of the child's bag, then -1, -2, ...; future edges grouped by their
+first endpoint in that order, then by the second), so every table keeps the
+same dict order and the same representative forests.
+
+Forget works on the stored tuple too.  One scan refuses a future edge at v.
+A parent-edge map of the skeleton rooted at v is built once per state, the
+walk from each bag neighbour u of v up to v counts how often each edge is
+used, and add_int adds each count at once.  Then v becomes the anonymous
+name -(m+1), past, and its present edges turn past.  Only v and its
+neighbours change degree, so v's skeleton degree d decides the rest: with
+d >= 3, v stays as a branch vertex; with d = 2 it is contracted, its two
+edges merging into one whose counter is the max of theirs; with d = 1 its
+edge goes, and a neighbour that is an anonymous vertex of degree 3 is
+contracted the same way, the names below it moving up by one as in
+introduce's adoption.  So no anonymous vertex below degree 3 is left.
 
 Doomed future edges: let P(t) be the vertices introduced below t.  A bag
 vertex x is closed when N(x) is inside P(t), and a state is doomed when a
@@ -59,9 +68,10 @@ every node.  Introduce(v): v lies outside P(t), so it is no neighbour of x;
 subdividing the edge or adopting y as v leaves a future edge from x to v,
 a fresh branch vertex leaves one from x to it, and other placements leave
 the edge as it is.  Forget(u): u = x or u = y is refused for a future edge
-at u; otherwise the edge stays, since _simplify removes only past anonymous
-vertices and those its removals bring below degree 3, all joined by past
-edges, while a future anonymous vertex has only future edges.  Join: the
+at u; otherwise the edge stays, since forget contracts only v, now past,
+and an anonymous vertex that v leaves at degree 2, which is past too, as a
+future anonymous vertex has only future edges and v has none; the edges of
+a past vertex are past, so no future edge is merged away.  Join: the
 other branch's matching edge is not present, as bijections keep the present
 flag; were it past, that branch's forest would hold a path from x whose
 first edge xz leaves the bag, so z was forgotten in that branch, lies
@@ -92,14 +102,14 @@ a tree of congestion <= (1+eps)k < k+1, that is <= k; so it accepts exactly
 when stc <= k, as the exact run does.  This also spares a tiny eps the
 ~log(k)/delta exact rationals of its grid.
 
-Dominance: after every forget and join node, states that agree on
-everything but their counters (the canonical (u, v, label) triples and the
-anonymous labels) are compared, and a state is dropped when another one's
-counters are <= its own on every edge.  This is sound because every node
-rule is monotone in the counters: which placements introduce tries, which
-states forget refuses for future edges at v, how much it adds along each
-path, and which isomorphisms join pairs up all depend on the counter-free
-part alone; add_int, join and the max-merge in _simplify never decrease a
+Dominance: after every forget and join node, states that agree on everything
+but their counters (the canonical (u, v, label) triples and the anonymous
+labels) are compared, and a state is dropped when another one's counters are
+<= its own on every edge.  This is sound because every node rule is monotone
+in the counters: which placements introduce tries, which states forget
+refuses for future edges at v, how much it adds along each path, and which
+isomorphisms join pairs up all depend on the counter-free part alone;
+add_int, join and forget's max-merge of contracted edges never decrease a
 counter, and they reach the cap no earlier for smaller inputs.  So whatever
 extends the dropped state, the same node sequence extends its dominator,
 with counters no higher at every step, and the root sees the empty state
@@ -182,7 +192,8 @@ from .graph import (
 
 # state: (edges, anon_labels); edges is a sorted tuple of (u, v, label, c)
 # with bag vertices >= 0 and anonymous vertices -1, -2, ... in canonical
-# order; anon_labels[i] is the +-1 label of vertex -(i+1)
+# order; anon_labels[i] is the +-1 label of vertex -(i+1).  Every node rule
+# reads and builds this form directly, and _freeze canonicalizes it.
 State = tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]
 EMPTY_STATE: State = ((), ())
 
@@ -250,66 +261,55 @@ class RoundedArith:
 # -- state plumbing ---------------------------------------------------------
 
 
-def _decode(state: State, bag: frozenset[int]):
-    """State to working form: adjacency {v: {u: (label, c)}} and vertex labels."""
-    edges, anon_labels = state
-    adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in bag}
-    vlab: dict[int, int] = {v: 0 for v in bag}
-    for i, lbl in enumerate(anon_labels):
-        a = -(i + 1)
-        adj[a] = {}
-        vlab[a] = lbl
-    for u, v, lbl, c in edges:
-        adj[u][v] = (lbl, c)
-        adj[v][u] = (lbl, c)
-    return adj, vlab
+def _freeze(edges: list, anon_labels: tuple[int, ...]) -> State:
+    """The one canonical form, and the one place a new state is frozen:
+    edges, a list of sorted (u, v, label, c) over the anonymous names -1 ..
+    -m, is sorted in place when the naming is forced (m <= 1, see "Join").
+    Otherwise children are ordered by (payload, subtree signature), which
+    never mentions anonymous names, so isomorphic namings collapse, and the
+    anonymous vertices are named -1, -2, ... in preorder of that ordering."""
+    if len(anon_labels) <= 1:
+        edges.sort()
+        return (tuple(edges), anon_labels)
+    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for a, b, lbl, c in edges:
+        adj.setdefault(a, []).append((b, (lbl, c)))
+        adj.setdefault(b, []).append((a, (lbl, c)))
+
+    def sig(v: int, parent: int):
+        """Signature of v's subtree and its anonymous vertices in preorder."""
+        kids = [(pay, *sig(u, v)) for u, pay in adj[v] if u != parent]
+        kids.sort(key=lambda t: (t[0], t[1]))
+        pre = [v] if v < 0 else []
+        for _, _, sub in kids:
+            pre += sub
+        token = ("b", v) if v >= 0 else ("a", anon_labels[-v - 1])
+        return (token, tuple((pay, s) for pay, s, _ in kids)), pre
+
+    order = sig(min(v for v in adj if v >= 0), -10**9)[1]
+    names = {x: -(i + 1) for i, x in enumerate(order)}
+    renamed = []
+    for a, b, lbl, c in edges:
+        a, b = names.get(a, a), names.get(b, b)
+        renamed.append((a, b, lbl, c) if a < b else (b, a, lbl, c))
+    renamed.sort()
+    return (tuple(renamed), tuple(anon_labels[-x - 1] for x in order))
 
 
-def _canonical(adj, vlab) -> State:
-    """Rename anonymous vertices deterministically and freeze the state.
-
-    Children are ordered by (payload, subtree signature); signatures never
-    mention anonymous identities, so isomorphic namings collapse.  The
-    anonymous vertices are named -1, -2, ... in preorder of that ordering;
-    a lone anonymous vertex can only be -1, so it needs no signature.
-    """
-    if not adj:
-        return EMPTY_STATE
-    order = [v for v in adj if v < 0]
-    if len(order) <= 1:  # bag ids are fixed, so the naming is forced
-        names = {order[0]: -1} if order and order[0] != -1 else None
-    else:
-        root = min(v for v in adj if v >= 0)
-
-        def sig(v: int, parent: int):
-            """Signature of v's subtree and its anonymous vertices in preorder."""
-            kids = []
-            for u, pay in adj[v].items():
-                if u != parent:
-                    kids.append((pay, *sig(u, v)))
-            kids.sort(key=lambda t: (t[0], t[1]))
-            pre = [v] if v < 0 else []
-            for _, _, sub in kids:
-                pre += sub
-            token = ("b", v) if v >= 0 else ("a", vlab[v])
-            return (token, tuple((pay, s) for pay, s, _ in kids)), pre
-
-        order = sig(root, -10**9)[1]
-        names = {x: -(i + 1) for i, x in enumerate(order)}
-    if names:
-        edges = []
-        for v, nb in adj.items():
-            a = names.get(v, v)
-            for u, (lbl, c) in nb.items():
-                b = names.get(u, u)
-                if a < b:
-                    edges.append((a, b, lbl, c))
-    else:
-        edges = [
-            (v, u, lbl, c) for v, nb in adj.items() for u, (lbl, c) in nb.items() if v < u
-        ]
-    edges.sort()
-    return (tuple(edges), tuple(vlab[x] for x in order))
+def _drop_anon(edges, x: int):
+    """The edges off the anonymous vertex x, with the names below x moved up
+    by one (which keeps every pair sorted), and x's neighbours, renamed
+    alike, each with its edge's label and counter."""
+    kept = []
+    nb = []
+    for a, b, l, c in edges:
+        if a == x:
+            nb.append((b, l, c))
+        elif b == x:
+            nb.append((a + 1 if a < x else a, l, c))
+        else:
+            kept.append((a + 1 if a < x else a, b + 1 if b < x else b, l, c))
+    return kept, nb
 
 
 def _shape_key(state: State):
@@ -340,77 +340,11 @@ def _shape_key(state: State):
     return sig(root, -10**9)
 
 
-def _simplify(adj, vlab) -> None:
-    """Drop anonymous vertices below degree 3; contraction max-merges c."""
-    work = [x for x in adj if x < 0]
-    while work:
-        x = work.pop()
-        if x not in adj or len(adj[x]) > 2:
-            continue
-        if len(adj[x]) == 0:
-            del adj[x], vlab[x]
-        elif len(adj[x]) == 1:
-            (u,) = adj[x]
-            del adj[x], vlab[x]
-            del adj[u][x]
-            if u < 0:
-                work.append(u)
-        else:
-            (a, (la, ca)), (b, (lb, cb)) = adj[x].items()
-            lbl = vlab[x]
-            assert la == lbl and lb == lbl, "edge labels at an anonymous vertex match it"
-            del adj[x], vlab[x]
-            del adj[a][x], adj[b][x]
-            assert b not in adj[a], "contraction would close a cycle"
-            pay = (lbl, max(ca, cb))
-            adj[a][b] = pay
-            adj[b][a] = pay
-    assert all(len(adj[x]) >= 3 for x in adj if x < 0), "simplification incomplete"
-
-
-def _path(adjacency, a: int, b: int) -> list[Edge] | None:
-    """Edges (sorted pairs) of the unique tree path a -> b, None if there is none."""
-    if a not in adjacency or b not in adjacency:
-        return None
-    prev = {a: a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            break
-        for u in adjacency[v]:
-            if u not in prev:
-                prev[u] = v
-                stack.append(u)
-    if b not in prev:
-        return None
-    path = []
-    v = b
-    while v != a:
-        path.append((v, prev[v]) if v < prev[v] else (prev[v], v))
-        v = prev[v]
-    return path
-
-
 # -- node rules -------------------------------------------------------------
 
 
 def _leaf_table():
     return {EMPTY_STATE: frozenset()}
-
-
-def _freeze(edges, anon_labels: tuple[int, ...]) -> State:
-    """The one way a new state is frozen: edges are (u, v, label, c) tuples
-    over the anonymous names -1 .. -m, a list sorted in place when the naming
-    is forced (m <= 1, see "Join"), canonicalized otherwise."""
-    if len(anon_labels) <= 1:
-        edges.sort()
-        return (tuple(edges), anon_labels)
-    adj: dict[int, dict[int, tuple[int, int]]] = {}
-    for a, b, lbl, c in edges:
-        adj.setdefault(a, {})[b] = (lbl, c)
-        adj.setdefault(b, {})[a] = (lbl, c)
-    return _canonical(adj, {-(i + 1): lbl for i, lbl in enumerate(anon_labels)})
 
 
 def _doomed(G: Graph, closed: frozenset[int], edges) -> bool:
@@ -459,21 +393,11 @@ def _introduce_table(G: Graph, nd, child_table, closed: frozenset[int]):
         for i, lbl in enumerate(anon):
             if lbl == 1:
                 emit([*edges, (-(i + 1), v, 1, 0)], anon, F)
-        # adopt an anonymous future vertex x as v; the anonymous names below
-        # x move up by one, which keeps every pair sorted
+        # adopt an anonymous future vertex x as v
         for i, lbl in enumerate(anon):
             if lbl != 1:
                 continue
-            x = -(i + 1)
-            kept = []
-            nb = []
-            for a, b, l, c in edges:
-                if a == x:
-                    nb.append((b, l, c))
-                elif b == x:
-                    nb.append((a + 1 if a < x else a, l, c))
-                else:
-                    kept.append((a + 1 if a < x else a, b + 1 if b < x else b, l, c))
+            kept, nb = _drop_anon(edges, -(i + 1))
             labels = anon[:i] + anon[i + 1:]
             upgradable = [u for u, _, _ in nb if u in vnbrs]
             for r in range(len(upgradable) + 1):
@@ -513,47 +437,74 @@ def _introduce_table(G: Graph, nd, child_table, closed: frozenset[int]):
 
 
 def _forget_table(G: Graph, arith, nd, child_table):
+    """Forget v on every child state, on the stored edge tuple (see "Forget"
+    in the module docstring)."""
     v = nd.vertex
-    bag = nd.bag
-    bag_old = bag | {v}
-    nbrs = [u for u in G.neighbors(v) if u in bag]
+    nbrs = [u for u in G.neighbors(v) if u in nd.bag]
     out: dict[State, frozenset[Edge]] = {}
-    for state, F in child_table.items():
-        # the decoded form belongs to this state alone, so it is edited in place
-        adj, vlab = _decode(state, bag_old)
-        if any(lbl == 1 for lbl, _ in adj[v].values()):
+    for (edges, anon), F in child_table.items():
+        if any(l == 1 and (a == v or b == v) for a, b, l, _c in edges):
             continue  # a future edge at v can never be realized once v is gone
-        incr: dict[tuple[int, int], int] = {}
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for i, (a, b, _l, _c) in enumerate(edges):
+            adj.setdefault(a, []).append((b, i))
+            adj.setdefault(b, []).append((a, i))
+        m = len(anon)
+        assert all(len(adj[-i]) >= 3 for i in range(1, m + 1)), "anonymous degree < 3"
+        # the parent edge of every vertex in the skeleton rooted at v; each
+        # graph edge from v to a bag vertex u is routed from u up to v
+        up = {v: (v, -1)}
+        todo = [v]
+        for x in todo:
+            for y, i in adj.get(x, ()):
+                if y not in up:
+                    up[y] = (x, i)
+                    todo.append(y)
+        uses = [0] * len(edges)
         for u in nbrs:
-            for e in _path(adj, v, u):
-                incr[e] = incr.get(e, 0) + 1
-        ok = True
-        for (x, y), r in incr.items():
-            lbl, c = adj[x][y]
-            c2 = arith.add_int(c, r)
-            if c2 is None:
-                ok = False
-                break
-            adj[x][y] = (lbl, c2)
-            adj[y][x] = (lbl, c2)
-        if not ok:
-            continue
-        # v leaves the bag: rename to a fresh anonymous id, past label,
-        # its realized edges turning past with it
-        a = min((x for x in adj if x < 0), default=0) - 1
-        nb = adj.pop(v)
-        del vlab[v]
-        adj[a] = {}
-        vlab[a] = -1
-        for u, (lbl, c) in nb.items():
-            del adj[u][v]
-            if lbl == 0:
-                lbl = -1
-            adj[a][u] = (lbl, c)
-            adj[u][a] = (lbl, c)
-        _simplify(adj, vlab)
-        out.setdefault(_canonical(adj, vlab), F)
+            while u != v:
+                u, i = up[u]
+                uses[i] += 1
+        rest = []
+        at_v = []  # v's neighbours; its present edges turn past with it
+        for (a, b, l, c), r in zip(edges, uses):
+            if r:
+                c = arith.add_int(c, r)
+                if c is None:
+                    break  # over the cap: the state is refused
+            if a == v or b == v:
+                at_v.append((b if a == v else a, c))
+            else:
+                rest.append((a, b, l, c))
+        else:
+            out.setdefault(_forget_state(adj, v, rest, at_v, anon), F)
     return out
+
+
+def _forget_state(adj, v: int, rest: list, at_v: list, anon: tuple[int, ...]) -> State:
+    """The state left when v, with its neighbours at_v as (name, counter)
+    pairs, leaves a skeleton whose other edges are rest; adj is the input's
+    adjacency list."""
+    if len(at_v) >= 3:  # v stays as a past branch vertex, the next name down
+        w = -(len(anon) + 1)
+        return _freeze(rest + [(w, u, -1, c) for u, c in at_v], anon + (-1,))
+    if len(at_v) == 2:
+        x, lbl, pair = v, -1, [(u, -1, c) for u, c in at_v]
+    elif at_v and at_v[0][0] < 0 and len(adj[at_v[0][0]]) == 3:
+        x = at_v[0][0]  # v was a leaf at x, an anonymous vertex of degree 3
+        lbl = anon[-x - 1]
+        rest, pair = _drop_anon(rest, x)
+        anon = anon[:-x - 1] + anon[-x:]
+    else:
+        return _freeze(rest, anon)
+    # contract x: its two edges merge, keeping the larger counter
+    y1, y2 = (y for y, _ in adj[x] if y != v)
+    assert all(z != y2 for z, _ in adj[y1]), "a contraction closes a cycle"
+    (y1, l1, c1), (y2, l2, c2) = pair
+    assert l1 == lbl == l2, "the edge labels at a contracted vertex match it"
+    c = max(c1, c2)
+    rest.append((y1, y2, lbl, c) if y1 < y2 else (y2, y1, lbl, c))
+    return _freeze(rest, anon)
 
 
 def _isomorphisms(s1: State, s2: State):

@@ -6,6 +6,8 @@ runs one exact decision with it.  `check_approx_invariant` asserts the
 two-sided rounding invariant of the approximation scheme at every node.
 Both search exhaustively, so they are test code, not library code;
 `subtree_heights` gives the node heights the invariant is stated with.
+`_decode` turns a stored state into adjacency dicts, the form these checks
+and the tests' reference rules work on, and `_path` walks such a form.
 """
 from __future__ import annotations
 
@@ -17,15 +19,59 @@ from stc.dp import (
     ExactArith,
     RoundedArith,
     _checked_ntd,
-    _decode,
     _isomorphisms,
-    _path,
     _run_dp,
     _shape_key,
     _to_fraction,
     solve_stc_tw,
 )
-from stc.graph import Graph, SpanningTree, congestion_report, edge_key, require_connected
+from stc.graph import (
+    Edge,
+    Graph,
+    SpanningTree,
+    congestion_report,
+    edge_key,
+    require_connected,
+)
+
+
+def _decode(state, bag: frozenset[int]):
+    """State to working form: adjacency {v: {u: (label, c)}} and vertex labels."""
+    edges, anon_labels = state
+    adj: dict[int, dict[int, tuple[int, int]]] = {v: {} for v in bag}
+    vlab: dict[int, int] = {v: 0 for v in bag}
+    for i, lbl in enumerate(anon_labels):
+        a = -(i + 1)
+        adj[a] = {}
+        vlab[a] = lbl
+    for u, v, lbl, c in edges:
+        adj[u][v] = (lbl, c)
+        adj[v][u] = (lbl, c)
+    return adj, vlab
+
+
+def _path(adjacency, a: int, b: int) -> list[Edge] | None:
+    """Edges (sorted pairs) of the unique tree path a -> b, None if there is none."""
+    if a not in adjacency or b not in adjacency:
+        return None
+    prev = {a: a}
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if v == b:
+            break
+        for u in adjacency[v]:
+            if u not in prev:
+                prev[u] = v
+                stack.append(u)
+    if b not in prev:
+        return None
+    path = []
+    v = b
+    while v != a:
+        path.append((v, prev[v]) if v < prev[v] else (prev[v], v))
+        v = prev[v]
+    return path
 
 
 def subtree_heights(ntd: NiceTreeDecomposition) -> dict[int, int]:

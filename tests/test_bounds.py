@@ -10,10 +10,13 @@ import stc.dp
 import stc.structural.fes
 from stc import solve
 from stc.bounds import (
+    ORACLE_CAP,
     _best_bfs_tree,
+    _bfs_tree,
     _centroid_bound,
     _cycle_chords,
     _swap_loads,
+    _swap_search,
     bounds,
     lower_bound,
 )
@@ -150,6 +153,51 @@ def test_no_decomposition_when_the_bounds_meet(monkeypatch):
     monkeypatch.setattr(stc.dp, "default_nice_decomposition", no_decomposition)
     assert solve_stc_tw(grid_graph(4))[0] == 4
     assert solve_approx_tw(grid_graph(3), 0.1)[0] == 3
+
+
+def _bounds_searching_every_root(G):
+    """Reference bounds whose every-root pass searches the BFS tree of each
+    root, repeats included: (lambda, ub, tree, swap searches made)."""
+    lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
+    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
+    runs = 1
+    if G.n <= ORACLE_CAP and lam < ub:
+        lam = max(lam, _centroid_bound(G, lam))
+        for root in range(G.n):
+            if ub <= lam:
+                break
+            c, T_root = _swap_search(G, _bfs_tree(G, root), lam)
+            runs += 1
+            if c < ub:
+                ub, T = c, T_root
+    return lam, ub, T, runs
+
+
+def test_every_root_pass_searches_each_bfs_tree_once(monkeypatch):
+    # the skip of a tree already searched changes no bound and no tree
+    # (see bounds), and no tree is searched twice in one call
+    rng = random.Random(415)
+    graphs = suite_graphs()
+    for _ in range(100):
+        n = rng.randint(4, 12)
+        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)))
+    want = [_bounds_searching_every_root(g) for g in graphs]
+    searched = []
+    real = stc.bounds._swap_search
+
+    def counted(G, T, floor):
+        searched.append(T.edges)
+        return real(G, T, floor)
+
+    monkeypatch.setattr(stc.bounds, "_swap_search", counted)
+    skipped = 0
+    for idx, (g, (lam, ub, T, runs)) in enumerate(zip(graphs, want)):
+        searched.clear()
+        got = bounds(g)
+        assert (got[0], got[1], got[2].edges) == (lam, ub, T.edges), f"graph #{idx}"
+        assert len(set(searched)) == len(searched), f"graph #{idx}"
+        skipped += runs - len(searched)
+    assert skipped == 17  # searches the reference repeats on these graphs
 
 
 def _counted_candidates(monkeypatch):

@@ -4,22 +4,22 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import stc.dp
 from stc.dp import (
     EMPTY_STATE,
-    _canonical,
     _closed,
-    _decode,
     _doomed,
     _drop_dominated,
+    _forget_table,
+    _freeze,
     _isomorphisms,
     _join_table,
     _run_dp,
     _shape_key,
-    _simplify,
     _zip_join,
     _zip_key,
     ExactArith,
@@ -45,7 +45,7 @@ from conftest import (
     star_graph,
     suite_graphs,
 )
-from dp_checks import check_approx_invariant, validated_tree
+from dp_checks import _decode, _path, check_approx_invariant, validated_tree
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +97,16 @@ def _doom_cases():
 @pytest.fixture(scope="module")
 def doom_runs():
     """Each case run with every table kept, as it is and with _doomed
-    patched to never fire: (name, G, ntd, pruned run, unpruned run)."""
+    patched to never fire: (name, G, ntd, arith, pruned run, unpruned run)."""
     out = []
     for name, g, ntd, eps, k in _doom_cases():
+        arith = ExactArith(k) if eps is None else RoundedArith(k, eps, ntd.height)
         runs = []
         for doom in (_doomed, lambda G, closed, edges: False):
-            arith = ExactArith(k) if eps is None else RoundedArith(k, eps, ntd.height)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(stc.dp, "_doomed", doom)
                 runs.append(_run_dp(g, ntd, arith, keep_tables=True))
-        out.append((name, g, ntd, *runs))
+        out.append((name, g, ntd, arith, *runs))
     return out
 
 
@@ -203,23 +203,106 @@ def test_consistency_validator_accepts_real_runs():
             assert validated_tree(g, k - 1) is None
 
 
-def test_simplify_prunes_and_contracts():
-    # anonymous path -1 .. -2 between bag vertices 0,1 contracts to one edge
-    adj = {
-        0: {-1: (1, 2)},
-        -1: {0: (1, 2), -2: (1, 5)},
-        -2: {-1: (1, 5), 1: (1, 3)},
-        1: {-2: (1, 3)},
-    }
-    vlab = {0: 0, 1: 0, -1: 1, -2: 1}
-    _simplify(adj, vlab)
-    assert set(adj) == {0, 1}
-    assert adj[0][1] == (1, 5)  # max of the merged counters survives
-    # dangling anonymous leaf chain disappears entirely
-    adj = {0: {-1: (-1, 1)}, -1: {0: (-1, 1), -2: (-1, 0)}, -2: {-1: (-1, 0)}}
-    vlab = {0: 0, -1: -1, -2: -1}
-    _simplify(adj, vlab)
-    assert set(adj) == {0} and adj[0] == {}
+def _canonical(adj, vlab):
+    """A dict skeleton frozen by _freeze: its anonymous ids are renamed to
+    -1 .. -m in insertion order and its edges listed."""
+    names = {x: -(i + 1) for i, x in enumerate(x for x in adj if x < 0)}
+    edges = []
+    for v, nb in adj.items():
+        for u, (lbl, c) in nb.items():
+            a, b = names.get(v, v), names.get(u, u)
+            if a < b:
+                edges.append((a, b, lbl, c))
+    return _freeze(edges, tuple(vlab[x] for x in names))
+
+
+def _assert_skeleton(state, bag):
+    """A stored state's invariants, read from its tuple: it is a tree over
+    the bag and its anonymous vertices, no anonymous vertex has degree below
+    3, and every edge at an anonymous vertex carries that vertex's label."""
+    edges, anon = state
+    nodes = set(bag) | set(range(-len(anon), 0))
+    adj = {x: [] for x in nodes}
+    for a, b, lbl, _c in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        for x in (a, b):
+            if x < 0:
+                assert lbl == anon[-x - 1], f"edge {a}-{b} off its vertex's label"
+    assert all(len(adj[x]) >= 3 for x in nodes if x < 0), "anonymous degree < 3"
+    if nodes:
+        seen, todo = {min(nodes)}, [min(nodes)]
+        for x in todo:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        assert seen == nodes and len(edges) == len(nodes) - 1, "not a tree"
+
+
+def _forget_one(G, bag, v, state, k=10):
+    """_forget_table at a forget(v) node whose child holds one state."""
+    F = frozenset({(98, 99)})  # a marker: the output keeps its input's forest
+    nd = SimpleNamespace(vertex=v, bag=bag)
+    out = _forget_table(G, ExactArith(k), nd, {state: F})
+    assert set(out.values()) <= {F}
+    for s in out:
+        _assert_skeleton(s, bag)
+    return list(out)
+
+
+def test_forget_on_hand_built_states():
+    # v alone in the bag: the empty state stays empty
+    alone = Graph.from_edges(1, [])
+    assert _forget_one(alone, frozenset(), 0, EMPTY_STATE) == [EMPTY_STATE]
+    # v a leaf at a bag vertex: its graph edges to 0 and 1 load the path
+    # 2 - 1 - 0 twice on 1-2 and once on 0-1, and the edge to v goes
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    leaf = (((0, 1, 1, 3), (1, 2, 0, 1)), ())
+    assert _forget_one(g, frozenset({0, 1}), 2, leaf) == [(((0, 1, 1, 4),), ())]
+    # ... and with k = 3 the edge 0-1 overflows, so the state is refused
+    assert _forget_one(g, frozenset({0, 1}), 2, leaf, k=3) == []
+    # v of degree 2: its edges (counters 1 + 1 and 5 + 1) merge into one
+    # past edge that keeps the larger counter
+    mid = (((0, 2, 0, 1), (1, 2, -1, 5)), ())
+    assert _forget_one(g, frozenset({0, 1}), 2, mid) == [(((0, 1, -1, 6),), ())]
+    # a future edge at v is refused
+    future = (((0, 2, 0, 1), (1, 2, 1, 5)), ())
+    assert _forget_one(g, frozenset({0, 1}), 2, future) == []
+    # v of degree 3 stays as a past branch vertex, the next name down
+    star = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    state = (((0, 3, 0, 1), (1, 3, -1, 2), (2, 3, 0, 0)), ())
+    assert _forget_one(star, frozenset({0, 1, 2}), 3, state) == [
+        (((-1, 0, -1, 2), (-1, 1, -1, 3), (-1, 2, -1, 1)), (-1,))
+    ]
+    # v a leaf at -1, an anonymous vertex of degree 3 (0, -2 and v): the
+    # route from 3 to 1 loads 3 - -1 - -2 - 1, -1 is contracted into an
+    # edge -2 - 0 that keeps max(4 + 1, 3), and -2 is renamed -1
+    g = Graph.from_edges(4, [(1, 3)])
+    state = ((
+        (-2, -1, -1, 4), (-2, 1, -1, 1), (-2, 2, -1, 2), (-1, 0, -1, 3), (-1, 3, -1, 0),
+    ), (-1, -1))
+    assert _forget_one(g, frozenset({0, 1, 2}), 3, state) == [
+        (((-1, 0, -1, 5), (-1, 1, -1, 2), (-1, 2, -1, 2)), (-1,))
+    ]
+    # -1 of degree 4 keeps its vertex and name when the leaf v goes
+    state = ((
+        (-2, -1, -1, 4), (-2, 1, -1, 1), (-2, 2, -1, 2),
+        (-1, 0, -1, 3), (-1, 3, -1, 0), (-1, 4, -1, 0),
+    ), (-1, -1))
+    g = Graph.from_edges(5, [(1, 4)])
+    assert _forget_one(g, frozenset({0, 1, 2, 3}), 4, state) == [((
+        (-2, -1, -1, 5), (-2, 1, -1, 2), (-2, 2, -1, 2), (-1, 0, -1, 3), (-1, 3, -1, 0),
+    ), (-1, -1))]
+    # v of degree 3 next to -1: v, now past, comes first in preorder from
+    # bag vertex 0, so it takes the name -1 and the old -1 becomes -2
+    state = ((
+        (-1, 2, -1, 0), (-1, 3, -1, 0), (-1, 4, -1, 0), (0, 4, 0, 0), (1, 4, 0, 0),
+    ), (-1,))
+    g = Graph.from_edges(5, [(0, 4), (1, 4)])
+    assert _forget_one(g, frozenset({0, 1, 2, 3}), 4, state) == [((
+        (-2, -1, -1, 0), (-2, 2, -1, 0), (-2, 3, -1, 0), (-1, 0, -1, 1), (-1, 1, -1, 1),
+    ), (-1, -1))]
 
 
 def test_canonical_ignores_anonymous_naming():
@@ -578,7 +661,7 @@ def test_tuple_introduce_equals_the_dict_introduce(doom_runs):
     # with _doomed never firing, every introduce table is the reference's
     # output on the child table: same states, order and forests
     nodes = 0
-    for name, g, ntd, _, unpruned in doom_runs:
+    for name, g, ntd, _, _, unpruned in doom_runs:
         for i, table in unpruned.tables.items():
             nd = ntd.nodes[i]
             if nd.kind == "introduce":
@@ -588,11 +671,101 @@ def test_tuple_introduce_equals_the_dict_introduce(doom_runs):
     assert nodes > 3000
 
 
+def _simplify(adj, vlab) -> None:
+    """Drop anonymous vertices below degree 3; contraction max-merges c."""
+    work = [x for x in adj if x < 0]
+    while work:
+        x = work.pop()
+        if x not in adj or len(adj[x]) > 2:
+            continue
+        if len(adj[x]) == 0:
+            del adj[x], vlab[x]
+        elif len(adj[x]) == 1:
+            (u,) = adj[x]
+            del adj[x], vlab[x]
+            del adj[u][x]
+            if u < 0:
+                work.append(u)
+        else:
+            (a, (la, ca)), (b, (lb, cb)) = adj[x].items()
+            lbl = vlab[x]
+            assert la == lbl and lb == lbl, "edge labels at an anonymous vertex match it"
+            del adj[x], vlab[x]
+            del adj[a][x], adj[b][x]
+            assert b not in adj[a], "contraction would close a cycle"
+            pay = (lbl, max(ca, cb))
+            adj[a][b] = pay
+            adj[b][a] = pay
+    assert all(len(adj[x]) >= 3 for x in adj if x < 0), "simplification incomplete"
+
+
+def _forget_by_dict(G, arith, nd, child_table):
+    """Reference forget: decode each child state to adjacency dicts, route
+    v's graph edges along _path, rename v past, _simplify and canonicalize."""
+    v = nd.vertex
+    bag = nd.bag
+    nbrs = [u for u in G.neighbors(v) if u in bag]
+    out = {}
+    for state, F in child_table.items():
+        adj, vlab = _decode(state, bag | {v})
+        if any(lbl == 1 for lbl, _ in adj[v].values()):
+            continue
+        incr = {}
+        for u in nbrs:
+            for e in _path(adj, v, u):
+                incr[e] = incr.get(e, 0) + 1
+        ok = True
+        for (x, y), r in incr.items():
+            lbl, c = adj[x][y]
+            c2 = arith.add_int(c, r)
+            if c2 is None:
+                ok = False
+                break
+            adj[x][y] = adj[y][x] = (lbl, c2)
+        if not ok:
+            continue
+        a = min((x for x in adj if x < 0), default=0) - 1
+        nb = adj.pop(v)
+        del vlab[v]
+        adj[a] = {}
+        vlab[a] = -1
+        for u, (lbl, c) in nb.items():
+            del adj[u][v]
+            if lbl == 0:
+                lbl = -1
+            adj[a][u] = adj[u][a] = (lbl, c)
+        _simplify(adj, vlab)
+        out.setdefault(_canonical(adj, vlab), F)
+    return out
+
+
+def test_tuple_forget_equals_the_dict_forget(doom_runs):
+    # on every forget node, exact and rounded, pruned and unpruned, the
+    # table is the reference's output on the child table (same states,
+    # order and forests) after the dominance pass
+    nodes = 0
+    for name, g, ntd, arith, pruned, unpruned in doom_runs:
+        for run in (pruned, unpruned):
+            for i, table in run.tables.items():
+                nd = ntd.nodes[i]
+                if nd.kind != "forget":
+                    continue
+                nodes += 1
+                child = run.tables[nd.children[0]]
+                want = _forget_by_dict(g, arith, nd, child)
+                got = _forget_table(g, arith, nd, child)
+                assert list(got.items()) == list(want.items()), f"{name}, node {i}"
+                assert list(table.items()) == list(_drop_dominated(want).items())
+                for state in got:
+                    _assert_skeleton(state, nd.bag)
+    assert nodes > 3000
+
+
 def test_doomed_pruning_drops_exactly_the_doomed_states(doom_runs):
     # every table is the unpruned run's table minus its doomed states, in
     # the same order and with the same forests, so the answers are the same
     doomed = 0
-    for name, g, ntd, pruned, unpruned in doom_runs:
+    for name, g, ntd, _, pruned, unpruned in doom_runs:
         proc = _processed_sets(ntd)
         for i, table in unpruned.tables.items():
             closed = _closed(g, ntd.nodes[i].bag, proc[i])
@@ -616,7 +789,7 @@ def test_doomed_needs_a_future_edge_at_a_closed_vertex():
 
 def test_introduce_tables_are_fixed_points_of_dominance(doom_runs):
     # introduce runs no dominance pass: on these graphs it would drop nothing
-    for name, _, ntd, pruned, unpruned in doom_runs:
+    for name, _, ntd, _, pruned, unpruned in doom_runs:
         for run in (pruned, unpruned):
             for i, table in run.tables.items():
                 if ntd.nodes[i].kind == "introduce":
