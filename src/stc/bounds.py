@@ -37,30 +37,31 @@ lower bound, or after 2m measured candidate trees.  A candidate is measured
 on the cycle alone (see `_swap_search`); the tree returned is a validated
 SpanningTree, re-measured in full.
 
-Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds still
-differ after the steps above, `bounds` takes two more, each cheap at this
-size.  First, a balanced-cut lower bound (`_centroid_bound`).  Every
-spanning tree T has a centroid c: each component of T - c has at most
-floor(n/2) vertices.  T - c has deg_T(c) <= Delta components holding n - 1
-vertices, so the largest, Y, has ceil((n-1)/Delta) <= |Y| <= floor(n/2).
-G[Y] is connected (Y is a subtree), and so is G[V - Y] (c and the other
-components, each joined to c in T).  The tree edge from c into Y splits T
-into Y and V - Y, so it carries |delta(Y)|, and stc(G) >= the least
-|delta(Y)| over such Y.  The lower bound becomes the larger of the two.
-Second, if a gap is left, the swap search runs from the BFS tree of every
-root in turn, keeping the least congested tree, until one meets the lower
-bound; a BFS tree already searched is not searched again.  Both serve the
-enumeration of small fes kernels and `search_k` on small graphs; larger
-graphs keep the steps above.
+Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds
+still differ, `_exact_small` closes the gap by a recursion over vertex
+subsets (cf. Okamoto, Otachi, Uehara and Uno, JGAA 2011).  Root any
+spanning tree T at vertex 0.  The set Z below a tree edge cz (z the child)
+is spanned by T's subtree at z, and cz carries |delta_G(Z)|, since T - cz
+splits V into Z and V - Z.  Write hang(Y, c) for "G[Y] has a spanning tree
+rooted at c in which the set below each edge has a cut of at most k", and
+split(R, c) for "R splits into blocks Z, each with |delta_G(Z)| <= k and a
+neighbour z of c in Z with hang(Z, z)".  Then hang(Y, c) = split(Y - c, c),
+and stc(G) <= k iff hang(V, 0): a tree of congestion at most k gives the
+blocks below each vertex, and conversely the edges cz of the chosen blocks
+form a spanning tree in which the set below cz is exactly Z, so cz carries
+|delta_G(Z)| <= k.  split takes the block that holds the lowest vertex of R
+and recurses on the rest, which lists every partition of R exactly once.
+Each state (R, c) is decided once per k, over the subsets of R: at most
+n * 3^n steps per k, so the step needs no budget.  The first k from the
+lower bound up that holds is stc; its tree is re-measured.  When none below
+the upper bound holds, the upper bound's tree is optimal.
 """
 from __future__ import annotations
 
-import itertools
-
 from .graph import Edge, Graph, SpanningTree, _tree_order, congestion_report, edge_key
 
-# graphs this small are enumerated rather than given to the DP, and get the
-# balanced-cut bound and the swap search from every root (module docstring)
+# graphs this small get exact bounds from the vertex-subset step (module
+# docstring); the routers name their answers "fes" up to it and "dp" above
 ORACLE_CAP = 12
 
 
@@ -241,76 +242,76 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
     return rep.max_congestion, T
 
 
-def _connected(nbr: list[int], mask: int) -> bool:
-    """Whether the vertex bitmask mask induces a connected subgraph."""
-    seen = todo = mask & -mask
-    while todo:
-        v = todo.bit_length() - 1
-        todo ^= 1 << v
-        new = nbr[v] & mask & ~seen
-        seen |= new
-        todo |= new
-    return seen == mask
-
-
-def _centroid_bound(G: Graph, stop: int = -1) -> int:
-    """The least |delta(Y)| over vertex sets Y with ceil((n-1)/Delta) <= |Y|
-    <= floor(n/2) and G[Y], G[V - Y] both connected: a lower bound on stc
-    (see the module docstring).  The scan ends at the first such Y with
-    |delta(Y)| <= stop and returns that cut."""
+def _exact_small(G: Graph, lam: int, ub: int) -> tuple[int, SpanningTree] | None:
+    """The least k in lam..ub-1 with stc(G) <= k, with a tree of congestion
+    k, or None when there is none: the vertex-subset recursion of the module
+    docstring, for graphs of a few vertices."""
     n = G.n
-    if n < 2:
-        return 0
     nbr = [sum(1 << u for u in G.neighbors(v)) for v in range(n)]
-    full = (1 << n) - 1
-    delta_max = max(G.degree(v) for v in range(n))
-    best = None
-    for size in range(-(-(n - 1) // delta_max), n // 2 + 1):
-        for Y in itertools.combinations(range(n), size):
-            mask = sum(1 << v for v in Y)
-            cut = sum(bin(nbr[v] & ~mask).count("1") for v in Y)
-            if (best is None or cut < best) and _connected(nbr, mask) and _connected(
-                nbr, full & ~mask
-            ):
-                best = cut
-                if cut <= stop:
-                    return cut
-    return best
+    cut = [0] * (1 << n)  # cut[mask] = |delta(mask)|, from mask minus its lowest vertex
+    for mask in range(1, 1 << n):
+        rest = mask & (mask - 1)
+        v = (mask ^ rest).bit_length() - 1
+        cut[mask] = cut[rest] + G.degree(v) - 2 * (nbr[v] & rest).bit_count()
+    for k in range(lam, ub):
+        memo: dict[tuple[int, int], tuple[int, int] | None] = {}
+
+        def split(R: int, c: int) -> bool:
+            """R splits into blocks Z, each with cut[Z] <= k and hanging from
+            a neighbour z of c in Z (hang(Z, z) = split(Z - z, z)); the
+            block of R's lowest vertex and its z are kept in memo."""
+            if not R:
+                return True
+            if (R, c) not in memo:
+                low = R & -R
+                rest = R ^ low
+                sub, found = rest, None
+                while found is None:
+                    Z = sub | low
+                    if cut[Z] <= k:
+                        # the first neighbour z of c in Z with hang(Z, z);
+                        # the rest of R splits alike whichever z it is
+                        zs = nbr[c] & Z
+                        while zs and not split(Z ^ (zs & -zs), (zs & -zs).bit_length() - 1):
+                            zs &= zs - 1
+                        if zs and split(R ^ Z, c):
+                            found = (Z, (zs & -zs).bit_length() - 1)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & rest
+                memo[(R, c)] = found
+            return memo[(R, c)] is not None
+
+        todo = [((1 << n) - 2, 0)]  # the tree rooted at vertex 0
+        if not split(*todo[0]):
+            continue
+        edges = []
+        while todo:
+            R, c = todo.pop()
+            if R:
+                Z, z = memo[(R, c)]
+                edges.append(edge_key(c, z))
+                todo += [(Z ^ (1 << z), z), (R ^ Z, c)]
+        T = SpanningTree(G, frozenset(edges))
+        got = congestion_report(G, T).max_congestion
+        assert got <= k, f"the subset step's tree has congestion {got} > {k}"
+        return got, T
+    return None
 
 
 def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     """(lower bound, upper bound, a tree of the upper bound's congestion);
-    see the module docstring.
+    see the module docstring.  On a graph of at most ORACLE_CAP vertices
+    both bounds equal stc.
 
     The lower bound's scan stops at the congestion of the BFS tree from
     vertex 0, the first tree the upper bound's scan measures.
-
-    The every-root pass skips a BFS tree whose edge set was already
-    searched, the tree _best_bfs_tree chose included, and this changes no
-    output.  _swap_search is deterministic, and its floor only stops it.
-    Each swap lowers the sorted congestion profile, so the maximum only
-    falls along a search.  While the pass runs, the upper bound, and so the
-    end of every earlier search, is above the raised lambda, so no earlier
-    search met either floor: a repeat would take the same swaps and end at
-    the same congestion, which is not below the upper bound, and so would
-    replace nothing.
     """
     if G.n == 1:
         return 0, 0, SpanningTree(G, frozenset())
     lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
-    T_bfs = _best_bfs_tree(G, lam)[1]
-    ub, T = _swap_search(G, T_bfs, lam)
+    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
     if G.n <= ORACLE_CAP and lam < ub:
-        lam = max(lam, _centroid_bound(G, lam))
-        searched = {T_bfs.edges}
-        for root in range(G.n):
-            if ub <= lam:
-                break
-            T_root = _bfs_tree(G, root)
-            if T_root.edges in searched:
-                continue
-            searched.add(T_root.edges)
-            c, T_root = _swap_search(G, T_root, lam)
-            if c < ub:
-                ub, T = c, T_root
+        ub, T = _exact_small(G, lam, ub) or (ub, T)
+        lam = ub
     return lam, ub, T

@@ -3,9 +3,9 @@
 Subcommands: solve (routed by `stc.solve`), approx, oracle (solve with the
 oracle, weighted input allowed), eval, gen, decompose, reduce, verify.  Exit
 codes: 0 success or "yes", 1 certified "no" or failed verification, 2 usage
-or input error, 3 enumeration budget exceeded.  Any other error is a fault
-and propagates.  With --json, results go to stdout and errors to stderr as
-JSON.
+or input error, 3 the oracle's enumeration budget exceeded.  Any other
+error is a fault and propagates.  With --json, results go to stdout and
+errors to stderr as JSON.
 
 Every reported tree has been re-evaluated with congestion_report, so a "yes"
 is always backed by a checked witness.
@@ -60,8 +60,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("-o", "--output", help="write the result here instead of stdout")
 
     def budget(p):
-        p.add_argument("--max-trees", type=int, help="enumeration cap (env STC_MAX_TREES)")
-        p.add_argument("--max-millis", type=int, help="time cap in ms (env STC_MAX_MILLIS)")
+        p.add_argument("--max-trees", type=int,
+                       help="cap on the trees the oracle measures (env STC_MAX_TREES)")
+        p.add_argument("--max-millis", type=int,
+                       help="cap on the oracle's enumeration time in ms (env STC_MAX_MILLIS)")
 
     p = sub.add_parser("solve", help="exact spanning tree congestion")
     p.add_argument("input", help=".gr graph file")

@@ -143,10 +143,10 @@ empty table is empty, unless the tables are kept.
 Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
 a limit), solve_approx_tw (with eps) and the fes kernel route.  It first
 computes the bounds of stc.bounds once: lam, a lower bound (the minimum
-degree, or the largest minimum edge cut between two vertices, and on a
-graph of at most ORACLE_CAP vertices a balanced cut), and UB, the
-congestion of the best BFS tree improved by edge swaps (on such a graph,
-from every root if needed), with that tree.  It
+degree, or the largest minimum edge cut between two vertices), and UB, the
+congestion of the best BFS tree improved by edge swaps, with that tree; on
+a graph of at most ORACLE_CAP vertices both are stc, found over vertex
+subsets.  It
 scans k from lam, or with eps from the smallest k with (1+eps)k >= lam,
 since a run at k accepts only with a tree of congestion <= (1+eps)k, up to
 UB - 1, and returns the UB tree when every k is refused.  When lam = UB no

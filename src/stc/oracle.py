@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bounds import ORACLE_CAP, lower_bound  # noqa: F401 (the routers' enumeration cap)
+from .bounds import lower_bound
 from .errors import BudgetExceededError
 from .graph import (
     DoubleWeightedGraph,

@@ -1,18 +1,20 @@
 """One entry point: pick a solver from the graph's structure, run it, re-measure.
 
 Auto routing kernelizes first (leaf peeling and chain compression leave stc
-unchanged), then answers trees and cycles directly, enumerates a small
-kernel, and gives a larger one to the clique (dtc) or vertex-integrity (vi)
-solver on the input when a modulator is given, else to the treewidth DP.
+unchanged), then answers trees and cycles directly, answers a small kernel
+from its bounds, which meet there, and gives a larger one to the clique
+(dtc) or vertex-integrity (vi) solver on the input when a modulator is
+given, else to the search over k of the treewidth DP.
 """
 from __future__ import annotations
 
 import itertools
 
+from .bounds import ORACLE_CAP
 from .dp import solve_exact_tw, solve_stc_tw
 from .errors import GraphError
 from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
-from .oracle import ORACLE_CAP, EnumerationBudget, stc_exact
+from .oracle import EnumerationBudget, stc_exact
 from .structural import reduce_graph, small_case_threshold, solve_dtc, solve_fes, solve_vi
 from .structural.fes import solve_reduced
 from .structural.vi import checked_modulator
@@ -20,7 +22,7 @@ from .structural.vi import checked_modulator
 ALGORITHMS = ("auto", "oracle", "dp", "fes", "dtc", "vi")
 
 
-def _auto(G: Graph, S: frozenset[int] | None, budget) -> tuple[str, int, SpanningTree]:
+def _auto(G: Graph, S: frozenset[int] | None) -> tuple[str, int, SpanningTree]:
     core, trace = reduce_graph(G)
     if S is not None and trace.kind == "kernel" and core.n > ORACLE_CAP:
         rest = [v for v in range(G.n) if v not in S]
@@ -29,7 +31,7 @@ def _auto(G: Graph, S: frozenset[int] | None, budget) -> tuple[str, int, Spannin
         if len(rest) > small_case_threshold(len(S)):
             return ("dtc", *solve_dtc(G, S))
         # below the threshold solve_dtc would solve this same kernel
-    return solve_reduced(core, trace, budget)
+    return solve_reduced(core, trace)
 
 
 def solve(
@@ -41,9 +43,9 @@ def solve(
 ) -> tuple[str, int | None, SpanningTree | None]:
     """Exact spanning tree congestion; returns (algorithm, congestion, tree).
 
-    alg="auto" reduces G to its fes kernel once; a kernel too large to
-    enumerate goes to dtc or vi on G when a modulator is given (dtc when G
-    minus the modulator is a clique), and everything else to
+    alg="auto" reduces G to its fes kernel once; a kernel of more than
+    ORACLE_CAP vertices goes to dtc or vi on G when a modulator is given
+    (dtc when G minus the modulator is a clique), and everything else to
     `solve_reduced`.  alg="fes" is the kernel pipeline without the modulator
     step, alg="oracle" enumerates G itself and alg="dp" runs the DP on G.
     The returned algorithm names the route taken.
@@ -51,9 +53,9 @@ def solve(
     Every route but one returns an optimal tree and ignores k.  With
     alg="dp" and a given k the DP decides stc <= k instead: the tree then has
     congestion <= k, and congestion and tree are None when k is refuted.
-    The budget caps the enumerations.  A DoubleWeightedGraph is accepted
-    only with alg="oracle".  A modulator vertex outside 0..n-1 raises
-    GraphError on every route.
+    The budget caps alg="oracle"'s enumeration alone.  A
+    DoubleWeightedGraph is accepted only with alg="oracle".  A modulator
+    vertex outside 0..n-1 raises GraphError on every route.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}")
@@ -67,11 +69,11 @@ def solve(
 
     kstar: int | None = None
     if alg == "auto":
-        alg, kstar, tree = _auto(G, S, budget)
+        alg, kstar, tree = _auto(G, S)
     elif alg == "oracle":
         kstar, tree = stc_exact(G, budget)
     elif alg == "fes":
-        kstar, tree = solve_fes(G, budget)
+        kstar, tree = solve_fes(G)
     elif alg == "dtc":
         kstar, tree = solve_dtc(G, S)
     elif alg == "vi":

@@ -1,4 +1,4 @@
-"""Feedback-edge-number solver: peel, kernelize, enumerate, lift.
+"""Feedback-edge-number solver: peel, kernelize, solve the kernel, lift.
 
 Degree-1 vertices are deleted exhaustively (their tree edge is a bridge of
 congestion 1).  What remains has minimum degree 2; unless it is a bare cycle,
@@ -19,17 +19,17 @@ with two inner vertices, or a one-vertex chain parallel to an edge, stays
 as it is.  Rescanning the graph after every compression would therefore
 compress the same chains in the same order.
 
-`solve_reduced` answers a kernel whose bounds meet directly, enumerates a
-small kernel's spanning trees and gives a larger one to the treewidth DP.
-The kernel tree is lifted back by re-expanding each compressed section (an
-excluded section re-appears minus its last edge) and re-attaching the peeled
-leaves.
+`solve_reduced` answers every kernel with the search over k of `stc.dp`,
+which returns the bounds' tree where the bounds meet, as they always do on
+a small kernel.  The kernel tree is lifted back by re-expanding each
+compressed section (an excluded section re-appears minus its last edge) and
+re-attaching the peeled leaves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bounds import bounds
+from ..bounds import ORACLE_CAP
 from ..dp import search_k
 from ..graph import (
     Edge,
@@ -39,7 +39,6 @@ from ..graph import (
     edge_key,
     require_connected,
 )
-from ..oracle import ORACLE_CAP, EnumerationBudget, stc_exact
 
 
 def fes_value(G: Graph) -> int:
@@ -89,7 +88,7 @@ def _peel_leaves(G: Graph):
         frontier = sorted(nxt)
     # copy, then discard: a set built from the surviving neighbours alone can
     # iterate in another order, and the kernel's edge order (so the tree its
-    # enumeration finds first) follows these sets
+    # bounds or the DP find) follows these sets
     adj = {v: set(G.neighbors(v)) for v in range(G.n) if deg[v] >= 0}
     for leaf, anchor in peeled:
         if anchor in adj:
@@ -187,21 +186,16 @@ def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree
     return SpanningTree(trace.original, frozenset(edges))
 
 
-def solve_reduced(
-    core: Graph, trace: ReductionTrace, budget: EnumerationBudget | None = None
-) -> tuple[str, int, SpanningTree]:
+def solve_reduced(core: Graph, trace: ReductionTrace) -> tuple[str, int, SpanningTree]:
     """Exact stc of the host from its reduction; returns (route, congestion, tree).
 
     A tree ("trivial") and a cycle ("cycle", 2) are answered directly.  A
-    kernel gets the bounds of `stc.bounds` first (a kernel of more than
-    ORACLE_CAP vertices inside `search_k`); when its lower bound meets its
-    upper bound, the upper bound's tree is optimal and is taken with no
-    enumeration or DP run.  Otherwise a kernel of at most ORACLE_CAP
-    vertices is enumerated, stopping at the first tree that meets the lower
-    bound ("fes"; the budget caps it), and a larger one goes to the
-    treewidth DP's search over k between the bounds ("dp").  The route name
-    follows the kernel's size either way.  The kernel tree is lifted and
-    re-measured on the host.
+    kernel goes to `search_k`, which takes the upper bound's tree when the
+    bounds of `stc.bounds` meet and otherwise runs the treewidth DP over k
+    between them.  The bounds meet on every kernel of at most ORACLE_CAP
+    vertices, so no DP runs there.  The route is named by the kernel's size,
+    "fes" up to ORACLE_CAP and "dp" above it.  The kernel tree is lifted
+    and re-measured on the host.
     """
     G = trace.original
     if trace.kind == "tree":
@@ -212,20 +206,14 @@ def solve_reduced(
         route, k_core = "cycle", 2
         T = SpanningTree(G, G.edges - {max(e for e, _ in trace.sections)})
     else:
-        if core.n <= ORACLE_CAP:
-            route = "fes"
-            lam, k_core, core_tree = bounds(core)
-            if lam < k_core:
-                k_core, core_tree = stc_exact(core, budget)
-        else:
-            route = "dp"
-            k_core, core_tree = search_k(core)
+        route = "fes" if core.n <= ORACLE_CAP else "dp"
+        k_core, core_tree = search_k(core)
         T = lift_tree(trace, core_tree.edges)
     got = congestion_report(G, T).max_congestion
     assert got == k_core, f"lifting changed congestion: {k_core} -> {got}"
     return route, got, T
 
 
-def solve_fes(G: Graph, budget: EnumerationBudget | None = None) -> tuple[int, SpanningTree]:
+def solve_fes(G: Graph) -> tuple[int, SpanningTree]:
     """Exact stc through the fes kernel (see `solve_reduced`)."""
-    return solve_reduced(*reduce_graph(G), budget)[1:]
+    return solve_reduced(*reduce_graph(G))[1:]

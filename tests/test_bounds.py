@@ -1,28 +1,30 @@
 """The bounds on stc that the search over k and the kernel route start from."""
 from __future__ import annotations
 
+import importlib.util
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import stc.bounds
 import stc.dp
-import stc.structural.fes
+import stc.oracle
 from stc import solve
 from stc.bounds import (
-    ORACLE_CAP,
     _best_bfs_tree,
-    _bfs_tree,
-    _centroid_bound,
     _cycle_chords,
+    _exact_small,
     _swap_loads,
     _swap_search,
     bounds,
     lower_bound,
 )
 from stc.dp import solve_approx_tw, solve_stc_tw
+from stc.errors import BudgetExceededError
 from stc.graph import Graph, _edge_loads, _tree_order, congestion_report, edge_key
-from stc.oracle import stc_exact
+from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_ubp
 
 from conftest import (
@@ -36,6 +38,12 @@ from conftest import (
     suite_graphs,
 )
 from test_oracle import PETERSEN
+
+# the benchmark's brute force, which shares no code with stc, read from its file
+_spec = importlib.util.spec_from_file_location(
+    "bench_checker", Path(__file__).resolve().parents[1] / "bench" / "checker.py")
+checker = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checker)
 
 
 def _dp_runs(monkeypatch, refute=False):
@@ -61,10 +69,10 @@ def test_bounds_bracket_stc_on_the_suite():
         assert congestion_report(g, T).max_congestion == ub
         lower_tight += lam == k
         upper_tight += ub == k
-    # the three graphs with lambda < stc are 133, 171 and 193 (4 < 5); the
-    # balanced-cut bound gives 4 on 133 and 193 and 3 on 171, so none moves,
-    # but the swap search from every root now meets stc on all 200
-    assert (lower_tight, upper_tight) == (197, 200)
+    # every suite graph has at most ORACLE_CAP vertices, so the subset step
+    # makes both bounds exact, also on 133, 171 and 193, where lambda alone
+    # is 4 < 5 = stc
+    assert (lower_tight, upper_tight) == (200, 200)
 
 
 @pytest.mark.parametrize("G, want", [
@@ -83,14 +91,26 @@ def test_lower_bound_stops_at_a_known_upper_bound():
     assert lower_bound(g, stop=100) == 9
 
 
-def test_centroid_bound_is_sound():
-    rng = random.Random(414)
-    graphs = suite_graphs()
-    for _ in range(100):
-        n = rng.randint(4, 10)
-        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)))
-    for idx, g in enumerate(graphs):
-        assert _centroid_bound(g) <= stc_exact(g)[0], f"graph #{idx}"
+def test_bounds_are_exact_on_small_random_graphs():
+    # each graph is checked against the enumeration where it finishes within
+    # 200 measured trees, and against the brute force up to 8 vertices
+    rng = random.Random(417)
+    budget = EnumerationBudget(max_trees=200)
+    enumerated = brute = 0
+    for idx in range(120):
+        n = rng.randint(4, 12)
+        g = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        lam, ub, T = bounds(g)
+        assert lam == ub == congestion_report(g, T).max_congestion, f"graph #{idx}"
+        try:
+            assert stc_exact(g, budget)[0] == lam, f"graph #{idx}"
+            enumerated += 1
+        except BudgetExceededError:
+            pass
+        if n <= 8:
+            assert checker.brute_force_stc(n, sorted(g.edges)) == lam, f"graph #{idx}"
+            brute += 1
+    assert (enumerated, brute) == (102, 64)
 
 
 @pytest.mark.parametrize("G, want", [
@@ -98,10 +118,8 @@ def test_centroid_bound_is_sound():
     (complete_bipartite(2, 5), 5),
 ], ids=["n=1", "n=2", "petersen", "K5,5", "K2,5"])
 def test_centroid_bound_values(G, want):
-    # Petersen: a 3-vertex path or the outer 5-cycle; K5,5: one edge; K2,5:
-    # a 3-vertex path (two vertices of degree 2 would cut 4 but are not
-    # connected)
-    assert _centroid_bound(G) == want
+    # each is stc; on Petersen (lambda 3) and K5,5 (lambda 5) the subset
+    # step closes the gap
     assert bounds(G)[:2] == (want, want)
 
 
@@ -109,7 +127,7 @@ def test_meeting_bounds_skip_enumeration_and_dp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated or ran the DP although the bounds meet")
 
-    monkeypatch.setattr(stc.structural.fes, "stc_exact", refuse)
+    monkeypatch.setattr(stc.oracle, "_search", refuse)
     monkeypatch.setattr(stc.dp, "_run_dp", refuse)
     # Petersen is its own kernel, as is the core of a subdivided Petersen;
     # suite graph 193's kernel drops a degree-2 vertex, and its bounds meet
@@ -135,15 +153,17 @@ def test_dp_runs_per_solve(monkeypatch):
     for g in suite_graphs()[:19]:
         solve_stc_tw(g)
     assert ks == []
-    # K5,5: lambda 5 and the BFS trees' 8 = stc; the balanced-cut bound
-    # meets 8, so 5, 6 and 7 are no longer run and refuted
+    # K5,5: lambda 5 and the BFS trees' 8 = stc; the subset step finds no
+    # tree below 8, so 5, 6 and 7 are not run
     assert solve_stc_tw(complete_bipartite(5, 5))[0] == 8 and ks == []
-    # suite graph 133: both bounds of the small-graph steps stay at 4 < 5 =
-    # stc, so k = 4 is run; refuted (here without the DP), the search
-    # returns the upper bound's tree
-    ks = _dp_runs(monkeypatch, refute=True)
+    # suite graph 133: lambda 4 < 5 = stc, and the subset step leaves no k
+    # to run; above ORACLE_CAP the search still runs the DP at lambda, and
+    # when that is refuted (here without the DP) returns the upper bound's tree
     k, T = solve_stc_tw(suite_graphs()[133])
-    assert ks == [4] and k == 5 == congestion_report(T.host, T).max_congestion
+    assert ks == [] and k == 5 == congestion_report(T.host, T).max_congestion
+    ks = _dp_runs(monkeypatch, refute=True)
+    k, T = solve_stc_tw(gen_ubp(3, [1, 1, 1]).graph)
+    assert ks == [9] and k == 10 == congestion_report(T.host, T).max_congestion
 
 
 def test_no_decomposition_when_the_bounds_meet(monkeypatch):
@@ -155,49 +175,47 @@ def test_no_decomposition_when_the_bounds_meet(monkeypatch):
     assert solve_approx_tw(grid_graph(3), 0.1)[0] == 3
 
 
-def _bounds_searching_every_root(G):
-    """Reference bounds whose every-root pass searches the BFS tree of each
-    root, repeats included: (lambda, ub, tree, swap searches made)."""
-    lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
-    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
-    runs = 1
-    if G.n <= ORACLE_CAP and lam < ub:
-        lam = max(lam, _centroid_bound(G, lam))
-        for root in range(G.n):
-            if ub <= lam:
-                break
-            c, T_root = _swap_search(G, _bfs_tree(G, root), lam)
-            runs += 1
-            if c < ub:
-                ub, T = c, T_root
-    return lam, ub, T, runs
+def _regression_graph() -> Graph:
+    """The 8th graph of a random.Random(7) draw: n 12, m 34, lambda 7, the
+    swap search's bound 9, stc 8."""
+    rng = random.Random(7)
+    for _ in range(8):
+        n = rng.randint(6, 12)
+        m = rng.randint(n + 2, min(n * (n - 1) // 2, 3 * n))
+        g = random_connected_graph(rng, n, m)
+    return g
 
 
-def test_every_root_pass_searches_each_bfs_tree_once(monkeypatch):
-    # the skip of a tree already searched changes no bound and no tree
-    # (see bounds), and no tree is searched twice in one call
-    rng = random.Random(415)
-    graphs = suite_graphs()
-    for _ in range(100):
-        n = rng.randint(4, 12)
-        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)))
-    want = [_bounds_searching_every_root(g) for g in graphs]
-    searched = []
-    real = stc.bounds._swap_search
+def test_subset_step_answers_where_enumeration_ran_out(monkeypatch):
+    # the oracle's enumeration does not finish within 3 s on this graph
+    g = _regression_graph()
+    lam = lower_bound(g)
+    assert (g.n, g.m, lam) == (12, 34, 7)
+    assert _swap_search(g, _best_bfs_tree(g, lam)[1], lam)[0] == 9
+    assert _exact_small(g, lam, 8) is None  # stc > 7
 
-    def counted(G, T, floor):
-        searched.append(T.edges)
-        return real(G, T, floor)
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a small graph")
 
-    monkeypatch.setattr(stc.bounds, "_swap_search", counted)
-    skipped = 0
-    for idx, (g, (lam, ub, T, runs)) in enumerate(zip(graphs, want)):
-        searched.clear()
-        got = bounds(g)
-        assert (got[0], got[1], got[2].edges) == (lam, ub, T.edges), f"graph #{idx}"
-        assert len(set(searched)) == len(searched), f"graph #{idx}"
-        skipped += runs - len(searched)
-    assert skipped == 17  # searches the reference repeats on these graphs
+    monkeypatch.setattr(stc.oracle, "_search", refuse)
+    alg, k, T = solve(g)
+    assert (alg, k) == ("fes", 8) and congestion_report(g, T).max_congestion == 8
+
+
+def test_differential_above_the_cap():
+    # the subset step, with no upper bound, shares no code with the DP; n 13
+    # to 15 is where search_k runs the DP rather than the subset step
+    rng = random.Random(1315)
+    for idx in range(8):
+        n = rng.randint(13, 15)
+        g = random_connected_graph(rng, n, rng.randint(n + 2, 3 * n // 2))
+        lam = lower_bound(g)
+        want, T = _exact_small(g, lam, 2 * g.m)
+        assert congestion_report(g, T).max_congestion == want, f"graph #{idx}"
+        low, ub, _ = bounds(g)
+        assert low <= want <= ub, f"graph #{idx}"
+        assert solve_stc_tw(g)[0] == want == solve(g)[1], f"graph #{idx}"
+        assert solve_approx_tw(g, Fraction(1, 2))[0] <= Fraction(3, 2) * want, f"graph #{idx}"
 
 
 def _counted_candidates(monkeypatch):

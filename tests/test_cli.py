@@ -156,10 +156,10 @@ def test_fes_answers_long_cycle_with_pendant_paths(tmp_path, capsys, monkeypatch
                   (len(edges) + 1, len(edges) + 2)]
     G = Graph.from_edges(n + 18, edges)
 
-    def no_enumeration(*args):
-        raise AssertionError("a cycle kernel needs no enumeration")
+    def no_search(*args):
+        raise AssertionError("a cycle kernel needs no search")
 
-    monkeypatch.setattr(stc.structural.fes, "stc_exact", no_enumeration)
+    monkeypatch.setattr(stc.structural.fes, "search_k", no_search)
     k, T = solve_fes(G)
     assert k == 2 and T.edges == G.edges - {(n - 2, n - 1)}
     code, out, _ = run(capsys, "solve", write_gr(tmp_path, G), "--alg", "fes")
@@ -511,15 +511,14 @@ def test_binary_input_exits_two(tmp_path, capsys):
 
 
 def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
-    import stc.structural.fes
+    import stc.bounds
 
-    def broken(G, budget=None):
+    def broken(G, lam, ub):
         raise ValueError("solver fault")
 
-    # auto routes suite graph 133, subdivided, to the enumeration of its
-    # 7-vertex kernel, since its bounds do not meet (4 = lambda < 5 = stc);
-    # Petersen's bounds meet at 5, so it never reaches the enumeration
-    monkeypatch.setattr(stc.structural.fes, "stc_exact", broken)
+    # auto routes suite graph 133, subdivided, to the subset step on its
+    # 7-vertex kernel, since its other bounds do not meet (4 = lambda < 5)
+    monkeypatch.setattr(stc.bounds, "_exact_small", broken)
     path = write_gr(tmp_path, subdivided(suite_graphs()[133], 1))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])
