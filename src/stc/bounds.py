@@ -38,23 +38,32 @@ on the cycle alone (see `_swap_search`); the tree returned is a validated
 SpanningTree, re-measured in full.
 
 Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds
-still differ, `_exact_small` closes the gap by a recursion over vertex
-subsets (cf. Okamoto, Otachi, Uehara and Uno, JGAA 2011).  Root any
-spanning tree T at vertex 0.  The set Z below a tree edge cz (z the child)
-is spanned by T's subtree at z, and cz carries |delta_G(Z)|, since T - cz
-splits V into Z and V - Z.  Write hang(Y, c) for "G[Y] has a spanning tree
-rooted at c in which the set below each edge has a cut of at most k", and
-split(R, c) for "R splits into blocks Z, each with |delta_G(Z)| <= k and a
-neighbour z of c in Z with hang(Z, z)".  Then hang(Y, c) = split(Y - c, c),
-and stc(G) <= k iff hang(V, 0): a tree of congestion at most k gives the
-blocks below each vertex, and conversely the edges cz of the chosen blocks
-form a spanning tree in which the set below cz is exactly Z, so cz carries
-|delta_G(Z)| <= k.  split takes the block that holds the lowest vertex of R
-and recurses on the rest, which lists every partition of R exactly once.
-Each state (R, c) is decided once per k, over the subsets of R: at most
-n * 3^n steps per k, so the step needs no budget.  The first k from the
-lower bound up that holds is stc; its tree is re-measured.  When none below
-the upper bound holds, the upper bound's tree is optimal.
+still differ, `_subset_tree` closes the gap by a recursion over vertex
+subsets (cf. Okamoto, Otachi, Uehara and Uno, JGAA 2011).  It takes a
+vertex list U with root r = U[0] and measures every cut in the whole of G.
+Write hang(Y, c) for "G[Y] has a spanning tree rooted at c in which the
+subtree below each edge has |delta_G| <= k", and split(R, c) for "R splits
+into blocks Z, each with |delta_G(Z)| <= k and a G-neighbour z of c in Z
+with hang(Z, z)".  Then hang(Y, c) = split(Y - c, c): such a tree gives
+the blocks below each vertex, and conversely the edges cz of the chosen
+blocks form a spanning tree of G[Y] in which the subtree below cz is
+exactly Z.  split takes the block that holds the lowest vertex of R and
+recurses on the rest, which lists every partition of R exactly once.  Each
+state (R, c) is decided once per k, over the subsets of R: at most
+|U| * 3^|U| steps per k, so the step needs no budget.
+
+`bounds` asks hang(V, 0): removing a tree edge cz splits V into Z and
+V - Z, so cz carries |delta_G(Z)|, and stc(G) <= k iff hang(V, 0).  The
+first k from the lower bound up that holds is stc; its tree is
+re-measured.  When none below the upper bound holds, the upper bound's
+tree is optimal.
+
+`solve_dtc` (stc.structural.dtc) asks hang(U, r) for U = r plus the <= 2q
+vertices it arranges; every other clique vertex is a leaf of r, whose edge
+carries deg(leaf).  The set below an arrangement edge is exactly its
+subtree D, since the leaves hang from r, so that edge carries
+|delta_G(D)|.  So the first k from the largest leaf degree up that holds is
+the least congestion of a tree of this shape.
 """
 from __future__ import annotations
 
@@ -242,24 +251,31 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
     return rep.max_congestion, T
 
 
-def _exact_small(G: Graph, lam: int, ub: int) -> tuple[int, SpanningTree] | None:
-    """The least k in lam..ub-1 with stc(G) <= k, with a tree of congestion
-    k, or None when there is none: the vertex-subset recursion of the module
-    docstring, for graphs of a few vertices."""
-    n = G.n
-    nbr = [sum(1 << u for u in G.neighbors(v)) for v in range(n)]
-    cut = [0] * (1 << n)  # cut[mask] = |delta(mask)|, from mask minus its lowest vertex
+def _subset_tree(G: Graph, verts, ks: range) -> tuple[int, list[Edge]] | None:
+    """The first k in ks for which verts has a spanning tree of G[verts],
+    rooted at verts[0], in which the set below each edge has a cut of at
+    most k in G, with that tree's edges, or None when no k in ks holds: the
+    vertex-subset recursion of the module docstring, for a few vertices.
+    Only the first k and the values of cut can be the first to hold."""
+    n = len(verts)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbr = [sum(bit.get(u, 0) for u in G.neighbors(v)) for v in verts]
+    deg = [G.degree(v) for v in verts]
+    cut = [0] * (1 << n)  # cut[mask] = |delta_G(mask)|, from mask minus its lowest bit
     for mask in range(1, 1 << n):
         rest = mask & (mask - 1)
-        v = (mask ^ rest).bit_length() - 1
-        cut[mask] = cut[rest] + G.degree(v) - 2 * (nbr[v] & rest).bit_count()
-    for k in range(lam, ub):
+        i = (mask ^ rest).bit_length() - 1
+        cut[mask] = cut[rest] + deg[i] - 2 * (nbr[i] & rest).bit_count()
+    values = set(cut)
+    for j, k in enumerate(ks):
+        if j and k not in values:
+            continue  # the same blocks pass as at k - 1, which failed
         memo: dict[tuple[int, int], tuple[int, int] | None] = {}
 
         def split(R: int, c: int) -> bool:
             """R splits into blocks Z, each with cut[Z] <= k and hanging from
             a neighbour z of c in Z (hang(Z, z) = split(Z - z, z)); the
-            block of R's lowest vertex and its z are kept in memo."""
+            block of R's lowest bit and its z are kept in memo."""
             if not R:
                 return True
             if (R, c) not in memo:
@@ -282,7 +298,7 @@ def _exact_small(G: Graph, lam: int, ub: int) -> tuple[int, SpanningTree] | None
                 memo[(R, c)] = found
             return memo[(R, c)] is not None
 
-        todo = [((1 << n) - 2, 0)]  # the tree rooted at vertex 0
+        todo = [((1 << n) - 2, 0)]  # the tree rooted at verts[0]
         if not split(*todo[0]):
             continue
         edges = []
@@ -290,12 +306,9 @@ def _exact_small(G: Graph, lam: int, ub: int) -> tuple[int, SpanningTree] | None
             R, c = todo.pop()
             if R:
                 Z, z = memo[(R, c)]
-                edges.append(edge_key(c, z))
+                edges.append(edge_key(verts[c], verts[z]))
                 todo += [(Z ^ (1 << z), z), (R ^ Z, c)]
-        T = SpanningTree(G, frozenset(edges))
-        got = congestion_report(G, T).max_congestion
-        assert got <= k, f"the subset step's tree has congestion {got} > {k}"
-        return got, T
+        return k, edges
     return None
 
 
@@ -312,6 +325,11 @@ def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
     ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
     if G.n <= ORACLE_CAP and lam < ub:
-        ub, T = _exact_small(G, lam, ub) or (ub, T)
+        found = _subset_tree(G, range(G.n), range(lam, ub))
+        if found is not None:
+            k, edges = found
+            T = SpanningTree(G, frozenset(edges))
+            ub = congestion_report(G, T).max_congestion
+            assert ub <= k, f"the subset step's tree has congestion {ub} > {k}"
         lam = ub
     return lam, ub, T

@@ -146,13 +146,13 @@ computes the bounds of stc.bounds once: lam, a lower bound (the minimum
 degree, or the largest minimum edge cut between two vertices), and UB, the
 congestion of the best BFS tree improved by edge swaps, with that tree; on
 a graph of at most ORACLE_CAP vertices both are stc, found over vertex
-subsets.  It
-scans k from lam, or with eps from the smallest k with (1+eps)k >= lam,
-since a run at k accepts only with a tree of congestion <= (1+eps)k, up to
-UB - 1, and returns the UB tree when every k is refused.  When lam = UB no
-k is left, and no decomposition is built: the default one is made at the
-first k that needs a run (a decomposition given by the caller is validated
-up front all the same).  Each tree the DP returns is re-measured by
+subsets.  When lam = UB the UB tree is optimal and no k is run, with or
+without eps.  Otherwise it scans k from lam, or with eps from the smallest
+k with (1+eps)k >= lam, since a run at k accepts only with a tree of
+congestion <= (1+eps)k, up to UB - 1, and returns the UB tree when every k
+is refused.  No decomposition is built before a k needs a run: the default
+one is made at the first such k (a decomposition given by the caller is
+validated up front all the same).  Each tree the DP returns is re-measured by
 congestion_report and checked against its cap, k for exact counters and
 (1+eps)k for rounded ones.  The exact search returns stc: no k below the
 first accepted one admits a tree.  The approximation stays within its bound
@@ -721,7 +721,7 @@ def search_k(
         return 0, SpanningTree(G, frozenset())
     lam, ub, T_ub = bounds(G)
     stop = ub if limit is None else min(ub, limit)
-    lo = lam if eps is None else math.ceil(lam / (1 + eps))
+    lo = lam if eps is None or lam == ub else math.ceil(lam / (1 + eps))
     for k in range(lo, stop):
         if ntd is None:
             ntd = default_nice_decomposition(G)

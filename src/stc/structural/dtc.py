@@ -6,15 +6,15 @@ theorem: some optimal tree consists of a center r, all but at most q clique
 vertices as leaves of r, and an arbitrary arrangement of the remaining <= 2q
 vertices.
 Twin clique vertices (same neighborhood in S) are interchangeable, so the
-search runs over twin-class representatives, and each candidate is scored by
-local cut evaluation: a leaf's edge has congestion deg(leaf); any other edge
-separates a small vertex set D from the rest, with congestion
-sum(deg(D)) - 2|E(G[D])|.
+search runs over twin-class representatives.  For each center r and choice
+Q of arranged clique vertices, the best arrangement of S + Q under r is the
+vertex-subset step of stc.bounds on the list [r, *others], searched from the
+largest leaf degree up to below the best tree so far; that module's
+docstring says why the step's cuts are the arrangement edges' congestions.
 """
 from __future__ import annotations
 
-import itertools
-
+from ..bounds import _subset_tree
 from ..errors import GraphError
 from ..graph import (
     Graph,
@@ -51,16 +51,11 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     if N <= small_case_threshold(q):
         return solve_fes(G)
 
-    deg = [G.degree(v) for v in range(G.n)]
     classes = twin_classes(G, S)  # classes of C by neighborhood in S
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = idx
     reps = [cls[0] for cls in classes]
     class_keys = [frozenset(G.neighbors(cls[0]) & S) for cls in classes]
 
-    best: tuple[int, tuple] | None = None
+    best: tuple[int, list] | None = None
     for r in reps + sorted(S):
         # Q is a multiset over twin classes; actual members are the smallest
         # ids of each class distinct from r
@@ -81,70 +76,19 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
                     if r in S and r not in class_keys[idx]:
                         ok = False
                         break
-                    leaf_worst = max(leaf_worst, deg[cls[0]])
+                    leaf_worst = max(leaf_worst, G.degree(cls[0]))
             if not ok:
                 continue
+            # the best arrangement of the rest under r that beats best
             others = sorted((S | set(Q)) - {r})
-            cand = _best_arrangement(G, deg, r, others, leaf_worst)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = (cand[0], (r, list(Q), cand[1]))
+            stop = G.m + 1 if best is None else best[0]
+            found = _subset_tree(G, [r, *others], range(leaf_worst, stop))
+            if found is not None:
+                leaves = [edge_key(c, r) for c in C if c != r and c not in Q]
+                best = (found[0], leaves + found[1])
     assert best is not None, "no valid arrangement found"
-    k, (r, Q, parent) = best
-    edges = set()
-    for c in C:
-        if c != r and c not in Q:
-            edges.add(edge_key(c, r))
-    for x, p in parent.items():
-        edges.add(edge_key(x, p))
+    k, edges = best
     T = SpanningTree(G, frozenset(edges))
     got = congestion_report(G, T).max_congestion
-    assert got == k, f"local evaluation {k} disagrees with report {got}"
+    assert got == k, f"the subset step's {k} disagrees with the report's {got}"
     return k, T
-
-
-def _best_arrangement(G, deg, r, others, leaf_worst):
-    """Try every parent map of `others` into `others` + r; local scoring."""
-    best = None
-    slots = [r] + others
-    for parents in itertools.product(slots, repeat=len(others)):
-        parent = {}
-        ok = True
-        for x, p in zip(others, parents):
-            if p == x or not G.has_edge(x, p):
-                ok = False
-                break
-            parent[x] = p
-        if not ok:
-            continue
-        # must be a forest hanging from r
-        depth_ok = True
-        for x in others:
-            seen = {x}
-            cur = x
-            while cur != r:
-                cur = parent[cur]
-                if cur in seen:
-                    depth_ok = False
-                    break
-                seen.add(cur)
-            if not depth_ok:
-                break
-        if not depth_ok:
-            continue
-        desc = {x: {x} for x in others}
-        for x in others:
-            cur = parent[x]
-            while cur != r:
-                desc[cur].add(x)
-                cur = parent[cur]
-        worst = leaf_worst
-        for x in others:
-            D = desc[x]
-            inner = sum(1 for a in D for b in G.neighbors(a) if b in D) // 2
-            cut = sum(deg[a] for a in D) - 2 * inner
-            worst = max(worst, cut)
-            if best is not None and worst >= best[0]:
-                break
-        if best is None or worst < best[0]:
-            best = (worst, dict(parent))
-    return best

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from stc import solve
 from stc.bounds import (
     _best_bfs_tree,
     _cycle_chords,
-    _exact_small,
+    _subset_tree,
     _swap_loads,
     _swap_search,
     bounds,
@@ -23,7 +24,7 @@ from stc.bounds import (
 )
 from stc.dp import solve_approx_tw, solve_stc_tw
 from stc.errors import BudgetExceededError
-from stc.graph import Graph, _edge_loads, _tree_order, congestion_report, edge_key
+from stc.graph import Graph, SpanningTree, _edge_loads, _tree_order, congestion_report, edge_key
 from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_ubp
 
@@ -192,7 +193,7 @@ def test_subset_step_answers_where_enumeration_ran_out(monkeypatch):
     lam = lower_bound(g)
     assert (g.n, g.m, lam) == (12, 34, 7)
     assert _swap_search(g, _best_bfs_tree(g, lam)[1], lam)[0] == 9
-    assert _exact_small(g, lam, 8) is None  # stc > 7
+    assert _subset_tree(g, range(g.n), range(lam, 8)) is None  # stc > 7
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated a small graph")
@@ -210,12 +211,79 @@ def test_differential_above_the_cap():
         n = rng.randint(13, 15)
         g = random_connected_graph(rng, n, rng.randint(n + 2, 3 * n // 2))
         lam = lower_bound(g)
-        want, T = _exact_small(g, lam, 2 * g.m)
+        want, edges = _subset_tree(g, range(g.n), range(lam, 2 * g.m))
+        T = SpanningTree(g, frozenset(edges))
         assert congestion_report(g, T).max_congestion == want, f"graph #{idx}"
         low, ub, _ = bounds(g)
         assert low <= want <= ub, f"graph #{idx}"
         assert solve_stc_tw(g)[0] == want == solve(g)[1], f"graph #{idx}"
         assert solve_approx_tw(g, Fraction(1, 2))[0] <= Fraction(3, 2) * want, f"graph #{idx}"
+
+
+def _cut(G: Graph, D) -> int:
+    return sum((a in D) != (b in D) for a, b in G.edges)
+
+
+def _brute_subset_tree(G: Graph, verts) -> int | None:
+    """The least k over every parent map of verts[1:] into verts that makes
+    a tree of G's edges rooted at verts[0], where each edge carries the cut
+    in G of the vertices below it; None when there is no such tree."""
+    root, rest = verts[0], verts[1:]
+    best = None
+    for parents in itertools.product(verts, repeat=len(rest)):
+        parent = dict(zip(rest, parents))
+        if not all(G.has_edge(x, p) for x, p in parent.items()):
+            continue
+        below = {x: {x} for x in rest}
+        for x in rest:
+            cur, steps = parent[x], 0
+            while cur != root and steps < len(rest):
+                below[cur].add(x)
+                cur, steps = parent[cur], steps + 1
+            if cur != root:
+                break  # a cycle, not a tree
+        else:
+            k = max((_cut(G, D) for D in below.values()), default=0)
+            best = k if best is None else min(best, k)
+    return best
+
+
+def test_subset_step_on_a_vertex_list_matches_a_brute_force():
+    # a proper vertex subset, rooted at a vertex that is mostly not 0, with
+    # every cut measured in the whole graph
+    rng = random.Random(2031)
+    trees = refused = 0
+    for idx in range(80):
+        n = rng.randint(5, 9)
+        g = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        verts = rng.sample(range(n), rng.randint(1, 5))
+        want = _brute_subset_tree(g, verts)
+        got = _subset_tree(g, verts, range(2 * g.m))
+        if want is None:
+            assert got is None, f"graph #{idx}"
+            refused += 1
+            continue
+        k, edges = got
+        assert k == want, f"graph #{idx}"
+        assert len(edges) == len(verts) - 1 and all(g.has_edge(*e) for e in edges)
+        parent = {verts[0]: None}
+        todo = [verts[0]]
+        for v in todo:
+            for a, b in edges:
+                u = b if a == v else a if b == v else None
+                if u is not None and u not in parent:
+                    parent[u] = v
+                    todo.append(u)
+        assert sorted(parent) == sorted(verts), f"graph #{idx}: not a tree on verts"
+        below = {x: {x} for x in verts[1:]}
+        for x in verts[1:]:
+            cur = parent[x]
+            while cur != verts[0]:
+                below[cur].add(x)
+                cur = parent[cur]
+        assert all(_cut(g, D) <= k for D in below.values()), f"graph #{idx}"
+        trees += 1
+    assert (trees, refused) == (45, 35)
 
 
 def _counted_candidates(monkeypatch):

@@ -513,12 +513,12 @@ def test_binary_input_exits_two(tmp_path, capsys):
 def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
     import stc.bounds
 
-    def broken(G, lam, ub):
+    def broken(G, verts, ks):
         raise ValueError("solver fault")
 
     # auto routes suite graph 133, subdivided, to the subset step on its
     # 7-vertex kernel, since its other bounds do not meet (4 = lambda < 5)
-    monkeypatch.setattr(stc.bounds, "_exact_small", broken)
+    monkeypatch.setattr(stc.bounds, "_subset_tree", broken)
     path = write_gr(tmp_path, subdivided(suite_graphs()[133], 1))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])

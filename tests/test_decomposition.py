@@ -5,7 +5,6 @@ import random
 import pytest
 
 from conftest import (
-    complete_graph,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -13,7 +12,6 @@ from conftest import (
 )
 from dp_checks import subtree_heights
 from stc.decomposition import (
-    NiceTreeDecomposition,
     TreeDecomposition,
     decompose,
     make_nice,

@@ -31,7 +31,7 @@ from stc.dp import (
     solve_stc_tw,
 )
 from stc.errors import InvalidDecompositionError
-from stc.graph import Graph, SpanningTree, congestion_report, edge_key
+from stc.graph import Graph, congestion_report, edge_key
 from stc.oracle import stc_exact
 from stc.reductions import gen_ubp
 
@@ -46,6 +46,7 @@ from conftest import (
     suite_graphs,
 )
 from dp_checks import _decode, _path, check_approx_invariant, validated_tree
+from test_oracle import PETERSEN
 
 
 @pytest.fixture(scope="module")
@@ -854,8 +855,7 @@ def test_drop_dominated_keeps_only_undominated_states():
 
 def test_bounds_alone_settle_k4_and_long_cycles(monkeypatch):
     # K4: min degree 3 = star congestion; a cycle: min degree 2 = any path.
-    # With eps the scan starts at ceil(delta / (1+eps)): 3 for K4 at eps 0.2
-    # (at eps 0.5 it would be 2 and the DP would run), 2 for the cycle at 0.1
+    # The bounds meet, so no k is run, with or without eps
     def no_dp(*args, **kwargs):
         raise AssertionError("the DP ran although the bounds meet")
 
@@ -975,10 +975,10 @@ def test_approx_matches_exact_when_eps_stc_below_one(monkeypatch):
 
 def test_approx_rounds_when_eps_k_reaches_one(monkeypatch):
     ks = _count_rounded_runs(monkeypatch)
-    g = cycle_graph(5)
-    ka, T = solve_approx_tw(g, 1)
-    assert ks[:1] == [1]  # eps * k = 1 at the first k tried
-    assert congestion_report(g, T).max_congestion == ka == 2
+    g = gen_ubp(3, [1, 1, 1]).graph  # lambda 9 < UB 10
+    ka, T = solve_approx_tw(g, Fraction(1, 8))
+    assert ks[:1] == [8]  # eps * k = 1 at the first k tried, ceil(9 / (9/8))
+    assert congestion_report(g, T).max_congestion == ka == 10
 
 
 def test_approx_scan_starts_at_degree_bound(monkeypatch):
@@ -990,11 +990,12 @@ def test_approx_scan_starts_at_degree_bound(monkeypatch):
         return run_dp(G, ntd, arith, **kw)
 
     monkeypatch.setattr(stc.dp, "_run_dp", recording)
-    ka, _ = solve_approx_tw(complete_graph(5), 1)  # min degree 4
-    assert tried[0] == 2 and ka <= 8
+    g = gen_ubp(3, [1, 1, 1]).graph  # lambda 9 < UB 10
+    ka, _ = solve_approx_tw(g, 1)
+    assert tried[0] == 5 and ka <= 20  # ceil(9 / 2)
     tried.clear()
-    ka, _ = solve_approx_tw(complete_graph(5), Fraction(1, 10))
-    assert tried == [] and ka == 4  # ceil(4 / 1.1) = 4 = the star's congestion
+    ka, _ = solve_approx_tw(g, Fraction(1, 10))
+    assert tried == [9] and ka == 10  # ceil(9 / 1.1) = 9, refuted
 
 
 def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
@@ -1006,25 +1007,36 @@ def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
         return run_dp(G, ntd, arith, **kw)
 
     monkeypatch.setattr(stc.dp, "_run_dp", recording)
+    # ubp: lambda 9 < UB 10, so every eps runs the DP, from ceil(lam / (1+eps))
+    g = gen_ubp(3, [1, 1, 1]).graph
+    lam, ub, _ = stc.bounds.bounds(g)
+    assert (lam, ub) == (9, 10) and ub <= stc.bounds._best_bfs_tree(g)[0]
+    for eps, first in ((0.1, 9), (0.5, 6), (1, 5)):
+        tried.clear()
+        solve_approx_tw(g, eps)
+        assert tried[0] == first == math.ceil(lam / (1 + Fraction(str(eps))))
+        assert all(k < ub for k in tried)
+    # graphs of at most ORACLE_CAP vertices have lam = UB: no k is run
     rng = random.Random(836)
-    runs = 0
     for _ in range(12):
         n = rng.randrange(4, 9)
         m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 6) + 1)
         g = random_connected_graph(rng, n, m)
-        ub_bfs, _ = stc.bounds._best_bfs_tree(g)
-        lam, ub, _ = stc.bounds.bounds(g)
-        assert ub <= ub_bfs
         for eps in (0.1, 0.5, 1):
             tried.clear()
             solve_approx_tw(g, eps)
-            assert all(k < ub for k in tried)
-            runs += len(tried)
-            # the scan starts at ceil(lam / (1+eps)), below lam whenever
-            # eps * lam > 1 (here at eps 1 from lam >= 2), so the DP runs
-            if math.ceil(lam / (1 + Fraction(str(eps)))) < ub:
-                assert tried
-    assert runs > 0
+            assert tried == []
+
+
+def test_approx_runs_no_dp_where_the_bounds_meet(monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran although lambda = UB")
+
+    monkeypatch.setattr(stc.dp, "_run_dp", no_dp)
+    for g, want in ((PETERSEN, 5), (grid_graph(4), 4), (complete_bipartite(5, 5), 8)):
+        for eps in (0.5, 1):
+            k, T = solve_approx_tw(g, eps)
+            assert k == want == congestion_report(g, T).max_congestion
 
 
 def test_approx_is_never_above_the_best_bfs_tree():

@@ -19,7 +19,7 @@ from stc.formats import (
     write_gr,
     write_td,
 )
-from stc.graph import DoubleWeightedGraph, Graph, SpanningTree
+from stc.graph import DoubleWeightedGraph, Graph
 from stc.oracle import stc_exact
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -171,3 +172,29 @@ def test_every_exported_name_is_documented():
     readme = (Path(stc.__file__).resolve().parents[2] / "README.md").read_text()
     missing = [name for name in stc.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert not missing
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds in the file that no other line reads; the
+    names in a module's __all__ count as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "stc").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused

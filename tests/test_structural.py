@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -15,6 +14,7 @@ from conftest import (
     star_graph,
     vertex_integrity_set,
 )
+from stc.bounds import bounds
 from stc.dp import solve_stc_tw
 from stc.errors import GraphError
 from stc.graph import (
@@ -234,6 +234,29 @@ def test_dtc_big_case_equals_oracle():
         assert got == want
         assert congestion_report(G, T).max_congestion == got
         done += 1
+
+
+def test_dtc_two_modulator_vertices_within_the_bounds():
+    # q = 2 and N 25..26 sit just above the small-case threshold of 24, so
+    # each graph takes the arrangement search; on 2 of the 16 the bounds
+    # differ (lambda 25, the swap search's 26)
+    rng = random.Random(2025)
+    met = 0
+    for idx in range(16):
+        N = rng.randint(25, 26)
+        edges = [(i, j) for i in range(N) for j in range(i + 1, N)]
+        for s in (N, N + 1):
+            edges += [(a, s) for a in rng.sample(range(N), rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            edges.append((N, N + 1))
+        G = Graph.from_edges(N + 2, edges)
+        lam, ub, _ = bounds(G)
+        k, T = solve_dtc(G, frozenset({N, N + 1}))
+        assert lam <= k <= ub and congestion_report(G, T).max_congestion == k, f"graph #{idx}"
+        if lam == ub:
+            assert k == lam, f"graph #{idx}"
+            met += 1
+    assert met == 14
 
 
 def test_dtc_universal_modulators_make_bigger_clique():
