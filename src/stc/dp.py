@@ -146,23 +146,40 @@ computes the bounds of stc.bounds once: lam, a lower bound (the minimum
 degree, or the largest minimum edge cut between two vertices), and UB, the
 congestion of the best BFS tree improved by edge swaps, with that tree; on
 a graph of at most ORACLE_CAP vertices both are stc, found over vertex
-subsets.  When lam = UB the UB tree is optimal and no k is run, with or
-without eps.  Otherwise it scans k from lam, or with eps from the smallest
-k with (1+eps)k >= lam, since a run at k accepts only with a tree of
-congestion <= (1+eps)k, up to UB - 1, and returns the UB tree when every k
-is refused.  No decomposition is built before a k needs a run: the default
-one is made at the first such k (a decomposition given by the caller is
-validated up front all the same).  Each tree the DP returns is re-measured by
+subsets.  It scans k from lam, or with eps from the smallest k with
+(1+eps)k >= lam, since a run at k accepts only with a tree of congestion
+<= (1+eps)k, up to UB - 1, and returns the UB tree when every k is refused.
+No decomposition is built before a k needs a run: the default one is made
+at the first such k (a decomposition given by the caller is validated up
+front all the same).  Each tree the DP returns is re-measured by
 congestion_report and checked against its cap, k for exact counters and
 (1+eps)k for rounded ones.  The exact search returns stc: no k below the
-first accepted one admits a tree.  The approximation stays within its bound
-on both exits: the first accepted k is at most stc, because a rounded run
-accepts whenever stc <= k, so its tree has congestion <= (1+eps)stc; and
-when every k < UB is refused, then stc >= UB and the UB tree is optimal.
-Which tree gives UB does not matter to either argument, only that its
-congestion is UB.  A rounded run's tree may still be more congested than
-the UB tree ((1+eps)k can exceed UB), so search_k returns whichever of
-the two measures lower; an exact run's tree is always below UB.
+first accepted one admits a tree.  A rounded run's tree may be more
+congested than the UB tree ((1+eps)k can exceed UB), so search_k returns
+whichever of the two measures lower; an exact run's tree is always below UB.
+
+Certified stop: before the run at k, the driver knows stc >= L = max(lam,
+k).  At the first k of the scan L = lam, as that k is at most lam.  At any
+later k, the run at k - 1 was refused, and a run at k - 1 accepts whenever
+stc <= k - 1: an exact run by definition, a rounded one by the rounding
+invariant that tests/dp_checks.py asserts.  So stc >= k.  When UB <=
+(1+eps)L the UB tree already keeps the scheme's promise, UB <= (1+eps)stc,
+and search_k returns it without that run or any later one (and without a
+decomposition, if none was built yet).  Without eps the rule reads UB <= L,
+which never holds inside the scan (lam < UB and k < UB there), so the exact
+search and its callers run the same k as without it.  Where lam = UB the
+rule fires at the first k with eps, and the scan is empty without it: the
+UB tree is optimal and no k is run.  When the scan ends with every k < UB
+refused, stc >= UB and the UB tree is optimal.  Otherwise the first
+accepted k is at most stc, so its tree has congestion <= (1+eps)stc.  Which
+tree gives UB does not matter to any of these arguments, only that its
+congestion is UB.
+
+The rule trades answer quality for time, within the promise.  On ubp
+(lam 9, UB 10 = stc) it returns the UB tree at every eps >= 1/9 with no
+run.  On the 2x30 ladder (lam 3 = stc, UB 5) at eps 1 it returns the UB
+tree's 5 where a rounded run at k = 2 would have found a tree of
+congestion 3; 5 is still within (1+eps)stc = 6.
 """
 from __future__ import annotations
 
@@ -721,8 +738,10 @@ def search_k(
         return 0, SpanningTree(G, frozenset())
     lam, ub, T_ub = bounds(G)
     stop = ub if limit is None else min(ub, limit)
-    lo = lam if eps is None or lam == ub else math.ceil(lam / (1 + eps))
-    for k in range(lo, stop):
+    slack = 1 + (eps or 0)
+    for k in range(math.ceil(lam / slack), stop):
+        if ub <= slack * max(lam, k):
+            break  # certified stop: stc >= max(lam, k)
         if ntd is None:
             ntd = default_nice_decomposition(G)
         if eps is None or eps * k < 1:

@@ -5,6 +5,7 @@ import itertools
 import random
 
 from stc.graph import Graph, connected_components
+from stc.reductions import gen_ubp
 
 
 def path_graph(n: int) -> Graph:
@@ -76,6 +77,22 @@ def suite_graphs(count: int = 200) -> list[Graph]:
         m = rng.randint(n - 1, min(14, n * (n - 1) // 2))
         out.append(random_connected_graph(rng, n, m))
     return out
+
+
+def gap_graphs() -> list[tuple[str, Graph, int]]:
+    """(name, graph, stc) for graphs whose lower bound lambda is below the
+    upper bound UB of stc.bounds: ubp (lambda 9, UB 10 = stc), the 2x30
+    ladder (lambda 3 = stc, UB 5) and graph #3 of tests/test_bounds.py's
+    test_differential_above_the_cap (lambda 3, UB 4 = stc)."""
+    rng = random.Random(1315)
+    for _ in range(4):
+        n = rng.randint(13, 15)
+        differential = random_connected_graph(rng, n, rng.randint(n + 2, 3 * n // 2))
+    return [
+        ("ubp", gen_ubp(3, [1, 1, 1]).graph, 10),
+        ("ladder 2x30", grid_graph(2, 30), 3),
+        ("differential #3", differential, 4),
+    ]
 
 
 def vertex_integrity_set(G: Graph, cap: int) -> frozenset[int] | None:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from conftest import (
     complete_bipartite,
+    gap_graphs,
     random_connected_graph,
     suite_graphs,
     vertex_integrity_set,
@@ -141,9 +142,19 @@ def test_criterion_3_approx_guarantee(capsys):
                     check_approx_invariant(G, eps)
                 except AssertionError as exc:
                     errs.append(f"#{idx} eps={eps}: invariant: {exc}")
+    # lambda < UB on these, so the driver's certified stop can fire
+    for name, G, kstar in gap_graphs():
+        for eps in ("0.1", "0.5", "1"):
+            got, T = solve_approx_tw(G, eps)
+            bound = math.ceil((1 + Fraction(eps)) * kstar)
+            if _reeval(G, T) != got:
+                errs.append(f"{name} eps={eps}: tree re-evaluates off")
+            if not kstar <= got <= bound:
+                errs.append(f"{name} eps={eps}: {got} not in [{kstar}, {bound}]")
     _report(
         capsys, 3, errs,
-        "approx <= ceil((1+eps)*stc) on 200 instances x eps in {0.1,0.5}; "
+        "approx <= ceil((1+eps)*stc) on 200 instances x eps in {0.1,0.5} "
+        "and 3 graphs with lambda < UB x eps in {0.1,0.5,1}; "
         f"per-node rounding invariant on {invariant_runs} runs (n <= 8)",
     )
 

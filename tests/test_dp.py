@@ -39,6 +39,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    gap_graphs,
     grid_graph,
     path_graph,
     random_connected_graph,
@@ -896,11 +897,16 @@ def test_skeleton_size_stays_bounded():
 
 def test_approx_within_guarantee():
     rng = random.Random(832)
+    cases = []
     for _ in range(20):
         n = rng.randrange(3, 8)
         m = rng.randrange(n - 1, min(n * (n - 1) // 2, n + 5) + 1)
         g = random_connected_graph(rng, n, m)
-        k, _ = stc_exact(g)
+        cases.append((g, stc_exact(g)[0]))
+    # lambda = UB on every graph above; on these the certified stop can fire
+    gaps = [(g, k) for _, g, k in gap_graphs()]
+    assert [solve_stc_tw(g)[0] for g, _ in gaps] == [k for _, k in gaps]
+    for g, k in cases + gaps:
         for eps in (0.1, 0.5, 1.0):
             ka, T = solve_approx_tw(g, eps)
             assert congestion_report(g, T).max_congestion == ka
@@ -973,48 +979,49 @@ def test_approx_matches_exact_when_eps_stc_below_one(monkeypatch):
     assert ks == []
 
 
+def _record_runs(monkeypatch, refuse=False):
+    """Patch _run_dp to log each k it is asked for; with refuse, answer no."""
+    tried = []
+    run_dp = stc.dp._run_dp
+
+    def recording(G, ntd, arith, **kw):
+        tried.append(arith.k)
+        return stc.dp.DPRun(None, None) if refuse else run_dp(G, ntd, arith, **kw)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", recording)
+    return tried
+
+
 def test_approx_rounds_when_eps_k_reaches_one(monkeypatch):
     ks = _count_rounded_runs(monkeypatch)
-    g = gen_ubp(3, [1, 1, 1]).graph  # lambda 9 < UB 10
-    ka, T = solve_approx_tw(g, Fraction(1, 8))
-    assert ks[:1] == [8]  # eps * k = 1 at the first k tried, ceil(9 / (9/8))
-    assert congestion_report(g, T).max_congestion == ka == 10
+    g = grid_graph(2, 30)  # lambda 3 < UB 5
+    ka, T = solve_approx_tw(g, Fraction(1, 2))
+    assert ks[:1] == [2]  # eps * k = 1 at the first k tried, ceil(3 / (3/2))
+    assert congestion_report(g, T).max_congestion == ka == 4
 
 
 def test_approx_scan_starts_at_degree_bound(monkeypatch):
-    tried = []
-    run_dp = stc.dp._run_dp
-
-    def recording(G, ntd, arith, **kw):
-        tried.append(arith.k)
-        return run_dp(G, ntd, arith, **kw)
-
-    monkeypatch.setattr(stc.dp, "_run_dp", recording)
-    g = gen_ubp(3, [1, 1, 1]).graph  # lambda 9 < UB 10
-    ka, _ = solve_approx_tw(g, 1)
-    assert tried[0] == 5 and ka <= 20  # ceil(9 / 2)
+    tried = _record_runs(monkeypatch)
+    g = grid_graph(2, 30)  # lambda 3 < UB 5
+    ka, _ = solve_approx_tw(g, Fraction(1, 2))
+    assert tried[0] == 2 and ka <= 5  # ceil(3 / 1.5) = 2, refuted
     tried.clear()
     ka, _ = solve_approx_tw(g, Fraction(1, 10))
-    assert tried == [9] and ka == 10  # ceil(9 / 1.1) = 9, refuted
+    assert tried == [3] and ka == 3  # ceil(3 / 1.1) = 3, accepted
 
 
 def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
-    tried = []
-    run_dp = stc.dp._run_dp
-
-    def recording(G, ntd, arith, **kw):
-        tried.append(arith.k)
-        return run_dp(G, ntd, arith, **kw)
-
-    monkeypatch.setattr(stc.dp, "_run_dp", recording)
-    # ubp: lambda 9 < UB 10, so every eps runs the DP, from ceil(lam / (1+eps))
-    g = gen_ubp(3, [1, 1, 1]).graph
+    tried = _record_runs(monkeypatch)
+    # the 2x30 ladder: lambda 3 < UB 5, so the scan starts at
+    # ceil(lam / (1+eps)) unless UB <= (1+eps) * lam already certifies UB
+    g = grid_graph(2, 30)
     lam, ub, _ = stc.bounds.bounds(g)
-    assert (lam, ub) == (9, 10) and ub <= stc.bounds._best_bfs_tree(g)[0]
-    for eps, first in ((0.1, 9), (0.5, 6), (1, 5)):
+    assert (lam, ub) == (3, 5) and ub <= stc.bounds._best_bfs_tree(g)[0] == 15
+    # first runs ceil(3 / 1.1) = 3 and ceil(3 / 1.5) = 2; at eps 1, 5 <= 2 * 3
+    for eps, first in ((0.1, [3]), (0.5, [2]), (1, [])):
         tried.clear()
         solve_approx_tw(g, eps)
-        assert tried[0] == first == math.ceil(lam / (1 + Fraction(str(eps))))
+        assert tried[:1] == first
         assert all(k < ub for k in tried)
     # graphs of at most ORACLE_CAP vertices have lam = UB: no k is run
     rng = random.Random(836)
@@ -1050,24 +1057,59 @@ def test_approx_is_never_above_the_best_bfs_tree():
 
 
 def test_driver_rejects_a_forest_over_its_cap(monkeypatch):
-    # ubp: lower bound 9 < upper bound 10, so the DP runs at k = 9 (exact)
-    # and, at eps 1, at k = ceil(9 / 2) = 5 with rounded counters capped at
-    # 10; the patched run answers with the best BFS tree (congestion 12)
-    g = gen_ubp(3, [1, 1, 1]).graph
-    assert stc.bounds.bounds(g)[:2] == (9, 10)
+    # the 2x30 ladder: lower bound 3 < upper bound 5, so the DP runs at
+    # k = 3 (exact) and, at eps 1/2, at k = ceil(3 / 1.5) = 2 with rounded
+    # counters capped at 3; the patched run answers with the best BFS tree
+    # (congestion 15)
+    g = grid_graph(2, 30)
+    assert stc.bounds.bounds(g)[:2] == (3, 5)
     _, T_bfs = stc.bounds._best_bfs_tree(g)
-    assert congestion_report(g, T_bfs).max_congestion == 12
+    assert congestion_report(g, T_bfs).max_congestion == 15
 
     def too_congested(G, ntd, arith, **kw):
         return stc.dp.DPRun(T_bfs.edges, None)
 
     monkeypatch.setattr(stc.dp, "_run_dp", too_congested)
-    with pytest.raises(AssertionError, match="congestion 12 > 9 at k = 9"):
+    with pytest.raises(AssertionError, match="congestion 15 > 3 at k = 3"):
         solve_stc_tw(g)
     ks = _count_rounded_runs(monkeypatch)
-    with pytest.raises(AssertionError, match="congestion 12 > 10 at k = 5"):
-        solve_approx_tw(g, 1)
-    assert ks == [5]
+    with pytest.raises(AssertionError, match="congestion 15 > 3 at k = 2"):
+        solve_approx_tw(g, Fraction(1, 2))
+    assert ks == [2]
+
+
+def test_approx_returns_the_certified_bound_tree_without_a_run(monkeypatch):
+    # ubp: lambda 9, UB 10, and 10 <= (1+eps) * 9 for every eps >= 1/9
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran although UB <= (1+eps) * lambda")
+
+    monkeypatch.setattr(stc.dp, "_run_dp", no_dp)
+    monkeypatch.setattr(stc.dp, "default_nice_decomposition", no_dp)
+    g = gen_ubp(3, [1, 1, 1]).graph
+    for eps in (Fraction(1, 8), Fraction(1, 2), 1):
+        k, T = solve_approx_tw(g, eps)
+        assert k == 10 == congestion_report(g, T).max_congestion
+
+
+def test_approx_below_the_certified_slack_runs_exact_at_lambda(monkeypatch):
+    # ubp at eps 1/10: 10 > 1.1 * 9, so the scan runs k = 9, where
+    # eps * k < 1 gives exact counters; the run refutes and 10 is certified
+    tried = _record_runs(monkeypatch)
+    ks = _count_rounded_runs(monkeypatch)
+    g = gen_ubp(3, [1, 1, 1]).graph
+    k, T = solve_approx_tw(g, Fraction(1, 10))
+    assert tried == [9] and ks == []
+    assert k == 10 == congestion_report(g, T).max_congestion
+
+
+def test_approx_refusals_raise_the_certified_lower_bound(monkeypatch):
+    # the ladder at eps 1/2: lambda 3, UB 5 > 4.5; refusing k = 2 and 3
+    # proves stc >= 4, and 5 <= 1.5 * 4 returns the UB tree before k = 4
+    tried = _record_runs(monkeypatch, refuse=True)
+    g = grid_graph(2, 30)
+    k, T = solve_approx_tw(g, Fraction(1, 2))
+    assert tried == [2, 3]
+    assert k == 5 == congestion_report(g, T).max_congestion
 
 
 def test_approx_rounding_invariants_hold_nodewise():
