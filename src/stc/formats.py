@@ -8,6 +8,12 @@ and raise FormatError with the offending line number.
 The solution writer prints the bulky `edges` and `per_edge_congestion`
 fields itself, since json's indenting encoder runs in pure Python; its bytes
 are unchanged: exactly json.dumps(doc, indent=2) plus a newline.
+
+The .gr reader converts each edge line in one step and words an error only
+once a line has failed; it builds no adjacency (Graph builds it on first
+use), so `stc eval` never does.  The solution verifier validates the tree by
+the same walk that measures it, and names an out-of-range endpoint only
+after the tree has failed that check.
 """
 from __future__ import annotations
 
@@ -65,7 +71,10 @@ def parse_gr(text: str) -> Graph | DoubleWeightedGraph:
     for lineno, toks in lines:
         if len(seen) == m:
             raise FormatError(f"line {lineno}: more than {m} edge lines")
-        vals = _int_tokens(lineno, toks, "edge line")
+        try:
+            vals = list(map(int, toks))
+        except ValueError:
+            vals = _int_tokens(lineno, toks, "edge line")  # raises, naming the token
         if len(vals) != want:
             raise FormatError(
                 f"line {lineno}: expected {want} integers, got {len(vals)}"
@@ -75,7 +84,7 @@ def parse_gr(text: str) -> Graph | DoubleWeightedGraph:
             raise FormatError(f"line {lineno}: vertex out of range 1..{n}")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
-        e = edge_key(u - 1, v - 1)
+        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
         if e in seen:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
         if weighted:
@@ -178,8 +187,9 @@ def write_td(td: TreeDecomposition) -> str:
 # -- solution JSON ------------------------------------------------------------
 
 
-def _edge_tag(e: tuple[int, int]) -> str:
-    return f"{e[0] + 1}-{e[1] + 1}"
+def _tagged(per_edge: dict, edges) -> dict[str, int]:
+    """per_edge's values keyed by 1-indexed "u-v" tags, in the order of edges."""
+    return {f"{e[0] + 1}-{e[1] + 1}": per_edge[e] for e in edges}
 
 
 def build_solution(
@@ -190,15 +200,14 @@ def build_solution(
 ) -> dict:
     """Solution document for a feasible answer; congestion is recomputed."""
     rep = congestion_report(g, tree)
+    edges = sorted(rep.per_edge)  # the tree's edges: one entry per tree edge
     return {
         "feasible": True,
         "k": rep.max_congestion,
         "algorithm": algorithm,
         "certified": certified,
-        "edges": [[u + 1, v + 1] for u, v in sorted(tree.edges)],
-        "per_edge_congestion": {
-            _edge_tag(e): rep.per_edge[e] for e in sorted(rep.per_edge)
-        },
+        "edges": [[u + 1, v + 1] for u, v in edges],
+        "per_edge_congestion": _tagged(rep.per_edge, edges),
     }
 
 
@@ -266,27 +275,38 @@ def parse_solution(text: str) -> dict:
 def verify_solution(g: Graph | DoubleWeightedGraph, sol: dict) -> str | None:
     """Recompute the tree's congestion; None if the document checks out.
 
-    The tree is validated once and measured once.
+    The tree is validated once and measured once, from one walk.  Endpoints
+    must be ints; an endpoint out of range is named only once the tree has
+    failed its check, which such an edge always does.
     """
     base = g.base if isinstance(g, DoubleWeightedGraph) else g
     if not sol.get("feasible", True):
         return "nothing to verify: solution claims infeasibility"
+    pairs = sol["edges"]
     try:
-        edges = frozenset(edge_key(u - 1, v - 1) for u, v in sol["edges"])
+        if not all(type(u) is int and type(v) is int for u, v in pairs):
+            return "edges are not a list of pairs"
+        edges = frozenset((u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in pairs)
     except (TypeError, ValueError):
         return "edges are not a list of pairs"
-    if any(not (0 <= u < base.n and 0 <= v < base.n) for u, v in edges):
-        return "edge endpoint out of range"
     try:
         tree = SpanningTree(base, edges)
     except InvalidSpanningTreeError as exc:
+        n = base.n
+        if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
+            return "edge endpoint out of range"
         return str(exc)
     rep = congestion_report(g, tree)
     if rep.max_congestion != sol["k"]:
         return f"k is {sol['k']} but the tree re-evaluates to {rep.max_congestion}"
     claimed = sol["per_edge_congestion"]
-    want = {_edge_tag(e): c for e, c in rep.per_edge.items()}
+    want = _tagged(rep.per_edge, rep.per_edge)
     if claimed != want:
-        wrong = sorted(set(claimed.items()) ^ set(want.items()))
-        return f"per-edge congestion mismatch near {wrong[0][0]}"
+        # the least tag whose values differ; the claimed values may be of
+        # any JSON type, so they are compared but never hashed or ordered
+        wrong = min(
+            t for t in claimed.keys() | want.keys()
+            if t not in claimed or t not in want or claimed[t] != want[t]
+        )
+        return f"per-edge congestion mismatch near {wrong}"
     return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DisconnectedGraphError,
@@ -27,27 +28,33 @@ def edge_key(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    The edges are checked at construction.  The adjacency sets are built on
+    first use, from the edges in their iteration order, and kept.
+    """
 
     n: int
     edges: frozenset[Edge]
-    _adj: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise GraphError("graph needs at least one vertex")
-        adj: list[set[int]] = [set() for _ in range(self.n)]
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise GraphError(f"bad edge {e!r}")
             u, v = e
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise GraphError(f"edge {e!r} out of range or not normalized")
+
+    @cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        return tuple(map(frozenset, adj))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -82,11 +89,12 @@ class Graph:
 
 
 def component_of(G: Graph, start: int) -> set[int]:
+    adj = G._adj
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
-        for u in G.neighbors(v):
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -166,12 +174,17 @@ class DoubleWeightedGraph:
 class SpanningTree:
     """A spanning tree of host, validated once, at construction.
 
-    Its unweighted congestion report is computed on first use and kept:
-    every later congestion_report(host, T) returns that same report.
+    The validating walk (`_tree_order`) is kept with the tree.  Its
+    unweighted congestion report is computed from that walk on first use
+    and kept too: every later congestion_report(host, T) returns that same
+    report.
     """
 
     host: Graph
     edges: frozenset[Edge]
+    _walk: tuple[list[int], list[int], list[int]] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
     _report: CongestionReport | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
@@ -179,12 +192,29 @@ class SpanningTree:
     def __post_init__(self):
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
-        err = spanning_tree_violation(self.host, self.edges)
-        if err:
-            raise InvalidSpanningTreeError(err)
+        walk = _spanning_walk(self.host, self.edges)
+        if isinstance(walk, str):
+            raise InvalidSpanningTreeError(walk)
+        object.__setattr__(self, "_walk", walk)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _spanning_walk(G: Graph, edges: frozenset[Edge]):
+    """`_tree_order` of edges if they form a spanning tree of G, else what
+    spanning_tree_violation says.
+
+    n - 1 edges of G whose walk from vertex 0 reaches all n vertices form a
+    spanning tree; only a failed walk runs the union-find, to name the edge
+    that closes a cycle.
+    """
+    if not edges <= G.edges:
+        return f"edge {min(edges - G.edges)} not in the graph"
+    if len(edges) != G.n - 1:
+        return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
+    walk = _tree_order(G.n, edges)
+    return walk if len(walk[2]) == G.n else spanning_tree_violation(G, edges)
 
 
 def spanning_tree_violation(G: Graph, tree_edges) -> str | None:
@@ -232,10 +262,11 @@ def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
     order = [0]
     parent[0] = 0
     for v in order:
+        d = depth[v] + 1
         for u in adj[v]:
             if parent[u] == -1:
                 parent[u] = v
-                depth[u] = depth[v] + 1
+                depth[u] = d
                 order.append(u)
     parent[0] = -1
     return parent, depth, order
@@ -251,29 +282,41 @@ def congestion_report(G, T) -> CongestionReport:
     keep = isinstance(T, SpanningTree) and T.host is G and isinstance(G, Graph)
     if keep and T._report is not None:
         return T._report
-    base, wt1, wt2 = _split_weights(G)
-    per_edge = _edge_loads(base, wt1, wt2, _tree_edge_set(base, T))
+    if isinstance(G, DoubleWeightedGraph):
+        base, wt1, wt2 = G.base, G.wt1, G.wt2
+    else:
+        base, wt1, wt2 = G, None, None
+    if isinstance(T, SpanningTree) and T.host is base:
+        edges, walk = T.edges, T._walk  # validated at construction
+    else:
+        edges = T.edges if isinstance(T, SpanningTree) else frozenset(edge_key(*e) for e in T)
+        walk = _spanning_walk(base, edges)
+        if isinstance(walk, str):
+            raise InvalidSpanningTreeError(walk)
+    per_edge = _edge_loads(base, wt1, wt2, edges, walk)
     rep = CongestionReport(per_edge, max(per_edge.values(), default=0))
     if keep:
         object.__setattr__(T, "_report", rep)
     return rep
 
 
-def _vertex_loads(base: Graph, wt1, tree_edges) -> tuple[list[int], list[int], list[int]]:
+def _vertex_loads(
+    base: Graph, wt1, tree_edges, walk=None
+) -> tuple[list[int], list[int], list[int]]:
     """BFS parents and order of a spanning tree of base, and for every vertex
     v the total wt1 of the non-tree edges whose detour uses the tree edge
     from v to its parent (0 at the root); no validation.
 
-    Every non-tree edge adds wt1 along its whole detour with one pair of
-    lca-difference marks, then a single reverse-BFS pass accumulates them.
+    wt1=None weighs every edge 1; walk, when given, is the tree's
+    `_tree_order`.  Every non-tree edge adds wt1 along its whole detour with
+    one pair of lca-difference marks, then a single reverse-BFS pass
+    accumulates them.
     """
-    parent, depth, order = _tree_order(base.n, tree_edges)
+    parent, depth, order = walk or _tree_order(base.n, tree_edges)
     load = [0] * base.n
-    for e in base.edges:
-        if e in tree_edges:
-            continue
+    for e in base.edges - tree_edges:
         a, b = e
-        w = wt1[e]
+        w = 1 if wt1 is None else wt1[e]
         # walk both endpoints up to their lca, marking the paths
         x, y = a, b
         while x != y:
@@ -283,22 +326,22 @@ def _vertex_loads(base: Graph, wt1, tree_edges) -> tuple[list[int], list[int], l
         load[a] += w
         load[b] += w
         load[x] -= 2 * w
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            load[p] += load[v]
+    for v in order[:0:-1]:
+        load[parent[v]] += load[v]
     return parent, order, load
 
 
-def _edge_loads(base: Graph, wt1, wt2, tree_edges) -> dict[Edge, int]:
-    """Congestion of every edge of a spanning tree of base; no validation."""
-    parent, order, load = _vertex_loads(base, wt1, tree_edges)
+def _edge_loads(base: Graph, wt1, wt2, tree_edges, walk=None) -> dict[Edge, int]:
+    """Congestion of every edge of a spanning tree of base; no validation.
+
+    wt1=None and wt2=None weigh every edge 1.
+    """
+    parent, order, load = _vertex_loads(base, wt1, tree_edges, walk)
     per_edge: dict[Edge, int] = {}
-    for v in reversed(order):
+    for v in order[:0:-1]:
         p = parent[v]
-        if p >= 0:
-            e = edge_key(v, p)
-            per_edge[e] = load[v] + wt2[e]
+        e = (v, p) if v < p else (p, v)
+        per_edge[e] = load[v] + (1 if wt2 is None else wt2[e])
     return per_edge
 
 
@@ -321,16 +364,6 @@ def _split_weights(G):
         return G.base, G.wt1, G.wt2
     one = {e: 1 for e in G.edges}
     return G, one, one
-
-
-def _tree_edge_set(base: Graph, T) -> frozenset[Edge]:
-    if isinstance(T, SpanningTree) and T.host is base:
-        return T.edges  # validated at construction
-    edges = T.edges if isinstance(T, SpanningTree) else frozenset(edge_key(*e) for e in T)
-    err = spanning_tree_violation(base, edges)
-    if err:
-        raise InvalidSpanningTreeError(err)
-    return edges
 
 
 def twin_classes(G: Graph, S) -> list[list[int]]:

@@ -71,7 +71,8 @@ def _peel_leaves(G: Graph):
     Returns (adj, peeled): adjacency sets of the surviving vertices only, in
     increasing vertex order, and the (leaf, anchor) pairs in deletion order.
     """
-    deg = [G.degree(v) for v in range(G.n)]
+    nbrs = G._adj
+    deg = list(map(len, nbrs))
     peeled = []
     frontier = [v for v in range(G.n) if deg[v] == 1]
     while frontier:
@@ -79,7 +80,7 @@ def _peel_leaves(G: Graph):
         for v in frontier:
             if deg[v] != 1:
                 continue
-            u = next(x for x in G.neighbors(v) if deg[x] > 0)
+            u = next(x for x in nbrs[v] if deg[x] > 0)
             peeled.append((v, u))
             deg[v] = -1
             deg[u] -= 1
@@ -89,7 +90,7 @@ def _peel_leaves(G: Graph):
     # copy, then discard: a set built from the surviving neighbours alone can
     # iterate in another order, and the kernel's edge order (so the tree its
     # bounds or the DP find) follows these sets
-    adj = {v: set(G.neighbors(v)) for v in range(G.n) if deg[v] >= 0}
+    adj = {v: set(nbrs[v]) for v in range(G.n) if deg[v] >= 0}
     for leaf, anchor in peeled:
         if anchor in adj:
             adj[anchor].discard(leaf)
@@ -181,8 +182,7 @@ def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree
         else:
             edges.update(path[:-1])
     edges |= chosen  # kernel edges outside any section (none in practice)
-    for leaf, anchor in trace.peeled:
-        edges.add(edge_key(leaf, anchor))
+    edges.update((a, b) if a < b else (b, a) for a, b in trace.peeled)
     return SpanningTree(trace.original, frozenset(edges))
 
 

@@ -293,7 +293,7 @@ def _count_uses(tree_edges, verts, graph_edges, counted):
     name = {v: i for i, v in enumerate(sorted(verts))}
     base = Graph(len(name), frozenset(edge_key(name[u], name[v]) for u, v in graph_edges))
     tree = frozenset(edge_key(name[u], name[v]) for u, v in tree_edges)
-    parent, _, load = _vertex_loads(base, dict.fromkeys(base.edges, 1), tree)
+    parent, _, load = _vertex_loads(base, None, tree)
     out = []
     for u, v in counted:
         a, b = name[u], name[v]

@@ -260,14 +260,17 @@ def _subdivided_petersen(rng, per_edge: int, pendants: int) -> tuple[Graph, Grap
 def test_solve_eval_roundtrip_at_scale_measures_and_validates_once(
     tmp_path, capsys, monkeypatch
 ):
+    import hashlib
+
     import stc.graph as graph
 
     core, G = _subdivided_petersen(random.Random(5), 200, 2000)
     assert G.n == 5010
+    monkeypatch.chdir(tmp_path)  # a relative -o path keeps stdout free of tmp_path
     path = write_gr(tmp_path, G)
-    solpath = str(tmp_path / "sol.json")
     calls = {"validate": 0, "measure": 0}
-    validate, measure = graph.spanning_tree_violation, graph._edge_loads
+    validate, measure, parse = graph._spanning_walk, graph._edge_loads, formats.parse_gr
+    hosts = []
 
     def counted_validate(H, edges):
         calls["validate"] += H.n == G.n
@@ -277,19 +280,32 @@ def test_solve_eval_roundtrip_at_scale_measures_and_validates_once(
         calls["measure"] += H.n == G.n
         return measure(H, *args)
 
-    monkeypatch.setattr(graph, "spanning_tree_violation", counted_validate)
+    def kept_parse(text):
+        hosts.append(parse(text))
+        return hosts[-1]
+
+    monkeypatch.setattr(graph, "_spanning_walk", counted_validate)
     monkeypatch.setattr(graph, "_edge_loads", counted_measure)
-    code, out, _ = run(capsys, "solve", path, "-o", solpath, "--json")
+    monkeypatch.setattr(formats, "parse_gr", kept_parse)
+    code, out, _ = run(capsys, "solve", path, "-o", "sol.json", "--json")
     assert code == 0 and calls == {"validate": 1, "measure": 1}
+    assert "_adj" in vars(hosts[-1])  # the kernelization reads the adjacency
     doc = json.loads(out)
-    assert doc["algorithm"] == "fes" and doc["output"] == solpath
+    assert doc["algorithm"] == "fes" and doc["output"] == "sol.json"
     assert doc["k"] == stc_exact(core)[0]
-    sol = formats.parse_solution((tmp_path / "sol.json").read_text())
+    sol_bytes = (tmp_path / "sol.json").read_bytes()
+    sol = formats.parse_solution(sol_bytes.decode())
     assert sol == {k: v for k, v in doc.items() if k != "output"}
+    # the tree follows the edge and adjacency order, so these bytes guard it
+    assert hashlib.sha256(sol_bytes).hexdigest() == (
+        "ecfa8adfdc1536f8ab1dbbc9478b413c21862c493a9c4985d196ee78aa804ec4")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13e04c93ac8864b804f71e41e408d2fd2ff04f0ab25919c35784da454bc7217c")
     calls.update(validate=0, measure=0)
-    code, out, _ = run(capsys, "eval", path, "--tree", solpath, "--json")
+    code, out, _ = run(capsys, "eval", path, "--tree", "sol.json", "--json")
     assert code == 0 and json.loads(out) == {"ok": True, "problem": None}
     assert calls == {"validate": 1, "measure": 1}
+    assert "_adj" not in vars(hosts[-1])  # eval never builds the host's adjacency
 
 
 def test_edge_line_order_changes_neither_adjacency_order_nor_the_dp_answer(

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import cycle_graph, grid_graph, random_connected_graph
+from stc.cli import main
 from stc.decomposition import decompose
 from stc.errors import FormatError
 from stc.formats import (
@@ -251,3 +252,47 @@ def test_verify_messages_for_edge_sets_that_are_not_spanning_trees():
             == "edge (1, 4) closes a cycle")
     assert verify_solution(G, doc(path + [[1, 7]])) == "edge endpoint out of range"
     assert verify_solution(G, doc(path + [[1, 4]])) == "k is 1 but the tree re-evaluates to 3"
+
+
+def _tampered_grid_solutions():
+    G = grid_graph(3)
+    sol = build_solution(G, stc_exact(G)[1], "oracle")
+    tags = sorted(sol["per_edge_congestion"])
+    u, v = sol["edges"][0]
+    assert u == 1
+
+    def per_edge(**vals):
+        return dict(sol, per_edge_congestion=sol["per_edge_congestion"] | vals)
+
+    def first_edge(pair):
+        return dict(sol, edges=[pair] + sol["edges"][1:])
+
+    near = "per-edge congestion mismatch near "
+    not_pairs = "edges are not a list of pairs"
+    return G, [
+        (per_edge(**{tags[1]: str(sol["per_edge_congestion"][tags[1]])}), near + tags[1]),
+        (per_edge(**{tags[2]: [2], tags[3]: "2"}), near + tags[2]),
+        (per_edge(**{tags[0]: None, "9-9": 1}), near + tags[0]),
+        (first_edge([float(u), v]), not_pairs),
+        (first_edge([True, v]), not_pairs),
+        (first_edge([u, str(v)]), not_pairs),
+    ]
+
+
+def test_eval_and_verify_report_non_integer_values_without_a_traceback(tmp_path, capsys):
+    G, cases = _tampered_grid_solutions()
+    path = tmp_path / "g.gr"
+    path.write_text(write_gr(G))
+    for doc, problem in cases:
+        assert verify_solution(G, doc) == problem
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "--tree", str(sol), "--json"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"ok": False, "problem": problem}
+        assert out.err == ""
+        assert main(["verify", str(path), str(sol), "--json"]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out)["files"][1] == {"path": str(sol), "problem": problem}
+        assert out.err == ""
+

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -24,6 +26,7 @@ from stc.graph import (
     congestion_report,
     edge_key,
     find_biclique,
+    spanning_tree_violation,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
@@ -70,6 +73,83 @@ def test_graph_construction_rejects_garbage():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def spanning_tree_violation_by_union_find(G, tree_edges) -> str | None:
+    """Reference check: union-find over the tree edges, messages as the library's."""
+    edges = set(tree_edges)
+    if not edges <= G.edges:
+        return f"edge {min(edges - G.edges)} not in the graph"
+    if len(edges) != G.n - 1:
+        return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return f"edge ({u}, {v}) closes a cycle"
+        parent[ru] = rv
+    return None
+
+
+def test_graph_checks_its_edges_at_construction_and_builds_adjacency_on_first_use():
+    for bad, msg in (
+        (5, "bad edge 5"),
+        ((0, 1, 2), "bad edge"),
+        ((2, 1), "out of range or not normalized"),
+        ((1, 3), "out of range or not normalized"),
+    ):
+        with pytest.raises(GraphError, match=msg):
+            Graph(3, frozenset({(0, 1), bad}))
+    rng = random.Random(809)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        assert "_adj" not in vars(G)
+        # one set per vertex, filled in edge order, then frozen
+        sets = [set() for _ in range(n)]
+        for u, v in G.edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        assert [list(G.neighbors(v)) for v in range(n)] == [list(frozenset(s)) for s in sets]
+        assert "_adj" in vars(G) and G.degree(n - 1) == len(sets[n - 1])
+
+
+def test_spanning_tree_check_agrees_with_union_find_on_random_edge_sets():
+    rng = random.Random(810)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        pool = sorted(G.edges)
+        size = n - 1 if rng.random() < 0.8 else rng.randint(0, len(pool))
+        edges = set(rng.sample(pool, min(size, len(pool))))
+        missing = [e for e in itertools.combinations(range(n), 2) if e not in G.edges]
+        if missing and rng.random() < 0.1:
+            edges.add(rng.choice(missing))
+        want = spanning_tree_violation_by_union_find(G, edges)
+        verdicts.add(want is None or next(w for w in ("graph", "needs", "cycle") if w in want))
+        assert spanning_tree_violation(G, edges) == want
+        try:
+            T = SpanningTree(G, edges)
+        except InvalidSpanningTreeError as exc:
+            assert str(exc) == want
+            # a plain edge list is frozen as the library freezes it, and the
+            # edge named for a cycle follows that set's order
+            listed = sorted(edges)
+            want = spanning_tree_violation_by_union_find(
+                G, frozenset(edge_key(*e) for e in listed))
+            with pytest.raises(InvalidSpanningTreeError, match=re.escape(want)):
+                congestion_report(G, listed)
+        else:
+            assert want is None
+            assert congestion_report(G, T).per_edge == congestion_report_by_detours(G, T).per_edge
+    assert verdicts == {True, "graph", "needs", "cycle"}  # every verdict was met
 
 
 def test_star_congestion_is_leaf_degrees():
