@@ -43,13 +43,18 @@ class NiceTreeDecomposition:
 
     @property
     def height(self) -> int:
+        """Longest leaf-to-root path, a join of c children counting as c - 1
+        levels: the DP merges its c tables pairwise, rounding c - 1 times,
+        so the rounding budget of RoundedArith (delta = eps/2h) covers it."""
         depth = {self.root: 0}
         stack = [self.root]
         best = 0
         while stack:
             i = stack.pop()
-            for c in self.nodes[i].children:
-                depth[c] = depth[i] + 1
+            nd = self.nodes[i]
+            step = len(nd.children) - 1 if nd.kind == "join" else 1
+            for c in nd.children:
+                depth[c] = depth[i] + step
                 best = max(best, depth[c])
                 stack.append(c)
         return best
@@ -234,26 +239,29 @@ def validate_td(G: Graph, td: TreeDecomposition) -> str | None:
     covered = set().union(*td.bags) if td.bags else set()
     if covered != set(range(G.n)):
         return "vertex-coverage violation"
+    holding: list[set[int]] = [set() for _ in range(G.n)]  # the bags of each vertex
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            holding[v].add(i)
     for u, v in G.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if holding[u].isdisjoint(holding[v]):
             return f"edge-coverage violation for ({u},{v})"
+    # the bags of v induce a forest in the tree, connected iff it has
+    # len(holding[v]) - 1 edges
+    inner = [0] * G.n
+    for i, j in td.tree:
+        for v in td.bags[i] & td.bags[j]:
+            inner[v] += 1
     for v in range(G.n):
-        holding = {i for i, bag in enumerate(td.bags) if v in bag}
-        seen = {min(holding)}
-        stack = [min(holding)]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in holding and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != holding:
+        if inner[v] != len(holding[v]) - 1:
             return f"connectivity violation for vertex {v}"
     return None
 
 
 def validate_nice(G: Graph, ntd: NiceTreeDecomposition) -> str | None:
-    """Axioms plus the leaf/introduce/forget/join structural rules."""
+    """Axioms plus the structural rules: a leaf has the empty bag, introduce
+    and forget add or drop one vertex, and a join has two or more children,
+    each with the join's bag."""
     nodes = ntd.nodes
     reachable = set()
     stack = [ntd.root]
@@ -283,8 +291,8 @@ def validate_nice(G: Graph, ntd: NiceTreeDecomposition) -> str | None:
             if nodes[kids[0]].bag != nd.bag | {nd.vertex} or nd.vertex in nd.bag:
                 return f"forget node {i} bag rule violated"
         elif nd.kind == "join":
-            if len(kids) != 2:
-                return f"join node {i} needs two children"
+            if len(kids) < 2:
+                return f"join node {i} needs two or more children"
             if any(nodes[c].bag != nd.bag for c in kids):
                 return f"join node {i} children bags differ"
         else:
@@ -301,8 +309,10 @@ def validate_nice(G: Graph, ntd: NiceTreeDecomposition) -> str | None:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Root the decomposition and expand it into nice form.
 
-    Leaf and root bags are empty; joins duplicate their bag below both
-    children; introduces/forgets step one vertex at a time.
+    Leaf and root bags are empty; a bag with c >= 2 children becomes one
+    join node with c children, each the top of a chain that brings that
+    child's bag to the join's bag; introduces/forgets step one vertex at a
+    time.
     """
     nodes: list[NiceNode] = []
 
@@ -347,10 +357,7 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             built[x] = build_from_empty(bag)
             continue
         tops = [chain_up(built[y], td.bags[y], bag) for y in kids]
-        while len(tops) > 1:
-            joined = add("join", bag, None, (tops[0], tops[1]))
-            tops = [joined] + tops[2:]
-        built[x] = tops[0]
+        built[x] = add("join", bag, None, tops) if len(tops) > 1 else tops[0]
 
     root = chain_up(built[root_bag], td.bags[root_bag], frozenset())
     if nodes[root].bag:

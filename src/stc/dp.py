@@ -16,7 +16,8 @@ parent states down, each child state is grown by every placement of v (leaf
 attachment, adoption of a future vertex, subdivision of a future edge, or
 subdivision plus a fresh branch vertex) whose projection is that child state.
 Join matches states with isomorphic skeletons whose labels complement each
-other off the bag and whose counters sum within budget.
+other off the bag and whose counters sum within budget; a join node has one
+child per child bag, two or more, and merges their tables pairwise.
 
 Join: one rule, _zip_join, combines two states whose stored edge tuples
 line up position by position: no anonymous vertex and no edge may be past
@@ -37,6 +38,26 @@ with s1's, _zip_join combines them, and _freeze canonicalizes the result.  A
 bijection preserves the number of anonymous vertices, so the two kinds never
 pair.  Both are met in one loop over the first table, so pairs reach the
 output in the same order either way.
+
+Merge order: a join node of c children folds their tables left-deep,
+smallest first with ties in child order (_merge_order).  After each pairwise
+_join_table it drops doomed states, with P the union of the operands merged
+so far, then dominated ones, and it stops at the first empty result.  Join
+is commutative and associative on sets of states, and the doom and dominance
+filters are sound after any pairwise merge, as after a binary join node.  So
+the order changes no verdict; it changes only which representative forest a
+state keeps, which shows only where a run accepts.  Small operands first keep
+the intermediate tables small.  On ubp at k = 9 the bag {3,4,5,6} has eight
+children: seven light leaf branches of 89 and 192 states, and one heavy
+branch of 54 states with ten forgotten vertices.  In child order the tables
+grow 89, 236, 361, 465 before the heavy branch cuts the last one to 81;
+merging the heavy branch first halves the pairs the run tries (2,908 to
+1,377).  Each pairwise merge rounds once, so a join of c children counts as
+c - 1 levels of the height h that sets RoundedArith's delta = eps/2h.  The
+run picks the order, so every child is charged all c - 1 levels.  Charging
+each child only its depth in a chain of binary joins in child order would
+undercount: on ubp the deepest branch comes last in child order (depth 1 of
+7) but is merged first, so h is 29, not 19.
 
 Introduce: every placement is built on the child's stored edge tuple.  Leaf
 attachment and subdivision keep the anonymous vertices and their names,
@@ -78,10 +99,13 @@ first edge xz leaves the bag, so z was forgotten in that branch, lies
 outside P(t), and is no neighbour of x.  So the edge stays future, and x
 stays closed, until forget(x) refuses it.  Forget cannot create a doomed
 state (it keeps P, and each future edge it outputs was one of its input),
-so only introduce and join outputs are tested.  Doomedness reads only the
-counter-free form, so a doomed state never shares a dominance group with a
-kept one: every table is the unpruned run's table minus its doomed states,
-in the same order and with the same forests, and no answer or tree changes.
+so only introduce outputs and the result of each pairwise merge are tested.
+Doomedness reads only the counter-free form, so a doomed state never shares
+a dominance group with a kept one, and no verdict changes.  When the pruned
+and unpruned runs merge each join's tables in the same order, every table is
+the unpruned run's table minus its doomed states, in the same order and with
+the same forests.  Left to itself, the unpruned run may pick other orders,
+as its tables are larger, and keep other representative trees.
 
 The same engine runs the approximation scheme: counters live on a geometric
 grid of exact rationals (powers of 1 + eps/2h) and additions round up, which
@@ -102,13 +126,14 @@ a tree of congestion <= (1+eps)k < k+1, that is <= k; so it accepts exactly
 when stc <= k, as the exact run does.  This also spares a tiny eps the
 ~log(k)/delta exact rationals of its grid.
 
-Dominance: after every forget and join node, states that agree on everything
-but their counters (the canonical (u, v, label) triples and the anonymous
-labels) are compared, and a state is dropped when another one's counters are
-<= its own on every edge.  This is sound because every node rule is monotone
-in the counters: which placements introduce tries, which states forget
-refuses for future edges at v, how much it adds along each path, and which
-isomorphisms join pairs up all depend on the counter-free part alone;
+Dominance: after every forget node and every pairwise merge of a join,
+states that agree on everything but their counters (the canonical (u, v,
+label) triples and the anonymous labels) are compared, and a state is
+dropped when another one's counters are <= its own on every edge.  This is
+sound because every node rule is monotone in the counters: which
+placements introduce tries, which states forget refuses for future edges at
+v, how much it adds along each path, and which isomorphisms join pairs up
+all depend on the counter-free part alone;
 add_int, join and forget's max-merge of contracted edges never decrease a
 counter, and they reach the cap no earlier for smaller inputs.  So whatever
 extends the dropped state, the same node sequence extends its dominator,
@@ -138,7 +163,8 @@ child's pass never compared those projections.  On the graphs the tests
 cover, every introduce table is a fixed point of _drop_dominated.
 
 A refuted run stops at its first empty table, since every ancestor of an
-empty table is empty, unless the tables are kept.
+empty table is empty, unless the tables are kept; a join stops merging at
+its first empty result either way.
 
 Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
 a limit), solve_approx_tw (with eps) and the fes kernel route.  It first
@@ -151,7 +177,9 @@ subsets.  It scans k from lam, or with eps from the smallest k with
 <= (1+eps)k, up to UB - 1, and returns the UB tree when every k is refused.
 No decomposition is built before a k needs a run: the default one is made
 at the first such k (a decomposition given by the caller is validated up
-front all the same).  Each tree the DP returns is re-measured by
+front all the same).  A rounded run takes delta from the decomposition's
+height, which covers any merge order the run picks (see "Merge order").
+Each tree the DP returns is re-measured by
 congestion_report and checked against its cap, k for exact counters and
 (1+eps)k for rounded ones.  The exact search returns stc: no k below the
 first accepted one admits a tree.  A rounded run's tree may be more
@@ -573,7 +601,8 @@ def _zip_join(arith, s1: State, s2: State) -> State | None:
 
 
 def _join_table(arith, t1, t2):
-    """Join two child tables (see "Join" in the module docstring)."""
+    """Join two tables: the operands of a join node merged so far, and the
+    next operand (see "Join" and "Merge order" in the module docstring)."""
     out: dict[State, frozenset[Edge]] = {}
     zipped: dict[tuple, list] = {}
     buckets: dict[tuple, list] = {}
@@ -634,6 +663,12 @@ def _drop_dominated(table):
     return {s: F for s, F in table.items() if s not in dropped}
 
 
+def _merge_order(tables: list) -> list[int]:
+    """The order a join node merges its operand tables in: smallest first,
+    ties in child order (see "Merge order" in the module docstring)."""
+    return sorted(range(len(tables)), key=lambda j: len(tables[j]))
+
+
 def _closed(G: Graph, bag: frozenset[int], proc: frozenset[int]) -> frozenset[int]:
     """Bag vertices whose every neighbour is processed."""
     return frozenset(x for x in bag if G.neighbors(x) <= proc)
@@ -669,13 +704,18 @@ def _run_dp(
             tbl = _drop_dominated(_forget_table(G, arith, nd, tables[nd.children[0]]))
             proc = processed[nd.children[0]]
         else:
-            c1, c2 = nd.children
-            tbl = _join_table(arith, tables[c1], tables[c2])
-            proc = processed[c1] | processed[c2]
-            closed = _closed(G, nd.bag, proc)
-            if closed:
-                tbl = {s: F for s, F in tbl.items() if not _doomed(G, closed, s[0])}
-            tbl = _drop_dominated(tbl)
+            kids = [nd.children[j] for j in _merge_order([tables[c] for c in nd.children])]
+            tbl, merged = tables[kids[0]], processed[kids[0]]
+            for c in kids[1:]:
+                tbl = _join_table(arith, tbl, tables[c])
+                merged |= processed[c]
+                closed = _closed(G, nd.bag, merged)
+                if closed:
+                    tbl = {s: F for s, F in tbl.items() if not _doomed(G, closed, s[0])}
+                tbl = _drop_dominated(tbl)
+                if not tbl:  # joining more tables keeps it empty
+                    break
+            proc = frozenset().union(*(processed[c] for c in kids))
         tables[i] = tbl
         processed[i] = proc
         if validator is not None:

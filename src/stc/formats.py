@@ -134,7 +134,7 @@ def parse_td(text: str) -> TreeDecomposition:
     if nbags < 1 or maxbag < 0 or n < 1:
         raise FormatError(f"line {lineno}: counts out of range")
     bags: dict[int, frozenset[int]] = {}
-    tree: list[tuple[int, int]] = []
+    tree: set[tuple[int, int]] = set()
     for lineno, toks in lines:
         if toks[0] == "b":
             vals = _int_tokens(lineno, toks[1:], "bag line")
@@ -160,7 +160,7 @@ def parse_td(text: str) -> TreeDecomposition:
             e = edge_key(a - 1, b - 1)
             if e in tree:
                 raise FormatError(f"line {lineno}: duplicate tree edge {a} {b}")
-            tree.append(e)
+            tree.add(e)
     if len(bags) != nbags:
         raise FormatError(f"expected {nbags} bag lines, found {len(bags)}")
     if len(tree) != nbags - 1:

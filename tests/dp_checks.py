@@ -75,11 +75,14 @@ def _path(adjacency, a: int, b: int) -> list[Edge] | None:
 
 
 def subtree_heights(ntd: NiceTreeDecomposition) -> dict[int, int]:
-    """Per node: longest downward distance to a leaf."""
+    """Per node: longest downward distance to a leaf, a join of c children
+    counting as c - 1 levels (the roundings of its pairwise merges)."""
     h: dict[int, int] = {}
     for i in ntd.postorder():
-        kids = ntd.nodes[i].children
-        h[i] = 0 if not kids else 1 + max(h[c] for c in kids)
+        nd = ntd.nodes[i]
+        kids = nd.children
+        step = len(kids) - 1 if nd.kind == "join" else 1
+        h[i] = 0 if not kids else step + max(h[c] for c in kids)
     return h
 
 

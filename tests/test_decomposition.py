@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,17 +10,22 @@ from conftest import (
     grid_graph,
     path_graph,
     random_connected_graph,
+    suite_graphs,
 )
 from dp_checks import subtree_heights
 from stc.decomposition import (
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     decompose,
     make_nice,
     validate_nice,
     validate_td,
 )
+from stc.dp import default_nice_decomposition
 from stc.errors import DisconnectedGraphError
 from stc.graph import Graph
+from stc.reductions import gen_ubp
 
 
 def brute_force_width(G: Graph) -> int:
@@ -111,6 +117,74 @@ def test_validate_catches_violations():
     assert msg is not None and "connectivity" in msg
 
 
+def _validate_td_by_scan(G, td):
+    """Reference for validate_td: the same checks, scanning every bag for
+    each edge and each vertex."""
+    b = len(td.bags)
+    if td.n != G.n:
+        return f"decomposition is for n={td.n}, graph has n={G.n}"
+    for i, j in td.tree:
+        if not (0 <= i < b and 0 <= j < b and i != j):
+            return f"tree edge ({i},{j}) out of range"
+    if len(td.tree) != b - 1:
+        return f"{len(td.tree)} tree edges for {b} bags, not a tree"
+    adj = {i: set() for i in range(b)}
+    for i, j in td.tree:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    def reach(start, allowed):
+        seen, stack = {start}, [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in allowed and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    if len(reach(0, set(range(b)))) != b:
+        return "bag tree is disconnected"
+    if set().union(*td.bags) != set(range(G.n)):
+        return "vertex-coverage violation"
+    for u, v in G.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            return f"edge-coverage violation for ({u},{v})"
+    for v in range(G.n):
+        holding = {i for i, bag in enumerate(td.bags) if v in bag}
+        if reach(min(holding), holding) != holding:
+            return f"connectivity violation for vertex {v}"
+    return None
+
+
+def test_validate_td_agrees_with_a_bag_scan_on_corrupted_decompositions():
+    # one random corruption each of 400 decompositions: a vertex dropped
+    # from or added to a bag, or a tree edge moved; same verdict, same
+    # first violation
+    rng = random.Random(824)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)))
+        td = decompose(G, "heuristic")
+        bags, tree = list(td.bags), set(td.tree)
+        i = rng.randrange(len(bags))
+        kind = rng.randrange(4)
+        if kind == 0:
+            bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+        elif kind == 1:
+            bags[i] = bags[i] | {rng.randrange(n)}
+        elif kind == 2 and tree:
+            tree.remove(rng.choice(sorted(tree)))
+            j = rng.randrange(len(bags))
+            if i != j:
+                tree.add((min(i, j), max(i, j)))
+        bad = TreeDecomposition(n, tuple(bags), frozenset(tree))
+        msg = validate_td(G, bad)
+        assert msg == _validate_td_by_scan(G, bad)
+        seen.add(None if msg is None else msg.split(" violation")[0].split(" for")[0])
+    assert {None, "vertex-coverage", "edge-coverage", "connectivity"} <= seen
+
+
 def test_make_nice_shape_and_validity():
     rng = random.Random(823)
     for _ in range(10):
@@ -122,8 +196,36 @@ def test_make_nice_shape_and_validity():
         assert ntd.width == td.width
         kinds = [nd.kind for nd in ntd.nodes]
         assert kinds.count("forget") == n
+        # each vertex is forgotten once, and one in a join's bag is
+        # introduced below each of the join's children
         joins = [nd for nd in ntd.nodes if nd.kind == "join"]
-        assert kinds.count("introduce") == n + sum(len(nd.bag) for nd in joins)
+        assert all(len(nd.children) >= 2 for nd in joins)
+        assert kinds.count("introduce") == n + sum(
+            (len(nd.children) - 1) * len(nd.bag) for nd in joins
+        )
+
+
+def test_validate_nice_checks_join_arity():
+    # ubp's top join has eight children; nest seven of them in a new join
+    G = gen_ubp(3, [1, 1, 1]).graph
+    ntd = default_nice_decomposition(G)
+    (j,) = (i for i, nd in enumerate(ntd.nodes) if len(nd.children) == 8)
+    bag, kids = ntd.nodes[j].bag, ntd.nodes[j].children
+    new = len(ntd.nodes)
+
+    def rebuilt(at_j, extra):
+        """Node j a join of at_j, plus a new join of extra."""
+        nodes = list(ntd.nodes)
+        nodes[j] = NiceNode("join", bag, None, at_j)
+        nodes.append(NiceNode("join", bag, None, extra))
+        return NiceTreeDecomposition(ntd.n, tuple(nodes), ntd.root)
+
+    assert validate_nice(G, ntd) is None
+    # joins of two and of seven children are valid; a join of one is not
+    assert validate_nice(G, rebuilt((kids[0], new), kids[1:])) is None
+    assert validate_nice(G, rebuilt((new,), kids)) == (
+        f"join node {j} needs two or more children"
+    )
 
 
 def test_grid_nice_counts():
@@ -133,7 +235,9 @@ def test_grid_nice_counts():
     kinds = [nd.kind for nd in ntd.nodes]
     assert kinds.count("forget") == 9
     joins = [nd for nd in ntd.nodes if nd.kind == "join"]
-    assert kinds.count("introduce") == 9 + sum(len(nd.bag) for nd in joins)
+    assert kinds.count("introduce") == 9 + sum(
+        (len(nd.children) - 1) * len(nd.bag) for nd in joins
+    )
     assert ntd.height >= 9
 
 
@@ -149,3 +253,40 @@ def test_nice_height_and_postorder():
         seen.add(i)
     h = subtree_heights(ntd)
     assert h[ntd.root] == ntd.height
+
+
+def _chain_heights(ntd, orders):
+    """Heights of the decomposition whose joins are chains of binary joins,
+    merging each join's children left-deep in each order orders(c) gives:
+    the first two operands sit c - 1 levels below the top of the chain, the
+    operand at position j >= 2 sits c - j levels below it."""
+    h = {}
+    for i in ntd.postorder():
+        nd = ntd.nodes[i]
+        hs = [h[c] for c in nd.children]
+        if nd.kind != "join":
+            h[i] = 1 + hs[0] if hs else 0
+            continue
+        c = len(hs)
+        h[i] = max(
+            max(c - max(pos, 1) + hs[j] for pos, j in enumerate(order))
+            for order in orders(c)
+        )
+    return h[ntd.root]
+
+
+def test_height_is_the_rounding_depth_of_every_merge_order():
+    # the DP merges a join's c tables pairwise, rounding c - 1 times, in an
+    # order it picks at run time; the height must cover the chain of binary
+    # joins of every order.  Where the deepest child comes first or second
+    # in child order it equals the old child-order chain's height, as on
+    # suite graphs 0..39; ubp's top join has its deepest child (height 16)
+    # last of eight, and that child is also the smallest table at k = 9
+    ubp = gen_ubp(3, [1, 1, 1]).graph
+    for name, g in [("ubp", ubp)] + list(enumerate(suite_graphs()[:40])):
+        ntd = default_nice_decomposition(g)
+        every = _chain_heights(ntd, lambda c: itertools.permutations(range(c)))
+        assert ntd.height == every == subtree_heights(ntd)[ntd.root], name
+        child_order = _chain_heights(ntd, lambda c: [range(c)])
+        assert child_order == (19 if name == "ubp" else ntd.height), name
+    assert default_nice_decomposition(ubp).height == 29

