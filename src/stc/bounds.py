@@ -25,11 +25,16 @@ and returns 2 instead of 4.)
 
 Upper bound.  Every spanning tree's congestion is one.  `bounds` takes the
 least congested BFS tree over all roots, stopping at the first one that
-meets the lower bound, and improves it by single edge swaps: add a non-tree
-edge f and drop an edge of the cycle it closes, which leaves a spanning
-tree.  The non-tree edges are scanned in cyclic order of the sorted edge
-list, and the scan goes on from where it is after a swap.  For each f the
-cycle's edges are tried in descending order of congestion, and the first
+meets the lower bound.  Each root's BFS runs straight into its walk
+(parents, depths, visit order), and the one evaluator measures the walk,
+naming the tree edges by their parents; no tree is built for a root.  Only
+the winner becomes a SpanningTree, validated and re-measured in full, so
+one scan validates one tree; root 0's value also stops the lower bound's
+scan.  The winner is improved by single edge swaps: add a non-tree edge f
+and drop an edge of the cycle it closes, which leaves a spanning tree.  The
+non-tree edges are scanned in cyclic order of the sorted edge list, and
+the scan goes on from where it is after a swap.  For each f the cycle's
+edges are tried in descending order of congestion, and the first
 candidate whose congestion profile (all tree-edge congestions, sorted in
 descending order) is lexicographically smaller replaces the tree.  The
 search stops after a full lap with no swap, once the maximum meets the
@@ -67,7 +72,16 @@ the least congestion of a tree of this shape.
 """
 from __future__ import annotations
 
-from .graph import Edge, Graph, SpanningTree, _tree_order, congestion_report, edge_key
+from .graph import (
+    Edge,
+    Graph,
+    SpanningTree,
+    _bfs_walk,
+    _max_load,
+    _tree_order,
+    congestion_report,
+    edge_key,
+)
 
 # graphs this small get exact bounds from the vertex-subset step (module
 # docstring); the routers name their answers "fes" up to it and "dp" above
@@ -123,39 +137,39 @@ def lower_bound(G: Graph, stop: int | None = None) -> int:
     return best
 
 
-def _bfs_tree(G: Graph, root: int) -> SpanningTree:
-    seen = {root}
-    order = [root]
-    edges = []
-    for v in order:
-        for u in G.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-                edges.append(edge_key(v, u))
-    return SpanningTree(G, frozenset(edges))
+def _bfs_load(G: Graph, root: int):
+    """The congestion of the BFS tree from root and its walk (parents,
+    depths, visit order), measured on the walk with no tree built."""
+    walk = _bfs_walk(G._adj, root)
+    return _max_load(G, None, None, None, walk), walk
 
 
-def _best_bfs_tree(G: Graph, floor: int = 0) -> tuple[int, SpanningTree]:
+def _best_bfs_tree(G: Graph, floor: int = 0, first=None) -> tuple[int, SpanningTree]:
     """The least congested BFS tree over all roots, re-measured; the scan
-    stops at the first tree whose congestion is at most floor."""
-    best = None
-    for root in range(G.n):
-        T = _bfs_tree(G, root)
-        c = congestion_report(G, T).max_congestion
-        if best is None or c < best[0]:
-            best = (c, T)
-            if c <= floor:
-                break
-    return best
+    stops at the first tree whose congestion is at most floor.  Each root is
+    measured on its walk; only the winner becomes a SpanningTree.  first,
+    when given, is _bfs_load(G, 0)."""
+    best = first or _bfs_load(G, 0)
+    for root in range(1, G.n):
+        if best[0] <= floor:
+            break
+        cand = _bfs_load(G, root)
+        if cand[0] < best[0]:
+            best = cand
+    parent, _, order = best[1]
+    T = SpanningTree(G, frozenset([edge_key(v, parent[v]) for v in order[1:]]))
+    return congestion_report(G, T).max_congestion, T
 
 
-def _cycle_chords(G: Graph, parent, depth, order, f: Edge):
+def _cycle_chords(parent, depth, order, nontree, f: Edge):
     """The cycle that the non-tree edge f = (a, b) closes in the tree given
     by _tree_order, as its vertices from a up to the lca and down to b, and
     its chords: (i, j), i < j, mapped to the number of graph edges between
     the parts of the tree hanging from cycle vertices i and j.  Each vertex
-    hangs from the cycle vertex that its tree path to the cycle meets first."""
+    hangs from the cycle vertex that its tree path to the cycle meets first,
+    so the only tree edges between two parts are the cycle's path edges, one
+    chord (q, q + 1) each; nontree lists the graph's other edges, f among
+    them."""
     up, down = [f[0]], [f[1]]
     while up[-1] != down[-1]:
         if depth[up[-1]] >= depth[down[-1]]:
@@ -164,12 +178,12 @@ def _cycle_chords(G: Graph, parent, depth, order, f: Edge):
             down.append(parent[down[-1]])
     cyc = up + down[-2::-1]
     index = {w: q for q, w in enumerate(cyc)}
-    h = [0] * G.n
+    h = [0] * len(parent)
     for v in order:  # parents first; above the lca everything hangs from it
         q = index.get(v)
         h[v] = q if q is not None else h[parent[v]] if parent[v] >= 0 else len(up) - 1
-    chords: dict[tuple[int, int], int] = {}
-    for a, b in G.edges:
+    chords = {(q, q + 1): 1 for q in range(len(cyc) - 1)}
+    for a, b in nontree:
         ha, hb = h[a], h[b]
         if ha != hb:
             key = (ha, hb) if ha < hb else (hb, ha)
@@ -217,7 +231,8 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
     edges = G.sorted_edges()
     m = len(edges)
     tree = set(T.edges)
-    parent, depth, order = _tree_order(G.n, tree)
+    nontree = set(G.edges - tree)
+    parent, depth, order = T._walk
     measured = idle = i = 0
     while idle < m and measured < 2 * m:
         f = edges[i]
@@ -225,7 +240,7 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
         idle += 1
         if f in tree:
             continue
-        cyc, chords = _cycle_chords(G, parent, depth, order, f)
+        cyc, chords = _cycle_chords(parent, depth, order, nontree, f)
         N = len(cyc)
         path = [edge_key(cyc[q], cyc[q + 1]) for q in range(N - 1)]
         before = sorted((loads[e] for e in path), reverse=True)
@@ -238,6 +253,8 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
                 loads.update(zip(kept, after))
                 tree.remove(path[p])
                 tree.add(f)
+                nontree.remove(f)
+                nontree.add(path[p])
                 parent, depth, order = _tree_order(G.n, tree)
                 idle = 0
                 break
@@ -318,12 +335,14 @@ def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     both bounds equal stc.
 
     The lower bound's scan stops at the congestion of the BFS tree from
-    vertex 0, the first tree the upper bound's scan measures.
+    vertex 0, the first tree the upper bound's scan measures, measured once
+    for both.
     """
     if G.n == 1:
         return 0, 0, SpanningTree(G, frozenset())
-    lam = lower_bound(G, congestion_report(G, _bfs_tree(G, 0)).max_congestion)
-    ub, T = _swap_search(G, _best_bfs_tree(G, lam)[1], lam)
+    first = _bfs_load(G, 0)
+    lam = lower_bound(G, first[0])
+    ub, T = _swap_search(G, _best_bfs_tree(G, lam, first)[1], lam)
     if G.n <= ORACLE_CAP and lam < ub:
         found = _subset_tree(G, range(G.n), range(lam, ub))
         if found is not None:

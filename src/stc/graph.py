@@ -257,10 +257,16 @@ def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
     for u, v in tree_edges:
         adj[u].append(v)
         adj[v].append(u)
-    parent = [-1] * n
-    depth = [0] * n
-    order = [0]
-    parent[0] = 0
+    return _bfs_walk(adj, 0)
+
+
+def _bfs_walk(adj, root: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS parents/depths/visit order from root over the adjacency lists
+    adj; parent is -1 at the root and at every vertex the walk misses."""
+    parent = [-1] * len(adj)
+    depth = [0] * len(adj)
+    order = [root]
+    parent[root] = root
     for v in order:
         d = depth[v] + 1
         for u in adj[v]:
@@ -268,7 +274,7 @@ def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
                 parent[u] = v
                 depth[u] = d
                 order.append(u)
-    parent[0] = -1
+    parent[root] = -1
     return parent, depth, order
 
 
@@ -307,15 +313,21 @@ def _vertex_loads(
     v the total wt1 of the non-tree edges whose detour uses the tree edge
     from v to its parent (0 at the root); no validation.
 
-    wt1=None weighs every edge 1; walk, when given, is the tree's
-    `_tree_order`.  Every non-tree edge adds wt1 along its whole detour with
-    one pair of lca-difference marks, then a single reverse-BFS pass
-    accumulates them.
+    wt1=None weighs every edge 1; walk, when given, is the tree's BFS walk
+    from any root (`_tree_order` roots it at 0).  With tree_edges=None the
+    walk names the tree edges: base is simple, so its edge ab is in the
+    tree iff parent[a] == b or parent[b] == a.  (A given edge set is
+    subtracted from base's instead, which is faster on large trees.)  Every
+    non-tree edge adds wt1 along its whole detour with one pair of
+    lca-difference marks, then a single reverse-BFS pass accumulates them.
     """
     parent, depth, order = walk or _tree_order(base.n, tree_edges)
+    by_parent = tree_edges is None
     load = [0] * base.n
-    for e in base.edges - tree_edges:
+    for e in base.edges if by_parent else base.edges - tree_edges:
         a, b = e
+        if by_parent and (parent[a] == b or parent[b] == a):
+            continue
         w = 1 if wt1 is None else wt1[e]
         # walk both endpoints up to their lca, marking the paths
         x, y = a, b
@@ -345,14 +357,14 @@ def _edge_loads(base: Graph, wt1, wt2, tree_edges, walk=None) -> dict[Edge, int]
     return per_edge
 
 
-def _max_load(base: Graph, wt1, wt2, tree_edges) -> int:
+def _max_load(base: Graph, wt1, wt2, tree_edges, walk=None) -> int:
     """The largest congestion of a spanning tree of base; no validation.
 
-    wt2=None prices every tree edge 1 for itself.
+    wt2=None prices every tree edge 1 for itself; walk is as in _vertex_loads.
     """
     if base.n == 1:
         return 0
-    parent, order, load = _vertex_loads(base, wt1, tree_edges)
+    parent, order, load = _vertex_loads(base, wt1, tree_edges, walk)
     if wt2 is None:
         # the root's load is 0 and every other load is >= 0
         return max(load) + 1

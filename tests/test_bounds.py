@@ -1,6 +1,7 @@
 """The bounds on stc that the search over k and the kernel route start from."""
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import stc.bounds
 import stc.dp
+import stc.graph
 import stc.oracle
 from stc import solve
 from stc.bounds import (
@@ -24,7 +26,7 @@ from stc.bounds import (
 )
 from stc.dp import solve_approx_tw, solve_stc_tw
 from stc.errors import BudgetExceededError
-from stc.graph import Graph, SpanningTree, _edge_loads, _tree_order, congestion_report, edge_key
+from stc.graph import Graph, SpanningTree, _edge_loads, congestion_report, edge_key
 from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_ubp
 
@@ -298,6 +300,53 @@ def _counted_candidates(monkeypatch):
     return calls
 
 
+def _golden_graphs():
+    yield from suite_graphs()
+    yield from (gen_ubp(3, [1, 1, 1]).graph, grid_graph(4), grid_graph(5), grid_graph(2, 30),
+                PETERSEN, complete_bipartite(5, 5))
+    rng = random.Random(2222)
+    for _ in range(100):
+        n = rng.randint(2, 30)
+        yield random_connected_graph(rng, n, rng.randint(n - 1, 3 * n))
+
+
+def test_bounds_and_trees_do_not_move():
+    # one digest over (lambda, UB, the tree's sorted edges) on 306 graphs:
+    # the root scan's order and tie-break and the swap search decide every
+    # tree, and a change to any of them shows here
+    h = hashlib.sha256()
+    for g in _golden_graphs():
+        lam, ub, T = bounds(g)
+        h.update(repr((lam, ub, T.sorted_edges())).encode())
+    assert h.hexdigest() == "17a82728cc2b49e7051f72da4889787f4fed16d32517a9e561e1b99ccd3257a6"
+
+
+@pytest.mark.parametrize("G, walks", [
+    (gen_ubp(3, [1, 1, 1]).graph, 4), (grid_graph(2, 30), 42), (grid_graph(4), 4),
+], ids=["ubp", "ladder2x30", "grid4"])
+def test_bounds_validate_two_trees(monkeypatch, G, walks):
+    # the BFS scan measures every root on its walk and validates only the
+    # winner; the swap search validates the tree it returns.  Every swap
+    # also rebuilds the walk: 2 on ubp and grid4, 40 on the ladder.  A
+    # SpanningTree per root would validate 24, 62 and 18 trees here
+    calls = {"validate": 0, "walk": 0}
+    validate, walk = stc.graph._spanning_walk, stc.graph._tree_order
+
+    def counted_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(stc.graph, "_spanning_walk", counted_validate)
+    monkeypatch.setattr(stc.graph, "_tree_order", counted_walk)
+    monkeypatch.setattr(stc.bounds, "_tree_order", counted_walk)
+    bounds(G)
+    assert calls == {"validate": 2, "walk": walks}
+
+
 def test_swap_search_stops_after_2m_candidates(monkeypatch):
     calls = _counted_candidates(monkeypatch)
     g = grid_graph(2, 30)  # the 2x30 ladder: BFS trees reach 15
@@ -310,17 +359,22 @@ def test_swap_search_stops_after_2m_candidates(monkeypatch):
 
 
 def test_swap_loads_match_a_full_measurement():
-    # every candidate of every non-tree edge, on random graphs and BFS trees
+    # every candidate of every non-tree edge, on random graphs and BFS trees;
+    # the draws with m up to 3n give cycles many chords besides their own
+    # path edges, which _cycle_chords adds without counting
     rng = random.Random(837)
-    for _ in range(30):
+    for idx in range(50):
         n = rng.randrange(4, 10)
-        g = random_connected_graph(rng, n, rng.randrange(n, n + 8))
-        tree = set(_best_bfs_tree(g)[1].edges)
+        m = rng.randrange(n, n + 8) if idx < 30 else rng.randint(2 * n, 3 * n)
+        g = random_connected_graph(rng, n, m)
+        T = _best_bfs_tree(g)[1]
+        tree = set(T.edges)
         one = dict.fromkeys(g.edges, 1)
         before = _edge_loads(g, one, one, tree)
-        parent, depth, order = _tree_order(g.n, tree)
-        for f in g.edges - tree:
-            cyc, chords = _cycle_chords(g, parent, depth, order, f)
+        parent, depth, order = T._walk
+        nontree = g.edges - tree
+        for f in nontree:
+            cyc, chords = _cycle_chords(parent, depth, order, nontree, f)
             N = len(cyc)
             path = [edge_key(cyc[q], cyc[q + 1]) for q in range(N - 1)]
             for p in range(N - 1):

@@ -31,6 +31,7 @@ from stc.dp import (
     solve_exact_tw,
     solve_stc_tw,
 )
+from stc.decomposition import TreeDecomposition, make_nice
 from stc.errors import InvalidDecompositionError
 from stc.graph import Graph, SpanningTree, congestion_report, edge_key
 from stc.oracle import stc_exact
@@ -895,6 +896,35 @@ def test_introduce_tables_are_fixed_points_of_dominance(doom_runs):
                 if ntd.nodes[i].kind == "introduce":
                     kept = _drop_dominated(table)
                     assert len(kept) == len(table), f"{name}, node {i}"
+
+
+def test_inner_merge_drops_doomed_states(monkeypatch):
+    # one join of three branches under the bag {0, 1, 2}, which hang 3, 4
+    # and 5.  Vertex 0's neighbours are 1, 3 and 5, so it closes when the
+    # branches of 5 and 3, the two smallest tables, are merged, one merge
+    # before the last; the filter after that inner merge drops the states
+    # with a future edge at 0
+    g = Graph.from_edges(6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    bags = ({0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 2, 5})
+    ntd = make_nice(TreeDecomposition(6, tuple(map(frozenset, bags)),
+                                      frozenset({(0, 1), (0, 2), (0, 3)})))
+    (join,) = (nd for nd in ntd.nodes if nd.kind == "join")
+    merges = []
+    real = stc.dp._join_table
+
+    def recorded(arith, t1, t2):
+        merges.append((t1, real(arith, t1, t2)))
+        return merges[-1][1]
+
+    monkeypatch.setattr(stc.dp, "_join_table", recorded)
+    run = _run_dp(g, ntd, ExactArith(2), keep_tables=True)  # stc is 3
+    assert _merge_order([run.tables[c] for c in join.children]) == [2, 0, 1]
+    (_, inner), (acc, _) = merges
+    kept = {s: F for s, F in inner.items() if not _doomed(g, frozenset({0}), s[0])}
+    assert len(inner) - len(kept) == 2  # the inner filter drops two states
+    assert acc == _drop_dominated(kept)  # and the last merge never sees them
+    monkeypatch.setattr(stc.dp, "_doomed", lambda G, closed, edges: False)
+    assert run.forest is None and _run_dp(g, ntd, ExactArith(2)).forest is None
 
 
 def test_refuted_run_stops_at_the_first_empty_table(monkeypatch):
