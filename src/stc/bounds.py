@@ -39,8 +39,8 @@ candidate whose congestion profile (all tree-edge congestions, sorted in
 descending order) is lexicographically smaller replaces the tree.  The
 search stops after a full lap with no swap, once the maximum meets the
 lower bound, or after 2m measured candidate trees.  A candidate is measured
-on the cycle alone (see `_swap_search`); the tree returned is a validated
-SpanningTree, re-measured in full.
+on the cycle alone (see `_swap_search`); after a swap the tree returned is
+a validated SpanningTree, re-measured in full.
 
 Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds
 still differ, `_subset_tree` closes the gap by a recursion over vertex
@@ -213,7 +213,8 @@ def _swap_loads(chords, N: int, p: int) -> list[int]:
 
 def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTree]:
     """Single edge swaps from T while the sorted congestion profile falls
-    (see the module docstring); returns the final tree, re-measured.
+    (see the module docstring); returns the final tree, re-measured when
+    some swap was taken, and T itself when none was.
 
     A swap that adds f = (a, b) and drops e changes the congestion of no
     tree edge off the cycle C that f closes: such an edge g leaves f's ends,
@@ -262,6 +263,8 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
                 break
         if max(loads.values()) <= floor:
             break
+    if tree == T.edges:
+        return max(loads.values()), T  # no swap: T and its report as given
     T = SpanningTree(G, frozenset(tree))
     rep = congestion_report(G, T)
     assert rep.per_edge == loads, "the swap search's congestions disagree with the report"

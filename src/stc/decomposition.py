@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidDecompositionError
-from .graph import Graph, require_connected
+from .graph import Graph, _bfs_walk, require_connected
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,17 @@ def decompose(G: Graph, mode: str = "heuristic") -> TreeDecomposition:
     return _order_to_td(G, order)
 
 
+def _bag_tree_adj(td: TreeDecomposition) -> list[list[int]]:
+    """The sorted adjacency lists of td's bag tree."""
+    adj: list[list[int]] = [[] for _ in td.bags]
+    for i, j in td.tree:
+        adj[i].append(j)
+        adj[j].append(i)
+    for nb in adj:
+        nb.sort()
+    return adj
+
+
 def validate_td(G: Graph, td: TreeDecomposition) -> str | None:
     """None if td satisfies the three axioms, else a violation description."""
     b = len(td.bags)
@@ -222,19 +233,7 @@ def validate_td(G: Graph, td: TreeDecomposition) -> str | None:
             return f"tree edge ({i},{j}) out of range"
     if len(td.tree) != b - 1:
         return f"{len(td.tree)} tree edges for {b} bags, not a tree"
-    adj: dict[int, set[int]] = {i: set() for i in range(b)}
-    for i, j in td.tree:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != b:
+    if len(_bfs_walk(_bag_tree_adj(td), 0)[2]) != b:
         return "bag tree is disconnected"
     covered = set().union(*td.bags) if td.bags else set()
     if covered != set(range(G.n)):
@@ -334,25 +333,13 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         top = add("leaf", frozenset())
         return chain_up(top, frozenset(), bag)
 
-    b = len(td.bags)
-    adj: dict[int, list[int]] = {i: [] for i in range(b)}
-    for i, j in td.tree:
-        adj[i].append(j)
-        adj[j].append(i)
-
     root_bag = 0
-    parent = {root_bag: -1}
-    order = [root_bag]
-    for x in order:
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-
+    adj = _bag_tree_adj(td)
+    parent, _, order = _bfs_walk(adj, root_bag)
     built: dict[int, int] = {}
     for x in reversed(order):
         bag = td.bags[x]
-        kids = [y for y in sorted(adj[x]) if parent.get(y) == x]
+        kids = [y for y in adj[x] if parent[y] == x]
         if not kids:
             built[x] = build_from_empty(bag)
             continue

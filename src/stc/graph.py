@@ -85,20 +85,7 @@ class Graph:
         return sorted(self.edges)
 
     def is_connected(self) -> bool:
-        return len(component_of(self, 0)) == self.n
-
-
-def component_of(G: Graph, start: int) -> set[int]:
-    adj = G._adj
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+        return len(_bfs_walk(self._adj, 0)[2]) == self.n
 
 
 def connected_components(G: Graph, skip: frozenset[int] = frozenset()) -> list[list[int]]:
@@ -202,8 +189,8 @@ class SpanningTree:
 
 
 def _spanning_walk(G: Graph, edges: frozenset[Edge]):
-    """`_tree_order` of edges if they form a spanning tree of G, else what
-    spanning_tree_violation says.
+    """`_tree_order` of edges if they form a spanning tree of G, else a
+    description of why they do not.
 
     n - 1 edges of G whose walk from vertex 0 reaches all n vertices form a
     spanning tree; only a failed walk runs the union-find, to name the edge
@@ -214,17 +201,8 @@ def _spanning_walk(G: Graph, edges: frozenset[Edge]):
     if len(edges) != G.n - 1:
         return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
     walk = _tree_order(G.n, edges)
-    return walk if len(walk[2]) == G.n else spanning_tree_violation(G, edges)
-
-
-def spanning_tree_violation(G: Graph, tree_edges) -> str | None:
-    """None if tree_edges is a spanning tree of G, else a description."""
-    edges = set(tree_edges)
-    if not edges <= G.edges:
-        bad = min(edges - G.edges)
-        return f"edge {bad} not in the graph"
-    if len(edges) != G.n - 1:
-        return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
+    if len(walk[2]) == G.n:
+        return walk
     parent = list(range(G.n))
 
     def find(x):
@@ -233,22 +211,18 @@ def spanning_tree_violation(G: Graph, tree_edges) -> str | None:
             x = parent[x]
         return x
 
-    for u, v in edges:
+    for u, v in set(edges):  # a set copy: its order decides the edge named
         ru, rv = find(u), find(v)
         if ru == rv:
             return f"edge ({u}, {v}) closes a cycle"
         parent[ru] = rv
-    return None
+    raise AssertionError("n - 1 edges that reach fewer than n vertices close a cycle")
 
 
 @dataclass(frozen=True)
 class CongestionReport:
     per_edge: dict[Edge, int]
     max_congestion: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_edge.values())
 
 
 def _tree_order(n: int, tree_edges) -> tuple[list[int], list[int], list[int]]:
@@ -369,13 +343,6 @@ def _max_load(base: Graph, wt1, wt2, tree_edges, walk=None) -> int:
         # the root's load is 0 and every other load is >= 0
         return max(load) + 1
     return max(load[v] + wt2[edge_key(v, parent[v])] for v in order[1:])
-
-
-def _split_weights(G):
-    if isinstance(G, DoubleWeightedGraph):
-        return G.base, G.wt1, G.wt2
-    one = {e: 1 for e in G.edges}
-    return G, one, one
 
 
 def twin_classes(G: Graph, S) -> list[list[int]]:

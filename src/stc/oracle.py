@@ -51,7 +51,6 @@ from .graph import (
     Graph,
     SpanningTree,
     _max_load,
-    _split_weights,
     _vertex_loads,
     edge_key,
     require_connected,
@@ -110,9 +109,9 @@ def _bridges(n: int, adj: dict[int, set[int]], tree: set[Edge] | None = None) ->
 def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
     """The include/exclude search over the spanning trees of G (a generator).
 
-    With weights given, the value sent back after a tree is taken as the
-    bound of the module docstring.  Raises BudgetExceededError (with
-    .emitted) when either cap is hit.
+    A value sent back after a tree is taken as the bound of the module
+    docstring, with cut loads priced by wt1 and wt2 (None weighs every edge
+    1).  Raises BudgetExceededError (with .emitted) when either cap is hit.
     """
     require_connected(G)
     budget = budget or EnumerationBudget()
@@ -152,7 +151,8 @@ def _search(G: Graph, budget: EnumerationBudget | None, wt1=None, wt2=None):
             if forest:
                 # price each bridge (a, b) on the DFS forest, from its lower end
                 parent, _, load = _vertex_loads(G, wt1, forest)
-                if any(load[a if parent[a] == b else b] + wt2[(a, b)] >= bound
+                if any(load[a if parent[a] == b else b]
+                       + (1 if wt2 is None else wt2[(a, b)]) >= bound
                        for a, b in bridges):
                     continue
             part |= bridges
@@ -223,19 +223,19 @@ def stc_exact(G, budget: EnumerationBudget | None = None) -> tuple[int, Spanning
     between two vertices): no tree goes lower, so that tree is the full
     scan's first optimal tree.
     """
-    floor = -1 if isinstance(G, DoubleWeightedGraph) else lower_bound(G)
-    base, wt1, wt2 = _split_weights(G)
-    # unit tree-edge weights: the maximum needs no per-edge pass
-    tree_wt2 = wt2 if isinstance(G, DoubleWeightedGraph) else None
+    if isinstance(G, DoubleWeightedGraph):
+        floor, base, wt1, wt2 = -1, G.base, G.wt1, G.wt2
+    else:
+        floor, base, wt1, wt2 = lower_bound(G), G, None, None
     search = _search(base, budget, wt1, wt2)
     tree = next(search)
-    best = (_max_load(base, wt1, tree_wt2, tree), tree)
+    best = (_max_load(base, wt1, wt2, tree), tree)
     while best[0] != floor:
         try:
             tree = search.send(best[0])
         except StopIteration:
             break
-        c = _max_load(base, wt1, tree_wt2, tree)
+        c = _max_load(base, wt1, wt2, tree)
         if c < best[0]:
             best = (c, tree)
     return best[0], SpanningTree(base, best[1])

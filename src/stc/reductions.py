@@ -27,7 +27,6 @@ from .graph import (
     Graph,
     SpanningTree,
     edge_key,
-    spanning_tree_violation,
 )
 
 
@@ -45,14 +44,7 @@ class InstanceBundle:
     k: int
     provenance: dict
     weighted: DoubleWeightedGraph | None = None
-    witness: SpanningTree | None = None
     annotations: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.witness is not None:
-            err = spanning_tree_violation(self.graph, self.witness.edges)
-            if err:
-                raise GraphError(f"bundle witness invalid: {err}")
 
 
 def _grid_edges(g: int, base: int) -> list[Edge]:

@@ -15,11 +15,11 @@ from .dp import solve_exact_tw, solve_stc_tw
 from .errors import GraphError
 from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
 from .oracle import EnumerationBudget, stc_exact
-from .structural import reduce_graph, small_case_threshold, solve_dtc, solve_fes, solve_vi
+from .structural import reduce_graph, small_case_threshold, solve_dtc, solve_vi
 from .structural.fes import solve_reduced
 from .structural.vi import checked_modulator
 
-ALGORITHMS = ("auto", "oracle", "dp", "fes", "dtc", "vi")
+ALGORITHMS = ("auto", "oracle", "dp", "dtc", "vi")
 
 
 def _auto(G: Graph, S: frozenset[int] | None) -> tuple[str, int, SpanningTree]:
@@ -46,9 +46,8 @@ def solve(
     alg="auto" reduces G to its fes kernel once; a kernel of more than
     ORACLE_CAP vertices goes to dtc or vi on G when a modulator is given
     (dtc when G minus the modulator is a clique), and everything else to
-    `solve_reduced`.  alg="fes" is the kernel pipeline without the modulator
-    step, alg="oracle" enumerates G itself and alg="dp" runs the DP on G.
-    The returned algorithm names the route taken.
+    `solve_reduced`.  alg="oracle" enumerates G itself and alg="dp" runs the
+    DP on G.  The returned algorithm names the route taken.
 
     Every route but one returns an optimal tree and ignores k.  With
     alg="dp" and a given k the DP decides stc <= k instead: the tree then has
@@ -72,8 +71,6 @@ def solve(
         alg, kstar, tree = _auto(G, S)
     elif alg == "oracle":
         kstar, tree = stc_exact(G, budget)
-    elif alg == "fes":
-        kstar, tree = solve_fes(G)
     elif alg == "dtc":
         kstar, tree = solve_dtc(G, S)
     elif alg == "vi":

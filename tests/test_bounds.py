@@ -321,14 +321,19 @@ def test_bounds_and_trees_do_not_move():
     assert h.hexdigest() == "17a82728cc2b49e7051f72da4889787f4fed16d32517a9e561e1b99ccd3257a6"
 
 
-@pytest.mark.parametrize("G, walks", [
-    (gen_ubp(3, [1, 1, 1]).graph, 4), (grid_graph(2, 30), 42), (grid_graph(4), 4),
-], ids=["ubp", "ladder2x30", "grid4"])
-def test_bounds_validate_two_trees(monkeypatch, G, walks):
+@pytest.mark.parametrize("G, validated, walks", [
+    (gen_ubp(3, [1, 1, 1]).graph, 2, 4), (grid_graph(2, 30), 2, 42), (grid_graph(4), 2, 4),
+    (PETERSEN, 1, 1),
+], ids=["ubp", "ladder2x30", "grid4", "petersen"])
+def test_bounds_validate_two_trees(monkeypatch, G, validated, walks):
     # the BFS scan measures every root on its walk and validates only the
-    # winner; the swap search validates the tree it returns.  Every swap
-    # also rebuilds the walk: 2 on ubp and grid4, 40 on the ladder.  A
-    # SpanningTree per root would validate 24, 62 and 18 trees here
+    # winner; the swap search validates the tree it returns after a swap.
+    # Every swap also rebuilds the walk: 2 on ubp and grid4, 40 on the
+    # ladder.  A SpanningTree per root would validate 24, 62 and 18 trees
+    # there.  On Petersen (lambda 3, UB 5) no swap is taken, so the swap
+    # search returns the scan's tree, and the subset step finds no better
+    # one.  Every case starts the swap search above lambda
+    assert lower_bound(G) < _best_bfs_tree(G)[0]
     calls = {"validate": 0, "walk": 0}
     validate, walk = stc.graph._spanning_walk, stc.graph._tree_order
 
@@ -344,7 +349,7 @@ def test_bounds_validate_two_trees(monkeypatch, G, walks):
     monkeypatch.setattr(stc.graph, "_tree_order", counted_walk)
     monkeypatch.setattr(stc.bounds, "_tree_order", counted_walk)
     bounds(G)
-    assert calls == {"validate": 2, "walk": walks}
+    assert calls == {"validate": validated, "walk": walks}
 
 
 def test_swap_search_stops_after_2m_candidates(monkeypatch):

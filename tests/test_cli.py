@@ -63,7 +63,7 @@ def test_solve_algorithms_agree(tmp_path, capsys):
     G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     path = write_gr(tmp_path, G)
     ks = {}
-    for alg in ("oracle", "dp", "fes"):
+    for alg in ("oracle", "dp", "auto"):
         code, out, _ = run(capsys, "solve", path, "--alg", alg)
         assert code == 0
         ks[alg] = formats.parse_solution(out)["k"]
@@ -139,7 +139,7 @@ def test_long_cycle_needs_no_deep_recursion(tmp_path, capsys):
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 150)
     try:
-        results = [run(capsys, "oracle", path), run(capsys, "solve", path, "--alg", "fes")]
+        results = [run(capsys, "oracle", path), run(capsys, "solve", path)]
     finally:
         sys.setrecursionlimit(old)
     for code, out, _ in results:
@@ -162,9 +162,9 @@ def test_fes_answers_long_cycle_with_pendant_paths(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(stc.structural.fes, "search_k", no_search)
     k, T = solve_fes(G)
     assert k == 2 and T.edges == G.edges - {(n - 2, n - 1)}
-    code, out, _ = run(capsys, "solve", write_gr(tmp_path, G), "--alg", "fes")
+    code, out, _ = run(capsys, "solve", write_gr(tmp_path, G))
     sol = formats.parse_solution(out)
-    assert code == 0 and sol["algorithm"] == "fes" and sol["k"] == 2
+    assert code == 0 and sol["algorithm"] == "cycle" and sol["k"] == 2
 
 
 def test_oracle_decision_no(tmp_path, capsys):

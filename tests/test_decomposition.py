@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -290,3 +291,15 @@ def test_height_is_the_rounding_depth_of_every_merge_order():
         child_order = _chain_heights(ntd, lambda c: [range(c)])
         assert child_order == (19 if name == "ubp" else ntd.height), name
     assert default_nice_decomposition(ubp).height == 29
+
+
+def test_nice_decompositions_do_not_move():
+    # one digest over every node (kind, bag, vertex, children) and the root
+    # of the DP's nice decompositions of ubp and the 4x4 grid: the bag
+    # tree's walk order decides the node numbering and so every DP table
+    h = hashlib.sha256()
+    for g in (gen_ubp(3, [1, 1, 1]).graph, grid_graph(4)):
+        ntd = default_nice_decomposition(g)
+        nodes = [(nd.kind, sorted(nd.bag), nd.vertex, nd.children) for nd in ntd.nodes]
+        h.update(repr(nodes + [ntd.root]).encode())
+    assert h.hexdigest() == "73a6236a963ff0f181e1c5af991637f46082476cf859f1b0ed04af940f08e185"

@@ -24,9 +24,9 @@ from stc.graph import (
     _edge_loads,
     _max_load,
     congestion_report,
+    connected_components,
     edge_key,
     find_biclique,
-    spanning_tree_violation,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
@@ -134,7 +134,6 @@ def test_spanning_tree_check_agrees_with_union_find_on_random_edge_sets():
             edges.add(rng.choice(missing))
         want = spanning_tree_violation_by_union_find(G, edges)
         verdicts.add(want is None or next(w for w in ("graph", "needs", "cycle") if w in want))
-        assert spanning_tree_violation(G, edges) == want
         try:
             T = SpanningTree(G, edges)
         except InvalidSpanningTreeError as exc:
@@ -150,6 +149,32 @@ def test_spanning_tree_check_agrees_with_union_find_on_random_edge_sets():
             assert want is None
             assert congestion_report(G, T).per_edge == congestion_report_by_detours(G, T).per_edge
     assert verdicts == {True, "graph", "needs", "cycle"}  # every verdict was met
+
+
+def test_is_connected_agrees_with_connected_components():
+    # connected draws, draws that cut off one vertex or a whole block, and
+    # sparse draws that fall apart on their own, relabelled so that vertex 0,
+    # where the walk starts, lies anywhere
+    rng = random.Random(811)
+    verdicts = []
+    for i in range(300):
+        n = rng.randint(1, 30)
+        if i % 3 == 0:
+            edges = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n)).edges
+        elif i % 3 == 1 and n > 1:
+            b = 1 if rng.random() < 0.5 else rng.randint(1, n - 1)  # vertices cut off
+            a = n - b
+            edges = random_connected_graph(rng, a, rng.randint(a - 1, 2 * a)).edges | {
+                (u + a, v + a) for u, v in random_connected_graph(rng, b, 2 * b).edges}
+        else:
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, min(len(pairs), rng.randint(0, n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        G = Graph(n, frozenset(edge_key(perm[u], perm[v]) for u, v in edges))
+        verdicts.append(G.is_connected())
+        assert verdicts[-1] == (len(connected_components(G)) == 1)
+    assert 100 < verdicts.count(True) < 200  # both verdicts are well represented
 
 
 def test_star_congestion_is_leaf_degrees():
@@ -233,7 +258,7 @@ def test_detour_sum_identity():
                     x, y = y, x
                 x = parent[x]
                 total += 1
-        assert rep.total == total
+        assert sum(rep.per_edge.values()) == total
 
 
 def test_weighted_congestion_matches_reference():
@@ -307,7 +332,7 @@ def test_kept_report_serves_only_its_own_unweighted_host():
         ]
         H = Graph(G.n, G.edges | {rng.choice(missing)})
         assert congestion_report(H, T).per_edge == congestion_report_by_detours(H, T).per_edge
-        assert congestion_report(H, T).total > unit.total
+        assert sum(congestion_report(H, T).per_edge.values()) > sum(unit.per_edge.values())
         assert congestion_report(G, T) is unit
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
     star_graph,
+    suite_graphs,
 )
 import stc.oracle
 from stc.errors import BudgetExceededError, DisconnectedGraphError
@@ -23,6 +25,7 @@ from stc.oracle import (
     enumerate_spanning_trees,
     stc_exact,
 )
+from stc.reductions import gen_ubp
 
 
 def kirchhoff_count(G: Graph) -> int:
@@ -194,6 +197,17 @@ def test_bridge_cuts_skip_most_trees(monkeypatch, G, k, measured, total):
     cut_work = _counting(monkeypatch, "_vertex_loads")
     assert count_spanning_trees(G) == total == kirchhoff_count(G)
     assert cut_work == []
+
+
+def test_stc_exact_trees_do_not_move():
+    # one digest over (k, the tree's sorted edges) on the 200 suite graphs,
+    # Petersen, the 3x3 grid and the weighted ubp: the enumeration order,
+    # the bridge cuts and the stop at the lower bound decide every tree
+    h = hashlib.sha256()
+    for g in suite_graphs() + [PETERSEN, grid_graph(3), gen_ubp(3, [1, 1, 1]).weighted]:
+        k, T = stc_exact(g)
+        h.update(repr((k, T.sorted_edges())).encode())
+    assert h.hexdigest() == "21d4bb1af9151d8e30d4108031ec19920c27700a8235b0de20520c8ff30095ed"
 
 
 def test_long_cycle_runs_one_bridge_search(monkeypatch):

@@ -156,7 +156,7 @@ def test_modulator_out_of_range_rejected(alg):
 def test_weighted_input_only_with_oracle():
     base = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     Gw = DoubleWeightedGraph.single(base, {e: 2 for e in base.edges})
-    for alg in ("auto", "dp", "fes"):
+    for alg in ("auto", "dp"):
         with pytest.raises(GraphError, match="oracle"):
             solve(Gw, alg=alg)
     alg, got, tree = solve(Gw, alg="oracle")
@@ -198,3 +198,20 @@ def test_no_unused_imports():
     files = sorted((root / "src" / "stc").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused
+
+
+def test_every_private_helper_is_used_by_the_library():
+    # a private top-level function or class of src/stc that no line of
+    # src/stc outside its own definition names is a helper only tests use
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "stc").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    helpers = [(path, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    unused = [f"{path.name}:{d.lineno} {d.name}" for path, d in helpers
+              if not any(name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+                         for p, line, name in uses)]
+    assert len(helpers) > 70 and not unused
