@@ -6,22 +6,32 @@ point: write(parse(write(x))) == write(x) byte for byte.  Parsers are strict
 and raise FormatError with the offending line number.
 
 The solution writer prints the bulky `edges` and `per_edge_congestion`
-fields itself, since json's indenting encoder runs in pure Python; its bytes
-are unchanged: exactly json.dumps(doc, indent=2) plus a newline.
+fields itself, since json's indenting encoder runs in pure Python: each is
+one `%` template of m items, filled from one flat tuple of the values.  Its
+bytes are unchanged: exactly json.dumps(doc, indent=2) plus a newline.
 
-The .gr reader converts each edge line in one step and words an error only
-once a line has failed; it builds no adjacency (Graph builds it on first
-use), so `stc eval` never does.  The solution verifier validates the tree by
-the same walk that measures it, and names an out-of-range endpoint only
-after the tree has failed that check.
+The .gr reader takes text in write_gr's form (edge lines in any order)
+whole: one regex match, one int conversion of the edge lines, bulk checks
+of the count and of duplicates, and Graph's own check of the range and of
+self-loops.  The edge set is filled in line order, as the line loop fills
+it, so the graph's edge and adjacency sets iterate alike either way.  Any
+other text (comments, blank lines, CRLF, tabs, `p stcw`) and any text that
+fails a check there goes to the line loop, which converts each edge line in
+one step and words an error, with its line number, only once a line has
+failed.  Neither builds an
+adjacency (Graph builds it on first use), so `stc eval` never does.  The
+solution verifier validates the tree by the same walk that measures it, and
+names an out-of-range endpoint only after the tree has failed that check.
 """
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .decomposition import TreeDecomposition
-from .errors import FormatError, InvalidSpanningTreeError
+from .errors import FormatError, GraphError, InvalidSpanningTreeError
 from .graph import (
     DoubleWeightedGraph,
     Graph,
@@ -50,8 +60,47 @@ def _int_tokens(lineno: int, toks, what: str) -> list[int]:
     return out
 
 
+# the form write_gr emits, edge lines in any order: nothing but the problem
+# line and edge lines, one space apart, each line ending in a newline
+_CANONICAL_GR = re.compile(r"p stc ([0-9]+) ([0-9]+)\n((?:[0-9]+ [0-9]+\n)*)")
+
+
 def parse_gr(text: str) -> Graph | DoubleWeightedGraph:
-    """Parse `p stc <n> <m>` (or `p stcw` with per-edge weight pairs)."""
+    """Parse `p stc <n> <m>` (or `p stcw` with per-edge weight pairs).
+
+    Text in write_gr's form is read whole (see the module docstring); any
+    other text, and any text that fails a check there, goes to the line loop.
+    """
+    G = _parse_canonical_gr(text)
+    return G if G is not None else _parse_gr_lines(text)
+
+
+def _parse_canonical_gr(text: str) -> Graph | None:
+    """The graph of text in write_gr's form, or None if text is not in that
+    form or fails a check."""
+    match = _CANONICAL_GR.fullmatch(text)
+    if match is None:
+        return None
+    try:  # int() refuses a token past Python's digit limit
+        n, m = int(match[1]), int(match[2])
+        vals = list(map(int, match[3].split()))
+    except ValueError:
+        return None
+    if len(vals) != 2 * m:
+        return None
+    # normalized and added in line order, as the line loop adds them
+    seen = set([(u - 1, v - 1) if u < v else (v - 1, u - 1)
+                for u, v in zip(vals[0::2], vals[1::2])])
+    if len(seen) != m:
+        return None
+    try:  # Graph rejects n < 1, a self-loop and an endpoint out of range
+        return Graph(n, frozenset(seen))
+    except GraphError:
+        return None
+
+
+def _parse_gr_lines(text: str) -> Graph | DoubleWeightedGraph:
+    """parse_gr line by line: any layout, and errors with their line number."""
     lines = _tokenized_lines(text)
     try:
         lineno, toks = next(lines)
@@ -225,16 +274,18 @@ def _field_text(key: str, val) -> str:
     ):
         if not val:
             return "[]"
-        return "[\n" + ",\n".join(
-            f"    [\n      {u},\n      {v}\n    ]" for u, v in val
+        pair = "    [\n      %d,\n      %d\n    ]"
+        return "[\n" + ",\n".join([pair] * len(val)) % tuple(
+            chain.from_iterable(val)
         ) + "\n  ]"
     if key == "per_edge_congestion" and type(val) is dict and all(
         type(t) is str and type(c) is int for t, c in val.items()
     ):
         if not val:
             return "{}"
-        return "{\n" + ",\n".join(
-            f"    {encode_basestring_ascii(t)}: {c}" for t, c in val.items()
+        tags = map(encode_basestring_ascii, val)
+        return "{\n" + ",\n".join(["    %s: %d"] * len(val)) % tuple(
+            chain.from_iterable(zip(tags, val.values()))
         ) + "\n  }"
     return json.dumps(val, indent=2).replace("\n", "\n  ")
 

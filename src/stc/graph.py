@@ -85,6 +85,10 @@ class Graph:
         return sorted(self.edges)
 
     def is_connected(self) -> bool:
+        # fewer than n - 1 edges cannot connect n vertices; answering before
+        # the walk spares building n adjacency sets for an edgeless header
+        if self.m < self.n - 1:
+            return False
         return len(_bfs_walk(self._adj, 0)[2]) == self.n
 
 

@@ -171,19 +171,20 @@ def reduce_graph(G: Graph) -> tuple[Graph, ReductionTrace]:
 
 
 def lift_tree(trace: ReductionTrace, core_tree: frozenset[Edge]) -> SpanningTree:
-    """Kernel tree to host tree: sections expand, absences drop one edge."""
+    """Kernel tree to host tree: sections expand, absences drop one edge.
+
+    The peeled (leaf, anchor) pairs and the section paths partition the
+    host's edges: peeling deletes each leaf's one edge, and every surviving
+    edge lies on exactly one section, a compressed chain or a kernel edge
+    standing for itself.  Every kernel edge has a section.  So the lifted
+    tree, which keeps the peeled edges and the whole path of each chosen
+    kernel edge and drops the last edge of each other path, is the host's
+    edge set minus those last edges.  SpanningTree validates the result.
+    """
     to_host = trace.core_vertices
     chosen = {edge_key(to_host[u], to_host[v]) for u, v in core_tree}
-    edges: set[Edge] = set()
-    for artifact, path in trace.sections:
-        if artifact in chosen:
-            edges.update(path)
-            chosen.discard(artifact)
-        else:
-            edges.update(path[:-1])
-    edges |= chosen  # kernel edges outside any section (none in practice)
-    edges.update((a, b) if a < b else (b, a) for a, b in trace.peeled)
-    return SpanningTree(trace.original, frozenset(edges))
+    dropped = {path[-1] for artifact, path in trace.sections if artifact not in chosen}
+    return SpanningTree(trace.original, trace.original.edges - dropped)
 
 
 def solve_reduced(core: Graph, trace: ReductionTrace) -> tuple[str, int, SpanningTree]:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
+from stc import formats
 from stc.cli import main
 from stc.decomposition import TreeDecomposition, decompose, validate_td
 from stc.errors import FormatError
@@ -79,6 +81,109 @@ def test_gr_errors_carry_line_numbers(text, lineno):
 def test_gr_edge_count_mismatch():
     with pytest.raises(FormatError, match="expected 2 edge lines"):
         parse_gr("p stc 3 2\n1 2\n")
+
+
+def _adjacency(G: Graph) -> list[list[int]]:
+    return [list(s) for s in G._adj]
+
+
+def _spy_on_line_loop(monkeypatch) -> list[str]:
+    texts = []
+    loop = formats._parse_gr_lines
+
+    def spied(text):
+        texts.append(text)
+        return loop(text)
+
+    monkeypatch.setattr(formats, "_parse_gr_lines", spied)
+    return texts
+
+
+def test_bulk_parse_equals_the_line_loop_on_random_graphs(monkeypatch):
+    # the same n, edge order and adjacency order, whatever the line order
+    rng = random.Random(24)
+    looped = _spy_on_line_loop(monkeypatch)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        head, *lines = write_gr(G).splitlines(keepends=True)
+        rng.shuffle(lines)
+        for text in (write_gr(G), head + "".join(lines)):
+            bulk = parse_gr(text)
+            assert looped == []  # write_gr's form, in any line order, is read whole
+            ref = formats._parse_gr_lines(text)
+            looped.clear()
+            assert bulk == ref == G
+            assert list(bulk.edges) == list(ref.edges)
+            assert _adjacency(bulk) == _adjacency(ref)
+
+
+@pytest.mark.parametrize(
+    "variant, bulk",
+    [
+        (lambda t: "c a comment\n" + t, False),
+        (lambda t: t.replace("\n", "\n\n", 2), False),
+        (lambda t: t.replace("\n", "\r\n"), False),
+        (lambda t: t.replace(" ", "\t", 3), False),
+        (lambda t: t[:-1], False),
+        (lambda t: re.sub(r"\b([0-9])", r"00\1", t), True),  # leading zeros stay canonical
+    ],
+)
+def test_perturbed_gr_files_parse_to_the_canonical_graph(monkeypatch, variant, bulk):
+    rng = random.Random(25)
+    looped = _spy_on_line_loop(monkeypatch)
+    for _ in range(20):
+        n = rng.randint(2, 30)
+        G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        want = parse_gr(write_gr(G))
+        text = variant(write_gr(G))
+        looped.clear()
+        got = parse_gr(text)
+        assert looped == ([] if bulk else [text])
+        assert got == want
+        assert list(got.edges) == list(want.edges)
+        assert _adjacency(got) == _adjacency(want)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the cases of test_gr_errors_carry_line_numbers
+        ("", "line 1: missing problem line"),
+        ("p wrong 2 1\n1 2\n", "line 1: expected 'p stc <n> <m>' or 'p stcw <n> <m>'"),
+        ("p stc 2 1\n1 3\n", "line 2: vertex out of range 1..2"),
+        ("p stc 2 1\n1 1\n", "line 2: self-loop at 1"),
+        ("p stc 3 2\n1 2\n1 2\n", "line 3: duplicate edge 1 2"),
+        ("p stc 2 1\n1 2\n2 1\n", "line 3: more than 1 edge lines"),
+        ("p stc 2 1\n1 two\n", "line 2: edge line: not an integer: 'two'"),
+        ("p stcw 2 1\n1 2 1\n", "line 2: expected 4 integers, got 3"),
+        ("p stcw 2 1\n1 2 0 1\n", "line 2: weights must be >= 1"),
+        # canonical text that fails one of the bulk path's checks
+        ("p stc 3 3\n1 2\n2 3\n3 2\n", "line 4: duplicate edge 3 2"),
+        ("p stc 3 2\n1 2\n3 3\n", "line 3: self-loop at 3"),
+        ("p stc 3 2\n1 2\n0 3\n", "line 3: vertex out of range 1..3"),
+        ("p stc 3 2\n1 2\n2 4\n", "line 3: vertex out of range 1..3"),
+        ("p stc 3 1\n1 2\n2 3\n", "line 3: more than 1 edge lines"),
+        ("p stc 3 0\n1 2\n", "line 2: more than 0 edge lines"),
+        ("p stc 3 2\n1 2\n", "expected 2 edge lines, found 1"),
+        ("p stc 1 1\n", "expected 1 edge lines, found 0"),
+        ("p stc 0 0\n", "line 1: need n >= 1 and m >= 0"),
+        ("p stc 3 2\n1 2 3\n4\n", "line 2: expected 2 integers, got 3"),
+        # tokens past int()'s digit limit
+        (
+            "p stc " + "1" * 5000 + " 0\n",
+            "line 1: problem line: not an integer: '" + "1" * 5000 + "'",
+        ),
+        (
+            "p stc 3 1\n1 " + "2" * 5000 + "\n",
+            "line 2: edge line: not an integer: '" + "2" * 5000 + "'",
+        ),
+    ],
+)
+def test_gr_error_messages_are_the_line_loops(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_gr(text)
+    assert str(exc.value) == message
 
 
 def test_td_roundtrip_fixed_point():

@@ -15,7 +15,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
-from stc.errors import GraphError, InvalidSpanningTreeError
+from stc.errors import DisconnectedGraphError, GraphError, InvalidSpanningTreeError
 from stc.graph import (
     CongestionReport,
     DoubleWeightedGraph,
@@ -27,6 +27,7 @@ from stc.graph import (
     connected_components,
     edge_key,
     find_biclique,
+    require_connected,
     twin_classes,
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
@@ -175,6 +176,17 @@ def test_is_connected_agrees_with_connected_components():
         verdicts.append(G.is_connected())
         assert verdicts[-1] == (len(connected_components(G)) == 1)
     assert 100 < verdicts.count(True) < 200  # both verdicts are well represented
+
+
+def test_too_few_edges_are_disconnected_without_building_the_adjacency():
+    # a header such as `p stc 1000000 0` must not cost one set per vertex
+    path = path_graph(5)
+    for G in (Graph(10**6, frozenset()), Graph(10**6, frozenset({(0, 1)})),
+              Graph(6, path.edges), Graph(2, frozenset())):
+        with pytest.raises(DisconnectedGraphError, match="^input graph is not connected$"):
+            require_connected(G)
+        assert "_adj" not in vars(G)
+    assert path.is_connected() and Graph(1, frozenset()).is_connected()
 
 
 def test_star_congestion_is_leaf_degrees():

@@ -12,6 +12,8 @@ from conftest import (
     path_graph,
     random_connected_graph,
     star_graph,
+    subdivided,
+    suite_graphs,
     vertex_integrity_set,
 )
 from stc.bounds import bounds
@@ -183,6 +185,63 @@ def test_reduce_preserves_stc_on_larger_hosts():
         kk, core_tree = stc_exact(core)
         lifted = lift_tree(trace, core_tree.edges)
         assert congestion_report(G, lifted).max_congestion == kk
+
+
+def lift_by_union(trace, core_tree) -> frozenset:
+    """The lifted tree built section by section, as the union of each chosen
+    section's path, each other section's path but its last edge, and the
+    peeled edges."""
+    to_host = trace.core_vertices
+    chosen = {edge_key(to_host[u], to_host[v]) for u, v in core_tree}
+    edges = set()
+    for artifact, path in trace.sections:
+        if artifact in chosen:
+            edges.update(path)
+            chosen.discard(artifact)
+        else:
+            edges.update(path[:-1])
+    edges |= chosen
+    edges.update(edge_key(a, b) for a, b in trace.peeled)
+    return frozenset(edges)
+
+
+def with_pendant_trees(rng: random.Random, G: Graph, extra: int) -> Graph:
+    """G with extra new vertices, each hung from a random earlier vertex."""
+    edges = list(G.edges) + [(rng.randrange(v), v) for v in range(G.n, G.n + extra)]
+    return Graph.from_edges(G.n + extra, edges)
+
+
+def random_spanning_tree(rng: random.Random, G: Graph) -> frozenset:
+    edges = sorted(G.edges)
+    rng.shuffle(edges)
+    comp = list(range(G.n))
+    tree = set()
+    for u, v in edges:
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            comp = [cu if c == cv else c for c in comp]
+            tree.add((u, v))
+    return frozenset(tree)
+
+
+def test_lift_is_the_union_of_sections():
+    rng = random.Random(24)
+    hosts = [with_pendant_trees(rng, subdivided(G, rng.randint(0, 2)), rng.randint(0, 6))
+             for G in suite_graphs()]
+    kinds = set()
+    for H in hosts:
+        core, trace = reduce_graph(H)
+        kinds.add(trace.kind)
+        for _ in range(3):
+            core_tree = random_spanning_tree(rng, core)
+            assert lift_tree(trace, core_tree).edges == lift_by_union(trace, core_tree)
+    assert kinds == {"tree", "cycle", "kernel"}
+    # a cycle kernel: every spanning tree of the core drops one of its edges
+    H = with_pendant_trees(rng, subdivided(cycle_graph(6), 2), 5)
+    core, trace = reduce_graph(H)
+    assert trace.kind == "cycle"
+    for e in core.edges:
+        assert lift_tree(trace, core.edges - {e}).edges == lift_by_union(trace, core.edges - {e})
 
 
 def test_single_extra_edge_gives_two():
