@@ -7,6 +7,9 @@ or input error, 3 the oracle's enumeration budget exceeded.  Any other
 error is a fault and propagates.  With --json, results go to stdout and
 errors to stderr as JSON.
 
+The oracle's caps come from --max-trees and --max-millis alone, and
+--modulator is refused on the routes that take none (dp and oracle).
+
 Every reported tree has been re-evaluated with congestion_report, so a "yes"
 is always backed by a checked witness.
 """
@@ -15,12 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import formats
-from .decomposition import EXACT_SMALL_MAX_N, decompose, validate_td
+from .decomposition import decompose, validate_td
 from .dp import solve_approx_tw
 from .errors import (
     BudgetExceededError,
@@ -60,10 +62,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("-o", "--output", help="write the result here instead of stdout")
 
     def budget(p):
-        p.add_argument("--max-trees", type=int,
-                       help="cap on the trees the oracle measures (env STC_MAX_TREES)")
-        p.add_argument("--max-millis", type=int,
-                       help="cap on the oracle's enumeration time in ms (env STC_MAX_MILLIS)")
+        p.add_argument("--max-trees", type=int, default=DEFAULT_MAX_TREES,
+                       help="cap on the trees the oracle measures")
+        p.add_argument("--max-millis", type=int, default=DEFAULT_MAX_MILLIS,
+                       help="cap on the oracle's enumeration time in ms")
 
     p = sub.add_parser("solve", help="exact spanning tree congestion")
     p.add_argument("input", help=".gr graph file")
@@ -103,7 +105,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="tree decomposition as .td")
     p.add_argument("input")
-    p.add_argument("--mode", default="auto", choices=["auto", "heuristic", "exact_small"])
     common(p)
 
     p = sub.add_parser("reduce", help="feedback-edge kernel: .gr plus trace JSON")
@@ -132,31 +133,11 @@ def _check(args: argparse.Namespace) -> None:
     alg = getattr(args, "alg", None)
     if alg in ("dtc", "vi") and not args.modulator:
         raise UsageError(f"--alg {alg} needs --modulator")
+    if alg in ("dp", "oracle") and args.modulator:
+        raise UsageError(f"--alg {alg} takes no --modulator")
     for cap in ("max_trees", "max_millis"):
-        v = getattr(args, cap, None)
-        if v is not None and v < 1:
+        if getattr(args, cap, 1) < 1:
             raise UsageError(f"--{cap.replace('_', '-')} must be >= 1")
-
-
-def _budget(args: argparse.Namespace) -> EnumerationBudget:
-    def pick(flag, env, default):
-        if flag is not None:
-            return flag
-        raw = os.environ.get(env)
-        if raw is None:
-            return default
-        try:
-            val = int(raw)
-        except ValueError:
-            raise UsageError(f"{env} is not an integer: {raw!r}")
-        if val < 1:
-            raise UsageError(f"{env} must be >= 1")
-        return val
-
-    return EnumerationBudget(
-        pick(args.max_trees, "STC_MAX_TREES", DEFAULT_MAX_TREES),
-        pick(args.max_millis, "STC_MAX_MILLIS", DEFAULT_MAX_MILLIS),
-    )
 
 
 def _read(path: str) -> str:
@@ -189,10 +170,7 @@ def _load_unweighted(path: str, what: str) -> Graph:
 
 def _load_modulator(path: str, G: Graph) -> frozenset[int]:
     verts = []
-    for lineno, toks in enumerate(_read(path).splitlines(), start=1):
-        toks = toks.split()
-        if not toks or toks[0] == "c":
-            continue
+    for lineno, toks in formats._tokenized_lines(_read(path)):
         for t in toks:
             try:
                 v = int(t)
@@ -235,7 +213,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     G = _load_graph(args.input)
     S = _load_modulator(args.modulator, G) if args.modulator else None
     k = args.k
-    alg, got, tree = solve(G, k, S, args.alg, _budget(args))
+    budget = EnumerationBudget(args.max_trees, args.max_millis)
+    alg, got, tree = solve(G, k, S, args.alg, budget)
     if tree is None:
         doc = formats.build_infeasible(k, alg)
         _emit_doc(args, doc, f"no spanning tree with congestion <= {k}")
@@ -337,9 +316,7 @@ def _write_gen(args: argparse.Namespace, graph: Graph, sidecar: dict) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     G = _load_unweighted(args.input, "decompose")
-    if args.mode == "exact_small" and G.n > EXACT_SMALL_MAX_N:
-        raise UsageError(f"--mode exact_small only handles n <= {EXACT_SMALL_MAX_N}")
-    td = decompose(G, args.mode)
+    td = decompose(G)
     text = formats.write_td(td)
     if args.output:
         _write(args.output, text)

@@ -1,8 +1,9 @@
-"""Tree decompositions: heuristic and exact-small construction, nice form.
+"""Tree decompositions: one construction, and the nice form.
 
-Both constructions go through elimination orders.  The exact route is a DP
-over vertex subsets (min over the last-eliminated vertex of its fill degree),
-feasible up to n = 12; the heuristic is min-fill with min-degree tie-break.
+`decompose` builds its bags from an elimination order.  Up to n = 12 the
+order has optimal width, found by a DP over vertex subsets (min over the
+last-eliminated vertex of its fill degree); above that it is min-fill with
+min-degree tie-break.
 """
 from __future__ import annotations
 
@@ -192,24 +193,10 @@ def _exact_order(G: Graph) -> list[int]:
     return order
 
 
-EXACT_SMALL_MAX_N = 12
-
-
-def decompose(G: Graph, mode: str = "heuristic") -> TreeDecomposition:
-    """Tree decomposition; mode 'exact_small' refuses n > 12, and mode 'auto'
-    picks it up to that size and the heuristic beyond."""
+def decompose(G: Graph) -> TreeDecomposition:
+    """Tree decomposition: the optimal-width order up to n = 12, min-fill above."""
     require_connected(G)
-    if mode == "auto":
-        mode = "exact_small" if G.n <= EXACT_SMALL_MAX_N else "heuristic"
-    if mode == "heuristic":
-        order = _min_fill_order(G)
-    elif mode == "exact_small":
-        if G.n > EXACT_SMALL_MAX_N:
-            raise ValueError(f"exact_small only handles n <= {EXACT_SMALL_MAX_N}")
-        order = _exact_order(G)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _order_to_td(G, order)
+    return _order_to_td(G, _exact_order(G) if G.n <= 12 else _min_fill_order(G))
 
 
 def _bag_tree_adj(td: TreeDecomposition) -> list[list[int]]:

@@ -176,10 +176,10 @@ subsets.  It scans k from lam, or with eps from the smallest k with
 (1+eps)k >= lam, since a run at k accepts only with a tree of congestion
 <= (1+eps)k, up to UB - 1, and returns the UB tree when every k is refused.
 No decomposition is built before a k needs a run: the default one is made
-at the first such k (a decomposition given by the caller is validated up
-front all the same).  A rounded run takes delta from the decomposition's
-height, which covers any merge order the run picks (see "Merge order").
-Each tree the DP returns is re-measured by
+at the first such k, and every later k runs on it (solve_exact_tw is the
+one entry that runs on a decomposition the caller gives, validated first).
+A rounded run takes delta from the decomposition's height, which covers any
+merge order the run picks (see "Merge order").  Each tree the DP returns is re-measured by
 congestion_report and checked against its cap, k for exact counters and
 (1+eps)k for rounded ones.  The exact search returns stc: no k below the
 first accepted one admits a tree.  A rounded run's tree may be more
@@ -732,7 +732,7 @@ def _run_dp(
 
 
 def default_nice_decomposition(G: Graph) -> NiceTreeDecomposition:
-    return make_nice(decompose(G, "auto"))
+    return make_nice(decompose(G))
 
 
 def _checked_ntd(G: Graph, ntd: NiceTreeDecomposition | None) -> NiceTreeDecomposition:
@@ -764,7 +764,6 @@ def solve_exact_tw(
 
 def search_k(
     G: Graph,
-    ntd: NiceTreeDecomposition | None = None,
     limit: int | None = None,
     eps: Fraction | None = None,
 ) -> tuple[int, SpanningTree] | None:
@@ -779,6 +778,7 @@ def search_k(
     lam, ub, T_ub = bounds(G)
     stop = ub if limit is None else min(ub, limit)
     slack = 1 + (eps or 0)
+    ntd: NiceTreeDecomposition | None = None
     for k in range(math.ceil(lam / slack), stop):
         if ub <= slack * max(lam, k):
             break  # certified stop: stc >= max(lam, k)
@@ -798,25 +798,19 @@ def search_k(
     return (ub, T_ub) if limit is None or ub < limit else None
 
 
-def solve_stc_tw(
-    G: Graph, ntd: NiceTreeDecomposition | None = None
-) -> tuple[int, SpanningTree]:
+def solve_stc_tw(G: Graph) -> tuple[int, SpanningTree]:
     """Exact spanning tree congestion: the DP searches k between bounds."""
     require_connected(G)
-    return search_k(G, None if ntd is None else _checked_ntd(G, ntd))
+    return search_k(G)
 
 
-def solve_approx_tw(
-    G: Graph,
-    eps,
-    ntd: NiceTreeDecomposition | None = None,
-) -> tuple[int, SpanningTree]:
+def solve_approx_tw(G: Graph, eps) -> tuple[int, SpanningTree]:
     """(1+eps)-approximation; returns the tree's re-measured congestion."""
     require_connected(G)
     eps = _to_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return search_k(G, None if ntd is None else _checked_ntd(G, ntd), eps=eps)
+    return search_k(G, eps=eps)
 
 
 def _to_fraction(eps) -> Fraction:
@@ -839,14 +833,14 @@ def solve_cw_winwin(G: Graph, k: int, w: int) -> WinWinResult:
 
     A decomposition within width 6(k+1)w + 1 feeds the DP; otherwise the
     graph is dense enough to hunt for a K_{k+1,k+1}, which certifies "no".
-    If the heuristic width is large but no biclique shows up, the DP runs
-    anyway (the heuristic may simply have been loose).
+    If the width is large but no biclique shows up, the DP runs anyway
+    (min-fill may simply have been loose).
     """
     require_connected(G)
     if w < 1:
         raise ValueError("w must be >= 1")
     threshold = 6 * (k + 1) * w + 1
-    td = decompose(G, "auto")
+    td = decompose(G)
     if td.width > threshold:
         bic = find_biclique(G, k + 1)
         if bic is not None:

@@ -7,8 +7,10 @@ and raise FormatError with the offending line number.
 
 The solution writer prints the bulky `edges` and `per_edge_congestion`
 fields itself, since json's indenting encoder runs in pure Python: each is
-one `%` template of m items, filled from one flat tuple of the values.  Its
-bytes are unchanged: exactly json.dumps(doc, indent=2) plus a newline.
+one `%` template of m items, filled from one flat tuple of the values.  On
+the documents build_solution and build_infeasible make, with or without
+further fields, its bytes are exactly json.dumps(doc, indent=2) plus a
+newline.
 
 The .gr reader takes text in write_gr's form (edge lines in any order)
 whole: one regex match, one int conversion of the edge lines, bulk checks
@@ -268,19 +270,14 @@ def build_infeasible(k: int, algorithm: str, **extra) -> dict:
 
 def _field_text(key: str, val) -> str:
     """json.dumps(val, indent=2) as it appears one level into the document."""
-    if key == "edges" and type(val) is list and all(
-        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-        for p in val
-    ):
+    if key == "edges":
         if not val:
             return "[]"
         pair = "    [\n      %d,\n      %d\n    ]"
         return "[\n" + ",\n".join([pair] * len(val)) % tuple(
             chain.from_iterable(val)
         ) + "\n  ]"
-    if key == "per_edge_congestion" and type(val) is dict and all(
-        type(t) is str and type(c) is int for t, c in val.items()
-    ):
+    if key == "per_edge_congestion":
         if not val:
             return "{}"
         tags = map(encode_basestring_ascii, val)
@@ -292,12 +289,14 @@ def _field_text(key: str, val) -> str:
 
 def solution_to_text(sol: dict) -> str:
     """The document as json.dumps(doc, indent=2) plus a newline, keys in the
-    canonical order; edges and per-edge congestion are written directly."""
+    canonical order; edges and per-edge congestion are written directly.
+
+    sol is a document of build_solution or build_infeasible, fields added
+    or not: edges are pairs of ints, per-edge congestion maps str to int.
+    """
     order = ["feasible", "k", "algorithm", "certified", "edges", "per_edge_congestion"]
     ordered = {key: sol[key] for key in order if key in sol}
     ordered.update({k: v for k, v in sol.items() if k not in ordered})
-    if not ordered or any(type(k) is not str for k in ordered):
-        return json.dumps(ordered, indent=2) + "\n"
     body = ",\n".join(
         f"  {encode_basestring_ascii(k)}: {_field_text(k, v)}" for k, v in ordered.items()
     )

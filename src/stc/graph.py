@@ -188,9 +188,6 @@ class SpanningTree:
             raise InvalidSpanningTreeError(walk)
         object.__setattr__(self, "_walk", walk)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 def _spanning_walk(G: Graph, edges: frozenset[Edge]):
     """`_tree_order` of edges if they form a spanning tree of G, else a

@@ -224,7 +224,7 @@ def check_approx_invariant(G: Graph, eps, ntd: NiceTreeDecomposition | None = No
     require_connected(G)
     eps = _to_fraction(eps)
     ntd = _checked_ntd(G, ntd)
-    k, _ = solve_stc_tw(G, ntd)
+    k, _ = solve_stc_tw(G)
     if k == 0:
         return
     h = ntd.height

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,17 +185,35 @@ def test_budget_flag_exit_code(tmp_path, capsys):
     assert code == 3 and "tree" in err
 
 
-def test_budget_env_var(tmp_path, capsys, monkeypatch):
+def test_oracle_caps_come_from_flags_only(tmp_path, capsys, monkeypatch):
     path = write_gr(tmp_path, gen_grid(3))
-    monkeypatch.setenv("STC_MAX_TREES", "5")
-    code, _, _ = run(capsys, "solve", path, "--alg", "oracle")
-    assert code == 3
     monkeypatch.setenv("STC_MAX_TREES", "junk")
-    code, _, err = run(capsys, "solve", path, "--alg", "oracle")
-    assert code == 2 and "STC_MAX_TREES" in err
-    # the budget is parsed on every route, also where nothing is enumerated
-    code, _, err = run(capsys, "solve", path, "--alg", "dp")
-    assert code == 2 and "STC_MAX_TREES" in err
+    monkeypatch.setenv("STC_MAX_MILLIS", "0")
+    assert run(capsys, "solve", path, "--alg", "dp")[0] == 0
+    assert run(capsys, "solve", path, "--alg", "oracle")[0] == 0
+    assert run(capsys, "solve", path, "--alg", "oracle", "--max-trees", "5")[0] == 3
+
+
+def test_modulator_refused_where_no_route_uses_it(tmp_path, capsys):
+    path = write_gr(tmp_path, gen_grid(3))
+    mod = tmp_path / "mod.txt"
+    mod.write_text("1\n")
+    for alg in ("dp", "oracle"):
+        code, _, err = run(capsys, "solve", path, "--alg", alg, "--modulator", str(mod))
+        assert code == 2 and f"--alg {alg} takes no --modulator" in err
+
+
+def test_modulator_file_errors(tmp_path, capsys):
+    path = write_gr(tmp_path, gen_grid(3))
+    mod = tmp_path / "mod.txt"
+    for text, message in [
+        ("c comment\n\n1 x\n", f"{mod} line 3: not a vertex id: 'x'"),
+        ("1\n  \n10\n", f"{mod} line 3: vertex 10 out of range 1..9"),
+        ("1 2\nc 5\n2\n", f"{mod}: repeated modulator vertex"),
+    ]:
+        mod.write_text(text)
+        code, _, err = run(capsys, "solve", path, "--alg", "vi", "--modulator", str(mod))
+        assert (code, err) == (2, f"error: {message}\n")
 
 
 # -- approx -------------------------------------------------------------------
@@ -463,8 +483,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "solve", str(tmp_path / "missing.gr"))[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
-    big = write_gr(tmp_path, gen_grid(4), "grid4.gr")
-    assert run(capsys, "decompose", big, "--mode", "exact_small")[0] == 2
+    code, _, err = run(capsys, "decompose", path, "--mode", "auto")
+    assert code == 2 and "--mode" in err
 
 
 def test_json_error_shape(tmp_path, capsys):
@@ -497,6 +517,26 @@ def test_route_cap_flags_are_gone(tmp_path, capsys):
     for flag in ("--oracle-cap", "--fes-cap"):
         code, _, err = run(capsys, "solve", path, flag, "3")
         assert code == 2 and flag in err
+
+
+def test_readme_command_line_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags = re.compile(r"(?<![\w-])(--[a-z](?:[a-z-]*[a-z])?|-[a-z])(?![\w-])")
+    blocks = section.split("```")[1::2]  # the synopsis, then the examples
+    synopsis = {line.split()[1] for line in blocks[0].splitlines() if line.startswith("stc ")}
+    assert synopsis == set(subparsers)
+    for line in "\n".join(blocks).splitlines():
+        if line.startswith("stc "):
+            name = line.split()[1]
+            assert name in subparsers, line
+            for flag in flags.findall(line.split("#")[0]):
+                assert flag in subparsers[name]._option_string_actions, (flag, line)
+    known = set().union(*(p._option_string_actions for p in subparsers.values()))
+    named = set(flags.findall(section))
+    assert {"--max-trees", "--modulator", "-o"} <= named <= known
 
 
 def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):

@@ -18,6 +18,9 @@ from stc.decomposition import (
     NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
+    _exact_order,
+    _min_fill_order,
+    _order_to_td,
     decompose,
     make_nice,
     validate_nice,
@@ -54,20 +57,20 @@ def brute_force_width(G: Graph) -> int:
 
 
 def test_tree_width_one():
-    td = decompose(path_graph(6), "exact_small")
+    td = decompose(path_graph(6))
     assert validate_td(path_graph(6), td) is None
     assert td.width == 1
 
 
 def test_cycle_width_two():
-    td = decompose(cycle_graph(5), "exact_small")
+    td = decompose(cycle_graph(5))
     assert validate_td(cycle_graph(5), td) is None
     assert td.width == 2
 
 
 def test_grid_width_three_exact():
     G = grid_graph(3)
-    td = decompose(G, "exact_small")
+    td = decompose(G)
     assert validate_td(G, td) is None
     assert td.width == 3
 
@@ -77,14 +80,22 @@ def test_exact_matches_bruteforce():
     for _ in range(15):
         n = rng.randint(3, 7)
         G = random_connected_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
-        td = decompose(G, "exact_small")
+        td = decompose(G)
         assert validate_td(G, td) is None
         assert td.width == brute_force_width(G)
 
 
-def test_exact_small_refuses_large():
-    with pytest.raises(ValueError):
-        decompose(path_graph(13), "exact_small")
+def test_decompose_takes_the_exact_order_up_to_12_vertices_and_min_fill_above():
+    rng = random.Random(825)
+    differ = set()
+    for n in (6, 9, 12, 12, 13, 13, 14):
+        G = random_connected_graph(rng, n, rng.randint(n, 2 * n))
+        exact = _order_to_td(G, _exact_order(G)).bags
+        min_fill = _order_to_td(G, _min_fill_order(G)).bags
+        assert decompose(G).bags == (exact if n <= 12 else min_fill)
+        if exact != min_fill:
+            differ.add(n <= 12)
+    assert differ == {True, False}  # each side of the switch tells the orders apart
 
 
 def test_heuristic_valid_and_not_crazy():
@@ -92,7 +103,7 @@ def test_heuristic_valid_and_not_crazy():
     for _ in range(10):
         n = rng.randint(4, 16)
         G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
-        td = decompose(G, "heuristic")
+        td = _order_to_td(G, _min_fill_order(G))
         assert validate_td(G, td) is None
         if n <= 7:
             assert td.width >= brute_force_width(G)
@@ -100,12 +111,12 @@ def test_heuristic_valid_and_not_crazy():
 
 def test_decompose_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
-        decompose(Graph.from_edges(3, [(0, 1)]), "heuristic")
+        decompose(Graph.from_edges(3, [(0, 1)]))
 
 
 def test_validate_catches_violations():
     G = cycle_graph(4)
-    ok = decompose(G, "exact_small")
+    ok = decompose(G)
     # drop a vertex from every bag: coverage violation
     bad = TreeDecomposition(
         G.n, tuple(b - {0} for b in ok.bags), ok.tree
@@ -166,7 +177,7 @@ def test_validate_td_agrees_with_a_bag_scan_on_corrupted_decompositions():
     for _ in range(400):
         n = rng.randint(3, 12)
         G = random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)))
-        td = decompose(G, "heuristic")
+        td = _order_to_td(G, _min_fill_order(G))
         bags, tree = list(td.bags), set(td.tree)
         i = rng.randrange(len(bags))
         kind = rng.randrange(4)
@@ -191,7 +202,7 @@ def test_make_nice_shape_and_validity():
     for _ in range(10):
         n = rng.randint(3, 10)
         G = random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)))
-        td = decompose(G, "exact_small" if n <= 12 else "heuristic")
+        td = decompose(G)
         ntd = make_nice(td)
         assert validate_nice(G, ntd) is None
         assert ntd.width == td.width
@@ -231,7 +242,7 @@ def test_validate_nice_checks_join_arity():
 
 def test_grid_nice_counts():
     G = grid_graph(3)
-    ntd = make_nice(decompose(G, "exact_small"))
+    ntd = make_nice(decompose(G))
     assert validate_nice(G, ntd) is None
     kinds = [nd.kind for nd in ntd.nodes]
     assert kinds.count("forget") == 9
@@ -244,7 +255,7 @@ def test_grid_nice_counts():
 
 def test_nice_height_and_postorder():
     G = cycle_graph(5)
-    ntd = make_nice(decompose(G, "exact_small"))
+    ntd = make_nice(decompose(G))
     post = ntd.postorder()
     assert post[-1] == ntd.root
     seen = set()

@@ -209,20 +209,34 @@ def test_matches_oracle_on_petersen():
     assert solve_stc_tw(g)[0] == stc_exact(g)[0] == 5
 
 
-def test_join_nodes_are_exercised():
+def test_join_nodes_are_exercised(monkeypatch):
+    # the DP runs on these decompositions directly: a search over k would
+    # answer both graphs from their bounds, which meet
+    joins = []
+    real = stc.dp._join_table
+
+    def counted(*args):
+        joins.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(stc.dp, "_join_table", counted)
     # spider of three 2-edge legs: its decomposition tree branches at the hub
     g = Graph.from_edges(
         7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]
     )
     ntd = default_nice_decomposition(g)
     assert any(nd.kind == "join" for nd in ntd.nodes)
-    assert solve_stc_tw(g, ntd)[0] == 1
+    assert congestion_report(g, solve_exact_tw(g, 1, ntd)).max_congestion == 1
+    # three triangles at one hub: stc 2
     g2 = Graph.from_edges(
         7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)]
     )
     ntd2 = default_nice_decomposition(g2)
     assert any(nd.kind == "join" for nd in ntd2.nodes)
-    assert solve_stc_tw(g2, ntd2)[0] == stc_exact(g2)[0] == 2
+    assert congestion_report(g2, solve_exact_tw(g2, 2, ntd2)).max_congestion == 2
+    assert solve_exact_tw(g2, 1, ntd2) is None
+    assert stc_exact(g2)[0] == 2
+    assert joins
 
 
 def test_mismatched_decomposition_rejected():
