@@ -271,6 +271,35 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
     return rep.max_congestion, T
 
 
+def _split(cut: list[int], nbr: list[int], k: int, memo: dict, R: int, c: int) -> bool:
+    """_subset_tree's recursion at k: R splits into blocks Z, each with
+    cut[Z] <= k and hanging from a neighbour z of c in Z (hang(Z, z) =
+    split(Z - z, z)); the block of R's lowest bit and its z are kept in
+    memo."""
+    if not R:
+        return True
+    if (R, c) not in memo:
+        low = R & -R
+        rest = R ^ low
+        sub, found = rest, None
+        while found is None:
+            Z = sub | low
+            if cut[Z] <= k:
+                # the first neighbour z of c in Z with hang(Z, z);
+                # the rest of R splits alike whichever z it is
+                zs = nbr[c] & Z
+                while zs and not _split(cut, nbr, k, memo, Z ^ (zs & -zs),
+                                        (zs & -zs).bit_length() - 1):
+                    zs &= zs - 1
+                if zs and _split(cut, nbr, k, memo, R ^ Z, c):
+                    found = (Z, (zs & -zs).bit_length() - 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        memo[(R, c)] = found
+    return memo[(R, c)] is not None
+
+
 def _subset_tree(G: Graph, verts, ks: range) -> tuple[int, list[Edge]] | None:
     """The first k in ks for which verts has a spanning tree of G[verts],
     rooted at verts[0], in which the set below each edge has a cut of at
@@ -291,35 +320,8 @@ def _subset_tree(G: Graph, verts, ks: range) -> tuple[int, list[Edge]] | None:
         if j and k not in values:
             continue  # the same blocks pass as at k - 1, which failed
         memo: dict[tuple[int, int], tuple[int, int] | None] = {}
-
-        def split(R: int, c: int) -> bool:
-            """R splits into blocks Z, each with cut[Z] <= k and hanging from
-            a neighbour z of c in Z (hang(Z, z) = split(Z - z, z)); the
-            block of R's lowest bit and its z are kept in memo."""
-            if not R:
-                return True
-            if (R, c) not in memo:
-                low = R & -R
-                rest = R ^ low
-                sub, found = rest, None
-                while found is None:
-                    Z = sub | low
-                    if cut[Z] <= k:
-                        # the first neighbour z of c in Z with hang(Z, z);
-                        # the rest of R splits alike whichever z it is
-                        zs = nbr[c] & Z
-                        while zs and not split(Z ^ (zs & -zs), (zs & -zs).bit_length() - 1):
-                            zs &= zs - 1
-                        if zs and split(R ^ Z, c):
-                            found = (Z, (zs & -zs).bit_length() - 1)
-                    if not sub:
-                        break
-                    sub = (sub - 1) & rest
-                memo[(R, c)] = found
-            return memo[(R, c)] is not None
-
         todo = [((1 << n) - 2, 0)]  # the tree rooted at verts[0]
-        if not split(*todo[0]):
+        if not _split(cut, nbr, k, memo, *todo[0]):
             continue
         edges = []
         while todo:

@@ -320,18 +320,7 @@ def _freeze(edges: list, anon_labels: tuple[int, ...]) -> State:
     for a, b, lbl, c in edges:
         adj.setdefault(a, []).append((b, (lbl, c)))
         adj.setdefault(b, []).append((a, (lbl, c)))
-
-    def sig(v: int, parent: int):
-        """Signature of v's subtree and its anonymous vertices in preorder."""
-        kids = [(pay, *sig(u, v)) for u, pay in adj[v] if u != parent]
-        kids.sort(key=lambda t: (t[0], t[1]))
-        pre = [v] if v < 0 else []
-        for _, _, sub in kids:
-            pre += sub
-        token = ("b", v) if v >= 0 else ("a", anon_labels[-v - 1])
-        return (token, tuple((pay, s) for pay, s, _ in kids)), pre
-
-    order = sig(min(v for v in adj if v >= 0), -10**9)[1]
+    order = _freeze_sig(adj, anon_labels, min(v for v in adj if v >= 0), -10**9)[1]
     names = {x: -(i + 1) for i, x in enumerate(order)}
     renamed = []
     for a, b, lbl, c in edges:
@@ -339,6 +328,17 @@ def _freeze(edges: list, anon_labels: tuple[int, ...]) -> State:
         renamed.append((a, b, lbl, c) if a < b else (b, a, lbl, c))
     renamed.sort()
     return (tuple(renamed), tuple(anon_labels[-x - 1] for x in order))
+
+
+def _freeze_sig(adj, anon_labels: tuple[int, ...], v: int, parent: int):
+    """_freeze's signature of v's subtree and its anonymous vertices in preorder."""
+    kids = [(pay, *_freeze_sig(adj, anon_labels, u, v)) for u, pay in adj[v] if u != parent]
+    kids.sort(key=lambda t: (t[0], t[1]))
+    pre = [v] if v < 0 else []
+    for _, _, sub in kids:
+        pre += sub
+    token = ("b", v) if v >= 0 else ("a", anon_labels[-v - 1])
+    return (token, tuple((pay, s) for pay, s, _ in kids)), pre
 
 
 def _drop_anon(edges, x: int):
@@ -374,15 +374,15 @@ def _shape_key(state: State):
     for u, v, lbl, _c in edges:
         adj.setdefault(u, []).append((v, lbl == 0))
         adj.setdefault(v, []).append((u, lbl == 0))
-    root = min(v for v in adj if v >= 0)
+    return _shape_sig(adj, min(v for v in adj if v >= 0), -10**9)
 
-    def sig(v: int, parent: int):
-        kids = [(present, sig(u, v)) for u, present in adj[v] if u != parent]
-        kids.sort()
-        token = ("b", v) if v >= 0 else ("a",)
-        return (token, tuple(kids))
 
-    return sig(root, -10**9)
+def _shape_sig(adj, v: int, parent: int):
+    """_shape_key's signature of v's subtree."""
+    kids = [(present, _shape_sig(adj, u, v)) for u, present in adj[v] if u != parent]
+    kids.sort()
+    token = ("b", v) if v >= 0 else ("a",)
+    return (token, tuple(kids))
 
 
 # -- node rules -------------------------------------------------------------

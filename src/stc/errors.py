@@ -14,7 +14,17 @@ class FormatError(ValueError):
 
 
 class InvalidSpanningTreeError(ValueError):
-    """Edge set is not a spanning tree of the host graph."""
+    """Edge set is not a spanning tree of the host graph.
+
+    edge is the edge the message names (0-indexed), or None when it names
+    none, and reason is the message without it, so that a caller can name
+    the edge in its own ids.
+    """
+
+    def __init__(self, reason: str, edge: tuple[int, int] | None = None):
+        super().__init__(reason if edge is None else f"edge {edge} {reason}")
+        self.reason = reason
+        self.edge = edge
 
 
 class InvalidDecompositionError(ValueError):

@@ -284,7 +284,11 @@ def _field_text(key: str, val) -> str:
         return "{\n" + ",\n".join(["    %s: %d"] * len(val)) % tuple(
             chain.from_iterable(zip(tags, val.values()))
         ) + "\n  }"
-    return json.dumps(val, indent=2).replace("\n", "\n  ")
+    if isinstance(val, (list, tuple, dict)):
+        return json.dumps(val, indent=2).replace("\n", "\n  ")
+    # a scalar prints alike without indent, and then the C encoder writes it:
+    # the indenting encoder is pure Python, and its closures form a cycle
+    return json.dumps(val)
 
 
 def solution_to_text(sol: dict) -> str:
@@ -327,7 +331,8 @@ def verify_solution(g: Graph | DoubleWeightedGraph, sol: dict) -> str | None:
 
     The tree is validated once and measured once, from one walk.  Endpoints
     must be ints; an endpoint out of range is named only once the tree has
-    failed its check, which such an edge always does.
+    failed its check, which such an edge always does.  A problem names an
+    edge in the file's 1-indexed ids.
     """
     base = g.base if isinstance(g, DoubleWeightedGraph) else g
     if not sol.get("feasible", True):
@@ -345,7 +350,10 @@ def verify_solution(g: Graph | DoubleWeightedGraph, sol: dict) -> str | None:
         n = base.n
         if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
             return "edge endpoint out of range"
-        return str(exc)
+        if exc.edge is None:
+            return str(exc)
+        u, v = exc.edge
+        return f"edge ({u + 1}, {v + 1}) {exc.reason}"
     rep = congestion_report(g, tree)
     if rep.max_congestion != sol["k"]:
         return f"k is {sol['k']} but the tree re-evaluates to {rep.max_congestion}"

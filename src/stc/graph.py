@@ -184,23 +184,23 @@ class SpanningTree:
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
         walk = _spanning_walk(self.host, self.edges)
-        if isinstance(walk, str):
-            raise InvalidSpanningTreeError(walk)
+        if isinstance(walk, InvalidSpanningTreeError):
+            raise walk
         object.__setattr__(self, "_walk", walk)
 
 
 def _spanning_walk(G: Graph, edges: frozenset[Edge]):
-    """`_tree_order` of edges if they form a spanning tree of G, else a
-    description of why they do not.
+    """`_tree_order` of edges if they form a spanning tree of G, else the
+    InvalidSpanningTreeError that says why they do not.
 
     n - 1 edges of G whose walk from vertex 0 reaches all n vertices form a
     spanning tree; only a failed walk runs the union-find, to name the edge
     that closes a cycle.
     """
     if not edges <= G.edges:
-        return f"edge {min(edges - G.edges)} not in the graph"
+        return InvalidSpanningTreeError("not in the graph", min(edges - G.edges))
     if len(edges) != G.n - 1:
-        return f"{len(edges)} edges, a spanning tree needs {G.n - 1}"
+        return InvalidSpanningTreeError(f"{len(edges)} edges, a spanning tree needs {G.n - 1}")
     walk = _tree_order(G.n, edges)
     if len(walk[2]) == G.n:
         return walk
@@ -215,7 +215,7 @@ def _spanning_walk(G: Graph, edges: frozenset[Edge]):
     for u, v in set(edges):  # a set copy: its order decides the edge named
         ru, rv = find(u), find(v)
         if ru == rv:
-            return f"edge ({u}, {v}) closes a cycle"
+            return InvalidSpanningTreeError("closes a cycle", (u, v))
         parent[ru] = rv
     raise AssertionError("n - 1 edges that reach fewer than n vertices close a cycle")
 
@@ -272,8 +272,8 @@ def congestion_report(G, T) -> CongestionReport:
     else:
         edges = T.edges if isinstance(T, SpanningTree) else frozenset(edge_key(*e) for e in T)
         walk = _spanning_walk(base, edges)
-        if isinstance(walk, str):
-            raise InvalidSpanningTreeError(walk)
+        if isinstance(walk, InvalidSpanningTreeError):
+            raise walk
     per_edge = _edge_loads(base, wt1, wt2, edges, walk)
     rep = CongestionReport(per_edge, max(per_edge.values(), default=0))
     if keep:

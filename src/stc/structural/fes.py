@@ -80,7 +80,9 @@ def _peel_leaves(G: Graph):
         for v in frontier:
             if deg[v] != 1:
                 continue
-            u = next(x for x in nbrs[v] if deg[x] > 0)
+            for u in nbrs[v]:
+                if deg[u] > 0:
+                    break
             peeled.append((v, u))
             deg[v] = -1
             deg[u] -= 1

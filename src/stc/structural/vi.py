@@ -256,31 +256,35 @@ def ilp_minimize_max(groups, a, b):
     cur = list(a)
     x = [0] * nv
     best: list = [None]
-
-    def dfs(v: int) -> None:
-        if best[0] is not None and cur and max(cur) >= best[0][0]:
-            return
-        if v == nv:
-            z = max(cur) if cur else 0
-            if best[0] is None or z < best[0][0]:
-                best[0] = (z, tuple(x))
-            return
-        gi = group_of[v]
-        vals = [remaining[gi]] if last[gi] == v else range(remaining[gi] + 1)
-        for val in vals:
-            x[v] = val
-            remaining[gi] -= val
-            for e in range(ne):
-                cur[e] += b[v][e] * val
-            dfs(v + 1)
-            for e in range(ne):
-                cur[e] -= b[v][e] * val
-            remaining[gi] += val
-        x[v] = 0
-
-    dfs(0)
+    _ilp_dfs(b, group_of, last, remaining, cur, x, best, 0)
     assert best[0] is not None
     return best[0]
+
+
+def _ilp_dfs(b, group_of, last, remaining, cur, x, best, v: int) -> None:
+    """ilp_minimize_max's branch and bound from variable v on: x[:v] is set,
+    cur holds the objective's terms and remaining the groups' unspent
+    totals; best[0] becomes the first optimal (z, x) found."""
+    if best[0] is not None and cur and max(cur) >= best[0][0]:
+        return
+    if v == len(x):
+        z = max(cur) if cur else 0
+        if best[0] is None or z < best[0][0]:
+            best[0] = (z, tuple(x))
+        return
+    gi = group_of[v]
+    ne = len(cur)
+    vals = [remaining[gi]] if last[gi] == v else range(remaining[gi] + 1)
+    for val in vals:
+        x[v] = val
+        remaining[gi] -= val
+        for e in range(ne):
+            cur[e] += b[v][e] * val
+        _ilp_dfs(b, group_of, last, remaining, cur, x, best, v + 1)
+        for e in range(ne):
+            cur[e] -= b[v][e] * val
+        remaining[gi] += val
+    x[v] = 0
 
 
 def _count_uses(tree_edges, verts, graph_edges, counted):

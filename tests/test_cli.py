@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import gc
 import inspect
 import json
 import os
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import stc
-from conftest import complete_graph, cycle_graph, path_graph, subdivided, suite_graphs
+from conftest import (complete_graph, cycle_graph, grid_graph, path_graph, subdivided,
+                      suite_graphs)
 from stc import formats
 from stc.cli import _parser, main
 from stc.graph import DoubleWeightedGraph, Graph
@@ -83,29 +86,37 @@ def test_solve_writes_verifiable_file(tmp_path, capsys):
     assert sol["k"] == 3
 
 
-def test_solve_auto_routes_to_dtc(tmp_path, capsys):
+def _dtc_request(tmp_path) -> tuple[str, ...]:
     # K13 plus a 14th vertex joined to two clique vertices: a 14-vertex kernel
     edges = [(i, j) for i in range(13) for j in range(i + 1, 13)] + [(0, 13), (1, 13)]
-    path = write_gr(tmp_path, Graph.from_edges(14, edges))
-    mod = tmp_path / "mod.txt"
+    path = write_gr(tmp_path, Graph.from_edges(14, edges), "dtc.gr")
+    mod = tmp_path / "dtc.txt"
     mod.write_text("c the vertex outside the clique\n14\n")
-    code, out, _ = run(capsys, "solve", path, "--modulator", str(mod))
-    sol = formats.parse_solution(out)
-    # clique vertex 0 is universal, so stc is the largest other degree, 13
-    assert code == 0 and sol["algorithm"] == "dtc" and sol["k"] == 13
+    return "solve", path, "--modulator", str(mod)
 
 
-def test_solve_auto_routes_to_vi(tmp_path, capsys):
+def _vi_request(tmp_path) -> tuple[str, ...]:
     # universal vertex 0, five triangles, and vertex 1 joined to 0 and to one
     # vertex of each triangle: G minus the modulator {0, 1} is five triangles
     edges = [(0, 1)]
     for t in range(5):
         a, b, c = 2 + 3 * t, 3 + 3 * t, 4 + 3 * t
         edges += [(a, b), (a, c), (b, c), (0, a), (0, b), (0, c), (1, a)]
-    path = write_gr(tmp_path, Graph.from_edges(17, edges))
-    mod = tmp_path / "mod.txt"
+    path = write_gr(tmp_path, Graph.from_edges(17, edges), "vi.gr")
+    mod = tmp_path / "vi.txt"
     mod.write_text("1 2\n")
-    code, out, _ = run(capsys, "solve", path, "--modulator", str(mod))
+    return "solve", path, "--modulator", str(mod)
+
+
+def test_solve_auto_routes_to_dtc(tmp_path, capsys):
+    code, out, _ = run(capsys, *_dtc_request(tmp_path))
+    sol = formats.parse_solution(out)
+    # clique vertex 0 is universal, so stc is the largest other degree, 13
+    assert code == 0 and sol["algorithm"] == "dtc" and sol["k"] == 13
+
+
+def test_solve_auto_routes_to_vi(tmp_path, capsys):
+    code, out, _ = run(capsys, *_vi_request(tmp_path))
     sol = formats.parse_solution(out)
     # stc is the largest degree besides the universal vertex's: vertex 1's 6
     assert code == 0 and sol["algorithm"] == "vi" and sol["k"] == 6
@@ -458,6 +469,21 @@ def test_verify_catches_bad_solution(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_and_verify_name_a_bad_tree_edge_in_file_ids(tmp_path, capsys):
+    cases = [(complete_graph(4), [[1, 2], [2, 3], [1, 3]], "edge (2, 3) closes a cycle"),
+             (path_graph(3), [[1, 2], [2, 2]], "edge (2, 2) not in the graph")]
+    for G, edges, problem in cases:
+        path = write_gr(tmp_path, G)
+        solpath = tmp_path / "sol.json"
+        solpath.write_text(json.dumps({"feasible": True, "k": 1, "algorithm": "x",
+                                       "certified": True, "edges": edges,
+                                       "per_edge_congestion": {}}))
+        code, out, _ = run(capsys, "eval", path, "--tree", str(solpath))
+        assert (code, out) == (1, f"verification failed: {problem}\n")
+        code, out, _ = run(capsys, "verify", path, str(solpath), "--json")
+        assert code == 1 and json.loads(out)["files"][1]["problem"] == problem
+
+
 def test_verify_without_graph_still_parses(tmp_path, capsys):
     G = gen_grid(3)
     path = write_gr(tmp_path, G)
@@ -578,3 +604,96 @@ def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
     path = write_gr(tmp_path, subdivided(suite_graphs()[133], 1))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])
+
+
+# -- no cyclic garbage --------------------------------------------------------
+
+
+def _cyclic_garbage(capsys, *argv) -> tuple[int, int, str]:
+    """(exit code, objects the collector frees after one request, stdout)."""
+    gc.collect()
+    code = main(list(argv))
+    freed = gc.collect()  # first: the collector, back on, may run at any allocation
+    return code, freed, capsys.readouterr().out
+
+
+def test_requests_leave_no_cyclic_garbage(tmp_path, capsys):
+    # main pauses the collector, which is safe only while no request makes
+    # a reference cycle: whatever a request drops must be freed at once
+    _parser()  # built once per process and kept, cycles and all
+    g3, g4 = write_gr(tmp_path, gen_grid(3), "g3.gr"), write_gr(tmp_path, gen_grid(4), "g4.gr")
+    fes = write_gr(tmp_path, subdivided(suite_graphs()[133], 1), "fes.gr")  # subset step
+    pet = write_gr(tmp_path, _subdivided_petersen(random.Random(1), 3, 20)[1], "pet.gr")
+    k55 = write_gr(tmp_path, Graph.from_edges(
+        10, [(i, 5 + j) for i in range(5) for j in range(5)]), "k55.gr")
+    sol, td = str(tmp_path / "sol.json"), str(tmp_path / "g4.td")
+    routes = [
+        ("trivial", "solve", write_gr(tmp_path, path_graph(6), "path.gr")),
+        ("cycle", "solve", write_gr(tmp_path, cycle_graph(8), "cycle.gr")),
+        ("fes", "solve", fes),
+        ("fes", "solve", pet),
+        ("dtc", *_dtc_request(tmp_path)),
+        ("vi", *_vi_request(tmp_path)),
+        ("dp", "solve", g3, "--alg", "dp"),
+        ("dp", "solve", g4, "--alg", "dp"),
+        ("oracle", "oracle", g3),
+        ("approx", "approx", write_gr(tmp_path, grid_graph(2, 30), "ladder.gr"),
+         "--eps", "0.5"),
+    ]
+    for alg, *argv in routes:
+        code, freed, out = _cyclic_garbage(capsys, *argv, "--json")
+        assert (code, freed, json.loads(out)["algorithm"]) == (0, 0, alg), argv
+    decisions = [  # decisions, with a tree and with a refutation
+        (0, ("solve", g3, "--alg", "dp", "--k", "3")),
+        (1, ("solve", g3, "--alg", "dp", "--k", "2")),
+        (1, ("solve", k55, "--alg", "dp", "--k", "4")),
+        (1, ("oracle", g3, "--k", "2")),
+    ]
+    for want, argv in decisions:
+        assert _cyclic_garbage(capsys, *argv)[:2] == (want, 0), argv
+    for argv in [("solve", fes, "-o", sol), ("eval", fes, "--tree", sol),
+                 ("decompose", g4), ("decompose", g4, "-o", td), ("verify", g4, td),
+                 ("verify", fes, sol, "--json")]:
+        assert _cyclic_garbage(capsys, *argv)[:2] == (0, 0), argv
+    # gen and reduce write their indented JSON with json's pure-Python
+    # encoder, whose closures make a cycle: a fixed few objects per call
+    gens = [_cyclic_garbage(capsys, "gen", "grid", "--n", str(n), "-o", str(tmp_path / "gen"))
+            for n in (3, 12)]
+    big = write_gr(tmp_path, _subdivided_petersen(random.Random(1), 40, 2000)[1], "big.gr")
+    reds = [_cyclic_garbage(capsys, "reduce", path, "-o", str(tmp_path / "red"))
+            for path in (g3, big)]
+    assert gens[0][:2] == gens[1][:2] and reds[0][:2] == reds[1][:2]
+    assert gens[0][0] == reds[0][0] == 0
+
+
+def test_main_restores_the_collector_state(tmp_path, capsys):
+    path = write_gr(tmp_path, gen_grid(3))
+    enabled = gc.isenabled()
+    try:
+        gc.enable()
+        assert run(capsys, "solve", path)[0] == 0 and gc.isenabled()
+        assert run(capsys, "solve", path, "--k", "0")[0] == 2 and gc.isenabled()
+        assert run(capsys, "solve", path, "--alg", "nonsense")[0] == 2 and gc.isenabled()
+        gc.disable()
+        assert run(capsys, "solve", path)[0] == 0 and not gc.isenabled()
+        assert run(capsys, "solve", path, "--k", "0")[0] == 2 and not gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_no_nested_function_calls_itself():
+    # a closure that names itself holds a cell that points back at it, a
+    # reference cycle that only the paused collector could free
+    found = []
+    for path in sorted(Path(stc.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for fn in ast.walk(outer):
+                if fn is outer or not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(node, ast.Name) and node.id == fn.name
+                       for stmt in fn.body for node in ast.walk(stmt)):
+                    found.append(f"{path.name}:{fn.lineno} {outer.name}.<locals>.{fn.name}")
+    assert found == []

@@ -361,11 +361,11 @@ def test_verify_messages_for_edge_sets_that_are_not_spanning_trees():
                 "edges": edges, "per_edge_congestion": {}}
 
     path = [[1, 2], [2, 3], [4, 5], [5, 6]]
-    assert verify_solution(G, doc(path + [[1, 6]])) == "edge (0, 5) not in the graph"
+    assert verify_solution(G, doc(path + [[1, 6]])) == "edge (1, 6) not in the graph"
     assert verify_solution(G, doc(path)) == "4 edges, a spanning tree needs 5"
     assert verify_solution(G, doc(path + [[1, 4], [2, 5]])) == "6 edges, a spanning tree needs 5"
     assert (verify_solution(G, doc([[1, 2], [4, 5], [5, 6], [1, 4], [2, 5]]))
-            == "edge (1, 4) closes a cycle")
+            == "edge (2, 5) closes a cycle")
     assert verify_solution(G, doc(path + [[1, 7]])) == "edge endpoint out of range"
     assert verify_solution(G, doc(path + [[1, 4]])) == "k is 1 but the tree re-evaluates to 3"
 
