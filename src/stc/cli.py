@@ -5,7 +5,15 @@ oracle, weighted input allowed), eval, gen, decompose, reduce, verify.  Exit
 codes: 0 success or "yes", 1 certified "no" or failed verification, 2 usage
 or input error, 3 the oracle's enumeration budget exceeded.  Any other
 error is a fault and propagates.  With --json, results go to stdout and
-errors to stderr as JSON.
+errors, argparse's usage errors included, to stderr as JSON; without it a
+usage error reads as ArgumentParser.error words it.
+
+A command line is parsed once.  When its first token names a subcommand, the
+rest goes straight to that subcommand's parser, the very object the whole
+parser would hand the same tokens to, so the answer is the same.  Everything
+else (no arguments, help, an unknown command, an option before the command,
+a token the subcommand leaves over) goes to the whole parser, which words
+the help or the error as before.
 
 The oracle's caps come from --max-trees and --max-millis alone, and
 --modulator is refused on the routes that take none (dp and oracle).
@@ -19,10 +27,12 @@ pause is safe because a request makes no reference cycles.  What it builds
 are acyclic tuples, sets, lists and dicts, and reference counting frees each
 as soon as it dies.  No recursive helper is a closure that calls itself (its
 cell would point back at it), and json's pure-Python encoder, whose closures
-do, runs only where gen and reduce write indented files: a fixed few dozen
-objects per call, left for the next collection.  So a collection inside a
-request frees nothing and only re-scans live objects; on large sparse
-inputs, skipping those passes makes a request about a sixth faster.
+do, runs only where gen and reduce write indented files, and argparse's help
+formatter (its sections point back at it) only where help or a plain usage
+error is printed: a fixed few dozen objects per call, left for the next
+collection.  So a collection inside a request frees nothing and only
+re-scans live objects; on large sparse inputs, skipping those passes makes a
+request about a sixth faster.
 """
 from __future__ import annotations
 
@@ -60,13 +70,27 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgError(Exception):
+    """argparse refused the command line: args are (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _ArgError on a usage error, so _request words it as text or JSON;
+    the subparsers inherit the class.  `commands` maps each subcommand to its
+    parser (set on the whole parser only)."""
+
+    commands: dict[str, _Parser]
+
+    def error(self, message):
+        raise _ArgError(self, message)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The whole parser, built on first use and kept: parse_args leaves it unchanged."""
-    top = argparse.ArgumentParser(
-        prog="stc", description="Spanning tree congestion toolkit"
-    )
+    top = _Parser(prog="stc", description="Spanning tree congestion toolkit")
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices
 
     def common(p, output=True):
         p.add_argument("--json", action="store_true", help="JSON results and errors")
@@ -127,6 +151,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     common(p, output=False)
     return top
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), in one pass when argv[0] is a subcommand."""
+    top = _parser()
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return top.parse_args(argv)  # help, errors and leftover tokens, worded as before
 
 
 def _check(args: argparse.Namespace) -> None:
@@ -441,9 +476,15 @@ def _request(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     json_mode = "--json" in argv
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else EXIT_USAGE
+        args = _parse(argv)
+    except SystemExit:  # -h or --help, printed
+        return EXIT_YES
+    except _ArgError as exc:
+        parser, msg = exc.args
+        if json_mode:
+            return _fail(msg, EXIT_USAGE, True)
+        sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {msg}\n")
+        return EXIT_USAGE
     try:
         _check(args)
         return _DISPATCH[args.command](args)

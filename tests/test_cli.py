@@ -18,7 +18,7 @@ import stc
 from conftest import (complete_graph, cycle_graph, grid_graph, path_graph, subdivided,
                       suite_graphs)
 from stc import formats
-from stc.cli import _parser, main
+from stc.cli import _ArgError, _parse, _parser, main
 from stc.graph import DoubleWeightedGraph, Graph
 from stc.oracle import stc_exact
 from stc.reductions import gen_grid
@@ -519,6 +519,24 @@ def test_json_error_shape(tmp_path, capsys):
     assert code == 2 and doc["exit"] == 2 and "missing.gr" in doc["error"]
 
 
+def test_usage_errors_are_json_under_json_and_argparse_text_otherwise(tmp_path, capsys):
+    path = write_gr(tmp_path, gen_grid(3))
+    for argv in (["solve", path, "--alg", "nonsense"], ["solve"],
+                 ["solve", path, "--threads", "2"], ["approx", path]):
+        with pytest.raises(_ArgError) as raised:
+            _parse(argv)
+        parser, msg = raised.value.args
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out, json.loads(err)) == (2, "", {"error": msg, "exit": 2})
+        # plain mode prints exactly what ArgumentParser.error prints
+        with pytest.raises(SystemExit) as stopped:
+            argparse.ArgumentParser.error(parser, msg)
+        expected = capsys.readouterr().err
+        assert stopped.value.code == 2 and expected.startswith("usage: ")
+        assert run(capsys, *argv) == (2, "", expected)
+    assert run(capsys, "solve", "-h", "--json")[:2] == (0, _parser().commands["solve"].format_help())
+
+
 def test_malformed_gr_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.gr"
     bad.write_text("p stc 3 2\n1 2\n1 5\n")
@@ -529,6 +547,62 @@ def test_malformed_gr_reports_line(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "solve", "--help")[0] == 0
+
+
+def _parse_outcome(capsys, parse, argv):
+    """What one parse of argv gives: its namespace, help exit or usage error,
+    with what it printed."""
+    try:
+        got = ("args", vars(parse(list(argv))))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    except _ArgError as exc:
+        parser, msg = exc.args
+        got = ("error", parser.prog, msg)
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+_PARSE_CASES = [
+    # every subcommand
+    ["solve", "G.gr"],
+    ["solve", "G.gr", "--alg", "dp", "--k", "3", "--modulator", "M", "--max-trees", "9",
+     "--max-millis", "5", "--json", "-o", "s.json"],
+    ["approx", "G.gr", "--eps", "0.5"],
+    ["oracle", "G.gr"],
+    ["oracle", "G.gr", "--k", "2", "--json"],
+    ["eval", "G.gr", "--tree", "s.json"],
+    ["gen", "grid", "--n", "3", "-o", "p"],
+    ["gen", "ubp", "--t", "3", "--items", "1,1,1", "--family", "cliques", "-o", "p"],
+    ["decompose", "G.gr"],
+    ["reduce", "G.gr", "-o", "k", "--json"],
+    ["verify", "G.gr", "G.td", "s.json"],
+    # help at both levels, and no argv
+    [], ["-h"], ["--help"], ["solve", "-h"], ["gen", "--help"], ["verify", "a", "-h"],
+    # an unknown command, an option before the command
+    ["bogus"], ["bogus", "G.gr"], ["Solve", "G.gr"], ["sol", "G.gr"],
+    ["--json", "solve", "G.gr"], ["-o", "x", "solve", "G.gr"],
+    # leftovers, unrecognized tokens, bad values, missing arguments
+    ["solve", "G.gr", "extra"], ["solve", "G.gr", "--threads", "2"], ["solve", "G.gr", "-x"],
+    ["solve", "G.gr", "--alg", "nonsense"], ["solve", "G.gr", "--k", "x"],
+    ["solve"], ["solve", "G.gr", "--k"], ["approx", "G.gr"], ["gen"], ["verify"],
+    ["eval", "G.gr", "--tree", "a", "b"], ["decompose", "G.gr", "--mode", "auto"],
+    # separators, attached values, abbreviations, repeats
+    ["solve", "--", "G.gr"], ["solve", "G.gr", "--", "x"], ["solve", "G.gr", "--k=3"],
+    ["solve", "G.gr", "--js"], ["solve", "G.gr", "--ma", "3"], ["solve", "G.gr", "--max-t=4"],
+    ["solve", "G.gr", "--alg", "dp", "--alg", "oracle"], ["solve", "G.gr", "--k", "2", "--k", "3"],
+    ["solve", "G.gr", "--json", "--json"], ["solve", "-", "--k", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "no argv")
+def test_dispatch_answers_as_the_whole_parser(capsys, argv):
+    # a known subcommand's tokens go straight to its own parser; that must
+    # give the namespace, help or usage error the whole parser gives
+    whole = _parse_outcome(capsys, _parser().parse_args, argv)
+    assert _parse_outcome(capsys, _parse, argv) == whole
+    if argv[:1] == ["oracle"] and whole[0][0] == "args":
+        assert whole[0][1]["alg"] == "oracle" and whole[0][1]["modulator"] is None
 
 
 def test_threads_and_seed_flags_are_gone(tmp_path, capsys):
@@ -548,8 +622,7 @@ def test_route_cap_flags_are_gone(tmp_path, capsys):
 def test_readme_command_line_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    subparsers = next(a for a in _parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
+    subparsers = _parser().commands
     flags = re.compile(r"(?<![\w-])(--[a-z](?:[a-z-]*[a-z])?|-[a-z])(?![\w-])")
     blocks = section.split("```")[1::2]  # the synopsis, then the examples
     synopsis = {line.split()[1] for line in blocks[0].splitlines() if line.startswith("stc ")}
@@ -576,6 +649,9 @@ def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):
         ("approx", path, "--eps", "0.5", "--json"),
         ("solve", path, "--alg", "nonsense"),  # a usage error after successes
         ("oracle", path, "--json"),
+        ("solve", path, "--threads", "2"),  # a leftover token: the whole parser words it
+        ("solve",),  # no input: the subcommand's parser words it
+        ("solve", "-h"),
     ]
     for argv in calls:
         fresh = subprocess.run([sys.executable, "-m", "stc.cli", *argv],
