@@ -295,10 +295,18 @@ def validate_nice(G: Graph, ntd: NiceTreeDecomposition) -> str | None:
 def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Root the decomposition and expand it into nice form.
 
-    Leaf and root bags are empty; a bag with c >= 2 children becomes one
-    join node with c children, each the top of a chain that brings that
-    child's bag to the join's bag; introduces/forgets step one vertex at a
-    time.
+    Leaf and root bags are empty; introduces/forgets step one vertex at a
+    time.  A bag with c >= 2 children becomes one join node whose children
+    are the tops of chains that bring each child's bag to the join's bag.
+    Children are grouped by the separator I = child bag & bag they share
+    with it: a group of two or more with I a proper subset of bag chains
+    each member down to I (forgets only), joins them there, and introduces
+    each vertex of bag - I once above that inner join, not once in each
+    member's chain.  This keeps the axioms: a vertex v of bag - I is in no
+    member's bag, so by the connectivity axiom in no bag below a member
+    either; no node below the inner join holds v, and introducing it once
+    above that join keeps its nodes connected.  A group with I = bag, or a
+    lone child, goes into the join as one chain per child.
     """
     nodes: list[NiceNode] = []
 
@@ -330,7 +338,16 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         if not kids:
             built[x] = build_from_empty(bag)
             continue
-        tops = [chain_up(built[y], td.bags[y], bag) for y in kids]
+        groups: dict[frozenset[int], list[int]] = {}
+        for y in kids:
+            groups.setdefault(td.bags[y] & bag, []).append(y)
+        tops = []
+        for sep, ys in groups.items():
+            if len(ys) == 1 or sep == bag:
+                tops += [chain_up(built[y], td.bags[y], bag) for y in ys]
+            else:
+                inner = add("join", sep, None, [chain_up(built[y], td.bags[y], sep) for y in ys])
+                tops.append(chain_up(inner, sep, bag))
         built[x] = add("join", bag, None, tops) if len(tops) > 1 else tops[0]
 
     root = chain_up(built[root_bag], td.bags[root_bag], frozenset())

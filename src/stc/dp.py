@@ -16,8 +16,9 @@ parent states down, each child state is grown by every placement of v (leaf
 attachment, adoption of a future vertex, subdivision of a future edge, or
 subdivision plus a fresh branch vertex) whose projection is that child state.
 Join matches states with isomorphic skeletons whose labels complement each
-other off the bag and whose counters sum within budget; a join node has one
-child per child bag, two or more, and merges their tables pairwise.
+other off the bag and whose counters sum within budget; a join node has two
+or more children (one per child bag, or per group of child bags joined at a
+separator they share, see make_nice) and merges their tables pairwise.
 
 Join: one rule, _zip_join, combines two states whose stored edge tuples
 line up position by position: no anonymous vertex and no edge may be past
@@ -47,17 +48,19 @@ is commutative and associative on sets of states, and the doom and dominance
 filters are sound after any pairwise merge, as after a binary join node.  So
 the order changes no verdict; it changes only which representative forest a
 state keeps, which shows only where a run accepts.  Small operands first keep
-the intermediate tables small.  On ubp at k = 9 the bag {3,4,5,6} has eight
-children: seven light leaf branches of 89 and 192 states, and one heavy
-branch of 54 states with ten forgotten vertices.  In child order the tables
-grow 89, 236, 361, 465 before the heavy branch cuts the last one to 81;
-merging the heavy branch first halves the pairs the run tries (2,908 to
-1,377).  Each pairwise merge rounds once, so a join of c children counts as
-c - 1 levels of the height h that sets RoundedArith's delta = eps/2h.  The
-run picks the order, so every child is charged all c - 1 levels.  Charging
-each child only its depth in a chain of binary joins in child order would
-undercount: on ubp the deepest branch comes last in child order (depth 1 of
-7) but is merged first, so h is 29, not 19.
+the intermediate tables small.  On ubp at k = 9 the bag {3,4,5,6} has three
+children: two light branches of 89 and 408 states, each the top of an inner
+join of leaf branches at a separator they share ({3,6} and {3,4,5}, see
+make_nice), and one heavy branch of 54 states with ten forgotten vertices.
+In child order the light branches merge into 465 states before the heavy
+branch cuts them to 81; merging the heavy branch first (69, then 81) cuts
+the pairs the whole run tries from 1,084 to 660.  Each pairwise merge
+rounds once, so a join of c children counts as c - 1 levels of the height h
+that sets RoundedArith's delta = eps/2h.  The run picks the order, so every
+child is charged all c - 1 levels.  Charging each child only its depth in a
+chain of binary joins in child order would undercount: on ubp the deepest
+branch comes last in child order (depth 1 of 2) but is merged first, so h
+is 20, not 19.
 
 Introduce: every placement is built on the child's stored edge tuple.  Leaf
 attachment and subdivision keep the anonymous vertices and their names,
@@ -630,7 +633,9 @@ def _join_table(arith, t1, t2):
                 aligned = tuple(anon2[-phi[-(i + 1)] - 1] for i in range(len(anon2)))
                 sJ = _zip_join(arith, s1, (renamed, aligned))
                 if sJ is not None:
-                    out.setdefault(_freeze(*sJ), F1 | F2)
+                    sJ = _freeze(*sJ)
+                    if sJ not in out:
+                        out[sJ] = F1 | F2
     return out
 
 

@@ -79,6 +79,29 @@ def suite_graphs(count: int = 200) -> list[Graph]:
     return out
 
 
+def hung_gadget_graph(rng: random.Random, n: int) -> Graph:
+    """The triangle 0, 1, 2 with gadgets hung on it until there are n
+    vertices: a triangle on one of its edges (a vertex joined to both
+    ends), a K4 on the triangle itself, or a K4 on one of its edges (two
+    adjacent vertices joined to both ends).  Bags holding a gadget share
+    the edge or triangle it hangs on as their separator."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    v = 3
+    while v < n:
+        kind = rng.randrange(3)
+        a, b = rng.sample(range(3), 2)
+        if kind == 0:
+            edges |= {(a, v), (b, v)}
+            v += 1
+        elif kind == 1:
+            edges |= {(0, v), (1, v), (2, v)}
+            v += 1
+        elif v + 1 < n:
+            edges |= {(a, v), (b, v), (a, v + 1), (b, v + 1), (v, v + 1)}
+            v += 2
+    return Graph.from_edges(n, edges)
+
+
 def gap_graphs() -> list[tuple[str, Graph, int]]:
     """(name, graph, stc) for graphs whose lower bound lambda is below the
     upper bound UB of stc.bounds: ubp (lambda 9, UB 10 = stc), the 2x30

@@ -5,7 +5,9 @@ table entry through the `_run_dp(validator=...)` hook, and `validated_tree`
 runs one exact decision with it.  `check_approx_invariant` asserts the
 two-sided rounding invariant of the approximation scheme at every node.
 Both search exhaustively, so they are test code, not library code;
-`subtree_heights` gives the node heights the invariant is stated with.
+`subtree_heights` gives the node heights the invariant is stated with,
+and `introduces_saved` tells whether make_nice joined children at a shared
+separator.
 `_decode` turns a stored state into adjacency dicts, the form these checks
 and the tests' reference rules work on, and `_path` walks such a form.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from stc.decomposition import NiceTreeDecomposition
+from stc.decomposition import NiceTreeDecomposition, TreeDecomposition
 from stc.dp import (
     ExactArith,
     RoundedArith,
@@ -84,6 +86,24 @@ def subtree_heights(ntd: NiceTreeDecomposition) -> dict[int, int]:
         step = len(kids) - 1 if nd.kind == "join" else 1
         h[i] = 0 if not kids else step + max(h[c] for c in kids)
     return h
+
+
+def introduces_saved(td: TreeDecomposition, ntd: NiceTreeDecomposition) -> int:
+    """How many fewer introduce nodes ntd = make_nice(td) has than one join
+    of c chains per bag of c >= 2 children would: with td rooted at bag 0,
+    that shape introduces n + sum of (c - 1)|bag| vertices.  Positive
+    exactly when some child bags share a separator smaller than their
+    parent's bag, which make_nice joins there."""
+    degree = [0] * len(td.bags)
+    for i, j in td.tree:
+        degree[i] += 1
+        degree[j] += 1
+    ungrouped = td.n + sum(
+        (c - 1) * len(bag)
+        for x, bag in enumerate(td.bags)
+        if (c := degree[x] - (x != 0)) >= 2
+    )
+    return ungrouped - sum(nd.kind == "introduce" for nd in ntd.nodes)
 
 
 def validated_tree(

@@ -9,11 +9,12 @@ import pytest
 from conftest import (
     cycle_graph,
     grid_graph,
+    hung_gadget_graph,
     path_graph,
     random_connected_graph,
     suite_graphs,
 )
-from dp_checks import subtree_heights
+from dp_checks import introduces_saved, subtree_heights
 from stc.decomposition import (
     NiceNode,
     NiceTreeDecomposition,
@@ -198,31 +199,75 @@ def test_validate_td_agrees_with_a_bag_scan_on_corrupted_decompositions():
 
 
 def test_make_nice_shape_and_validity():
+    # ten random graphs, which have no grouped joins, then ubp and a
+    # gadget graph, which do
     rng = random.Random(823)
+    graphs = []
     for _ in range(10):
         n = rng.randint(3, 10)
-        G = random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)))
+        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))))
+    graphs += [gen_ubp(3, [1, 1, 1]).graph, hung_gadget_graph(random.Random(829), 12)]
+    saved = []
+    for G in graphs:
         td = decompose(G)
         ntd = make_nice(td)
         assert validate_nice(G, ntd) is None
         assert ntd.width == td.width
         kinds = [nd.kind for nd in ntd.nodes]
-        assert kinds.count("forget") == n
+        assert kinds.count("forget") == G.n
         # each vertex is forgotten once, and one in a join's bag is
         # introduced below each of the join's children
         joins = [nd for nd in ntd.nodes if nd.kind == "join"]
         assert all(len(nd.children) >= 2 for nd in joins)
-        assert kinds.count("introduce") == n + sum(
+        assert kinds.count("introduce") == G.n + sum(
             (len(nd.children) - 1) * len(nd.bag) for nd in joins
         )
+        saved.append(introduces_saved(td, ntd))
+    assert saved == [0] * 10 + [12, 1]
+
+
+def test_children_sharing_a_separator_join_there():
+    # K4 on 0..3 with 4 and 5 hung on the edge 01 and 6 on the edge 23.
+    # The bags of 4 and 5 meet the top bag in {0, 1}: each forgets its
+    # vertex, the two join at {0, 1}, and 2 and 3 are introduced once above
+    # that join instead of once in each branch
+    G = Graph.from_edges(7, [*itertools.combinations(range(4), 2),
+                             (0, 4), (1, 4), (0, 5), (1, 5), (2, 6), (3, 6)])
+    bags = ({0, 1, 2, 3}, {0, 1, 4}, {0, 1, 5}, {2, 3, 6})
+    td = TreeDecomposition(7, tuple(map(frozenset, bags)), frozenset({(0, 1), (0, 2), (0, 3)}))
+    assert validate_td(G, td) is None
+    ntd = make_nice(td)
+    assert validate_nice(G, ntd) is None
+    nodes = ntd.nodes
+    joins = [i for i, nd in enumerate(nodes) if nd.kind == "join"]
+    assert [(sorted(nodes[i].bag), len(nodes[i].children)) for i in joins] == [
+        ([0, 1], 2), ([0, 1, 2, 3], 2)
+    ]
+    inner, top = joins
+    assert [(nodes[c].kind, nodes[c].vertex) for c in nodes[inner].children] == [
+        ("forget", 4), ("forget", 5)
+    ]
+    # the inner join's chain up to the top join: one introduce each of 2, 3
+    chain, i = [], next(p for p, nd in enumerate(nodes) if inner in nd.children)
+    while i != top:
+        chain.append((nodes[i].kind, nodes[i].vertex))
+        (i,) = (p for p, nd in enumerate(nodes) if i in nd.children)
+    assert chain == [("introduce", 2), ("introduce", 3)]
+    # 7 from the leaves, 2 above the inner join, 0 and 1 in 6's branch
+    introduced = [nd.vertex for nd in nodes if nd.kind == "introduce"]
+    assert len(introduced) == 13 == 7 + 1 * 2 + 1 * 4
+    assert introduced.count(2) == introduced.count(3) == 2
+    assert introduces_saved(td, ntd) == 2
 
 
 def test_validate_nice_checks_join_arity():
-    # ubp's top join has eight children; nest seven of them in a new join
+    # ubp's top join, at the bag {3, 4, 5, 6}, has three children; nest the
+    # last two of them in a new join
     G = gen_ubp(3, [1, 1, 1]).graph
     ntd = default_nice_decomposition(G)
-    (j,) = (i for i, nd in enumerate(ntd.nodes) if len(nd.children) == 8)
+    (j,) = (i for i, nd in enumerate(ntd.nodes) if nd.kind == "join" and nd.bag == {3, 4, 5, 6})
     bag, kids = ntd.nodes[j].bag, ntd.nodes[j].children
+    assert len(kids) == 3
     new = len(ntd.nodes)
 
     def rebuilt(at_j, extra):
@@ -233,7 +278,7 @@ def test_validate_nice_checks_join_arity():
         return NiceTreeDecomposition(ntd.n, tuple(nodes), ntd.root)
 
     assert validate_nice(G, ntd) is None
-    # joins of two and of seven children are valid; a join of one is not
+    # joins of two children are valid; a join of one is not
     assert validate_nice(G, rebuilt((kids[0], new), kids[1:])) is None
     assert validate_nice(G, rebuilt((new,), kids)) == (
         f"join node {j} needs two or more children"
@@ -292,8 +337,8 @@ def test_height_is_the_rounding_depth_of_every_merge_order():
     # order it picks at run time; the height must cover the chain of binary
     # joins of every order.  Where the deepest child comes first or second
     # in child order it equals the old child-order chain's height, as on
-    # suite graphs 0..39; ubp's top join has its deepest child (height 16)
-    # last of eight, and that child is also the smallest table at k = 9
+    # suite graphs 0..39; ubp's top join has its deepest child (height 12)
+    # last of three, and that child is also the smallest table at k = 9
     ubp = gen_ubp(3, [1, 1, 1]).graph
     for name, g in [("ubp", ubp)] + list(enumerate(suite_graphs()[:40])):
         ntd = default_nice_decomposition(g)
@@ -301,16 +346,21 @@ def test_height_is_the_rounding_depth_of_every_merge_order():
         assert ntd.height == every == subtree_heights(ntd)[ntd.root], name
         child_order = _chain_heights(ntd, lambda c: [range(c)])
         assert child_order == (19 if name == "ubp" else ntd.height), name
-    assert default_nice_decomposition(ubp).height == 29
+    assert default_nice_decomposition(ubp).height == 20
 
 
 def test_nice_decompositions_do_not_move():
-    # one digest over every node (kind, bag, vertex, children) and the root
-    # of the DP's nice decompositions of ubp and the 4x4 grid: the bag
-    # tree's walk order decides the node numbering and so every DP table
-    h = hashlib.sha256()
-    for g in (gen_ubp(3, [1, 1, 1]).graph, grid_graph(4)):
+    # one digest each over every node (kind, bag, vertex, children) and the
+    # root of the DP's nice decompositions of ubp and the 4x4 grid: the bag
+    # tree's walk order decides the node numbering and so every DP table.
+    # No two children of one of the grid's bags share a separator smaller
+    # than that bag, so no join of the grid is grouped
+    digests = {}
+    for name, g in (("ubp", gen_ubp(3, [1, 1, 1]).graph), ("grid4", grid_graph(4))):
         ntd = default_nice_decomposition(g)
         nodes = [(nd.kind, sorted(nd.bag), nd.vertex, nd.children) for nd in ntd.nodes]
-        h.update(repr(nodes + [ntd.root]).encode())
-    assert h.hexdigest() == "73a6236a963ff0f181e1c5af991637f46082476cf859f1b0ed04af940f08e185"
+        digests[name] = hashlib.sha256(repr(nodes + [ntd.root]).encode()).hexdigest()
+    assert digests == {
+        "ubp": "545df2d614c1f67615ca8c4967fde78981e71fc60e8ae11e3ecf07ae7ab74050",
+        "grid4": "2a74937bb34f7cb36047cfd4ce740075ec595aa00b35c3c9cf5e8e6795dedf23",
+    }

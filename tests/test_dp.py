@@ -31,7 +31,8 @@ from stc.dp import (
     solve_exact_tw,
     solve_stc_tw,
 )
-from stc.decomposition import TreeDecomposition, make_nice
+from stc.bounds import bounds
+from stc.decomposition import TreeDecomposition, decompose, make_nice
 from stc.errors import InvalidDecompositionError
 from stc.graph import Graph, SpanningTree, congestion_report, edge_key
 from stc.oracle import stc_exact
@@ -43,12 +44,19 @@ from conftest import (
     cycle_graph,
     gap_graphs,
     grid_graph,
+    hung_gadget_graph,
     path_graph,
     random_connected_graph,
     star_graph,
     suite_graphs,
 )
-from dp_checks import _decode, _path, check_approx_invariant, validated_tree
+from dp_checks import (
+    _decode,
+    _path,
+    check_approx_invariant,
+    introduces_saved,
+    validated_tree,
+)
 from test_oracle import PETERSEN
 
 
@@ -719,7 +727,7 @@ def test_tuple_introduce_equals_the_dict_introduce(doom_runs):
                 nodes += 1
                 want = _introduce_by_dict(g, nd, unpruned.tables[nd.children[0]])
                 assert list(table.items()) == list(want.items()), f"{name}, node {i}"
-    assert nodes > 3000
+    assert nodes == 2968
 
 
 def _simplify(adj, vlab) -> None:
@@ -832,14 +840,14 @@ def test_merge_order_never_changes_a_verdict(doom_runs, monkeypatch):
     # join is commutative and associative on sets of states, and doom and
     # dominance are sound after every pairwise merge, so merging each join's
     # tables in child order accepts exactly where smallest-first does, on
-    # 139 joins out of 239 where the two orders differ
+    # 129 joins out of 307 where the two orders differ
     reordered = 0
     for name, g, ntd, arith, pruned, _ in doom_runs:
         for nd in ntd.nodes:
             if nd.kind == "join":
                 order = _merge_order([pruned.tables[c] for c in nd.children])
                 reordered += order != sorted(order)
-    assert reordered == 139
+    assert reordered == 129
     monkeypatch.setattr(stc.dp, "_merge_order", lambda tables: list(range(len(tables))))
     verdicts = set()
     for name, g, ntd, arith, pruned, _ in doom_runs:
@@ -867,16 +875,17 @@ def _count_join_pairs(monkeypatch):
     return calls
 
 
-def test_smallest_table_first_halves_the_join_pairs_of_ubp_at_lambda(monkeypatch):
+def test_smallest_table_first_cuts_the_join_pairs_of_ubp_at_lambda(monkeypatch):
     # ubp at k = lambda = 9 (refuted): the join at bag {3, 4, 5, 6} has
-    # eight children, seven light leaf branches (89 and 192 states) and one
+    # three children, two light branches (89 and 408 states, each the top
+    # of an inner join of leaf branches at a common separator) and one
     # heavy branch (54 states) that cuts the table down.  Merged in child
     # order, as a chain of binary joins in child order would, the run tries
-    # 2,908 pairs; merged smallest first, 1,377.  Both store 1,724 states
+    # 1,084 pairs; merged smallest first, 660.  Both store 1,239 states
     g = gen_ubp(3, [1, 1, 1]).graph
     ntd = default_nice_decomposition(g)
-    (top,) = (nd for nd in ntd.nodes if nd.kind == "join" and len(nd.children) == 8)
-    assert top.bag == {3, 4, 5, 6}
+    (top,) = (nd for nd in ntd.nodes if nd.kind == "join" and nd.bag == {3, 4, 5, 6})
+    assert len(top.children) == 3
     calls = _count_join_pairs(monkeypatch)
     counts = {}
     for plan, order in (
@@ -888,7 +897,7 @@ def test_smallest_table_first_halves_the_join_pairs_of_ubp_at_lambda(monkeypatch
         run = _run_dp(g, ntd, ExactArith(9), keep_tables=True)
         assert run.forest is None
         counts[plan] = (calls[0], sum(len(t) for t in run.tables.values()))
-    assert counts == {"smallest first": (1377, 1724), "child order": (2908, 1724)}
+    assert counts == {"smallest first": (660, 1239), "child order": (1084, 1239)}
 
 
 def test_doomed_needs_a_future_edge_at_a_closed_vertex():
@@ -977,6 +986,30 @@ def test_validator_accepts_grid3_and_small_suite_graphs():
             assert validated_tree(g, k - 1) is None
 
 
+def test_grouped_joins_decide_gadget_graphs_at_stc():
+    # the six of thirteen fixed-seed gadget graphs (triangles and K4s hung
+    # on a triangle, n <= 12) whose decomposition has child bags sharing a
+    # separator, so make_nice joins them there: the DP accepts at stc, from
+    # bounds, and refutes at stc - 1, and every stored entry of both runs
+    # passes the node-wise validator
+    rng = random.Random(829)
+    grouped = []
+    for _ in range(13):
+        g = hung_gadget_graph(rng, rng.randint(8, 12))
+        td = decompose(g)
+        ntd = make_nice(td)
+        if introduces_saved(td, ntd):
+            grouped.append(g.n)
+            lam, ub, _ = bounds(g)
+            assert lam == ub  # n <= ORACLE_CAP: both are stc
+            forest = _run_dp(g, ntd, ExactArith(lam)).forest
+            assert congestion_report(g, SpanningTree(g, forest)).max_congestion == lam
+            assert _run_dp(g, ntd, ExactArith(lam - 1)).forest is None
+            assert validated_tree(g, lam, ntd) is not None
+            assert validated_tree(g, lam - 1, ntd) is None
+    assert grouped == [12, 12, 12, 12, 9, 9]
+
+
 def test_drop_dominated_keeps_only_undominated_states():
     def state(c01, c12, lbl=1):
         return (((0, 1, lbl, c01), (1, 2, 1, c12)), ())
@@ -1019,7 +1052,7 @@ def test_dominance_keeps_grid4_tables_small(kept_runs, doom_runs):
     k55 = next(pruned for name, *_, pruned, _ in doom_runs if name == "K5,5 k=4")
     assert k55.forest is None
     assert sum(len(t) for t in k55.tables.values()) == 43_587
-    for name, stored in (("grid4", 13_004), ("ubp", 1_964)):
+    for name, stored in (("grid4", 13_004), ("ubp", 1_479)):
         *_, run = kept_runs[name]
         assert run.forest is not None
         assert sum(len(t) for t in run.tables.values()) == stored
@@ -1260,7 +1293,8 @@ def test_approx_rounding_invariants_hold_nodewise():
     for _ in range(3):
         n = rng.randrange(4, 8)
         graphs.append(random_connected_graph(rng, n, rng.randrange(n - 1, n + 4)))
-    # ubp: joins of six and eight children, merged smallest table first
+    # ubp: joins of two to six children, three of them inner joins at a
+    # separator, merged smallest table first
     graphs.append(gen_ubp(3, [1, 1, 1]).graph)
     for g in graphs:
         for eps in (0.5, 1.0):
