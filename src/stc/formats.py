@@ -20,10 +20,11 @@ it, so the graph's edge and adjacency sets iterate alike either way.  Any
 other text (comments, blank lines, CRLF, tabs, `p stcw`) and any text that
 fails a check there goes to the line loop, which converts each edge line in
 one step and words an error, with its line number, only once a line has
-failed.  Neither builds an
-adjacency (Graph builds it on first use), so `stc eval` never does.  The
-solution verifier validates the tree by the same walk that measures it, and
-names an out-of-range endpoint only after the tree has failed that check.
+failed.  Neither builds an adjacency (Graph builds it on first use), so
+`stc eval` never does, and neither does `stc solve` on the fes route,
+whose kernelization reads neighbour lists.  The solution verifier
+validates the tree by the same walk that measures it, and names an
+out-of-range endpoint only after the tree has failed that check.
 """
 from __future__ import annotations
 

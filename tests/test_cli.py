@@ -320,7 +320,7 @@ def test_solve_eval_roundtrip_at_scale_measures_and_validates_once(
     monkeypatch.setattr(formats, "parse_gr", kept_parse)
     code, out, _ = run(capsys, "solve", path, "-o", "sol.json", "--json")
     assert code == 0 and calls == {"validate": 1, "measure": 1}
-    assert "_adj" in vars(hosts[-1])  # the kernelization reads the adjacency
+    assert "_adj" not in vars(hosts[-1])  # the kernelization reads neighbour lists
     doc = json.loads(out)
     assert doc["algorithm"] == "fes" and doc["output"] == "sol.json"
     assert doc["k"] == stc_exact(core)[0]
@@ -452,6 +452,57 @@ def test_reduce_outputs(tmp_path, capsys):
     assert trace["kind"] == "kernel" and trace["fes"] == 4
     H = formats.parse_gr((tmp_path / "red.gr").read_text())
     assert (H.n, H.m) == (5, 8)
+
+
+def test_reduce_files_do_not_move(tmp_path, capsys):
+    # the kernel's edges and the trace's section order follow the adjacency
+    # sets the kernelization rebuilds, so these bytes guard them
+    import hashlib
+
+    hosts = {"scale": _subdivided_petersen(random.Random(5), 200, 2000)[1],
+             "cycle": cycle_graph(1500)}
+    digests = {}
+    for name, G in hosts.items():
+        prefix = str(tmp_path / name)
+        code, _, _ = run(capsys, "reduce", write_gr(tmp_path, G, name + ".gr"), "-o", prefix)
+        assert code == 0
+        digests[name] = [hashlib.sha256((tmp_path / (name + ext)).read_bytes()).hexdigest()
+                         for ext in (".gr", ".trace.json")]
+    assert digests == {
+        "scale": ["6c4b246f71bbffac0700559a61a382b162c764381c39aaa49ef97911932fb4cd",
+                  "561f6b6b4032e4182ebfb570b85c48540c2acd368490af27d02abaecddc05c0f"],
+        "cycle": ["e05d10c4ef91dedd5a17f4039d10471c79c193eb79c715a1879b8cb92b2f0485",
+                  "af5a906ddba7c8e7cee4628a6ee98a3b9f9d137af33f5b2db5864405b64a82f8"],
+    }
+
+
+def test_reduce_and_solve_long_paths_cycles_and_disconnected_inputs(tmp_path, capsys):
+    n = 100_000
+    inputs = {
+        "path": f"p stc {n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)),
+        "cycle": f"p stc {n} {n}\n" + "".join(f"{i} {i % n + 1}\n" for i in range(1, n + 1)),
+        "two cycles": "p stc 7 7\n1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7\n",
+        "tree + isolated": "p stc 5 3\n1 2\n2 3\n2 4\n",
+        "one vertex": "p stc 1 0\n",
+    }
+    # (trace kind, kernel vertices, route, stc, tree edges)
+    answers = {"path": ("tree", 1, "trivial", 1, n - 1), "cycle": ("cycle", n, "cycle", 2, n - 1),
+               "one vertex": ("tree", 1, "trivial", 0, 0)}
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.gr"
+        path.write_text(text)
+        prefix = str(tmp_path / f"{name} kernel")
+        reduced = run(capsys, "reduce", str(path), "-o", prefix)
+        solved = run(capsys, "solve", str(path))
+        if name not in answers:
+            error = (2, "", "error: input graph is not connected\n")
+            assert reduced == solved == error, name
+            continue
+        assert reduced[0] == 0 and solved[0] == 0, name
+        trace = json.loads((tmp_path / f"{name} kernel.trace.json").read_text())
+        sol = formats.parse_solution(solved[1])
+        assert (trace["kind"], trace["kernel"]["n"], sol["algorithm"], sol["k"],
+                len(sol["edges"])) == answers[name], name
 
 
 # -- verify -------------------------------------------------------------------

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
+import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from conftest import (
 )
 from stc.bounds import bounds
 from stc.dp import solve_stc_tw
-from stc.errors import GraphError
+from stc.errors import DisconnectedGraphError, GraphError
 from stc.graph import (
     Graph,
     SpanningTree,
@@ -31,6 +34,7 @@ from stc.reductions import gen_grid
 import stc.structural.vi
 from stc.structural import (
     ComponentType,
+    ReductionTrace,
     Signature,
     enumerate_types,
     fes_value,
@@ -248,6 +252,202 @@ def test_single_extra_edge_gives_two():
     G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
     k, T = solve_fes(G)
     assert k == 2
+
+
+# The set-based kernelization that `reduce_graph` replaced, kept as the
+# reference it must match field for field: it builds the host's adjacency
+# sets, checks connectivity by a walk over the whole host, and compresses
+# the chains on copies of the surviving vertices' sets.
+
+
+def reference_peel_leaves(G: Graph):
+    nbrs = G._adj
+    deg = list(map(len, nbrs))
+    peeled = []
+    frontier = [v for v in range(G.n) if deg[v] == 1]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if deg[v] != 1:
+                continue
+            for u in nbrs[v]:
+                if deg[u] > 0:
+                    break
+            peeled.append((v, u))
+            deg[v] = -1
+            deg[u] -= 1
+            if deg[u] == 1:
+                nxt.append(u)
+        frontier = sorted(nxt)
+    adj = {v: set(nbrs[v]) for v in range(G.n) if deg[v] >= 0}
+    for leaf, anchor in peeled:
+        if anchor in adj:
+            adj[anchor].discard(leaf)
+    return adj, peeled
+
+
+def reference_half_chain(adj, branch, w, cur):
+    inner, prev = [], w
+    while cur not in branch:
+        inner.append(cur)
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+    return inner, cur
+
+
+def reference_compress_chains(adj, branch):
+    sections = {}
+    done = set()
+    for w in list(adj):
+        if w in branch or w in done:
+            continue
+        a, b = sorted(adj[w])
+        left, u = reference_half_chain(adj, branch, w, a)
+        right, v = reference_half_chain(adj, branch, w, b)
+        path = [u, *reversed(left), w, *right, v]
+        done.update(path)
+        keep = 2 if u == v else 1 if v in adj[u] else 0
+        if len(path) - 2 <= keep:
+            continue
+        x = path[keep]
+        for i in range(keep):
+            e = edge_key(path[i], path[i + 1])
+            sections[e] = (e,)
+        sections[edge_key(x, v)] = tuple(
+            edge_key(path[i], path[i + 1]) for i in range(keep, len(path) - 1)
+        )
+        adj[x].discard(path[keep + 1])
+        adj[v].discard(path[-2])
+        for y in path[keep + 1:-1]:
+            del adj[y]
+        adj[x].add(v)
+        adj[v].add(x)
+    return sections
+
+
+def reference_reduce(G: Graph):
+    require_connected(G)
+    adj, peeled = reference_peel_leaves(G)
+    peeled = tuple(peeled)
+    if len(adj) == 1:
+        return Graph.from_edges(1, []), ReductionTrace(G, peeled, (), tuple(adj), "tree")
+    branch = {v for v, nbrs in adj.items() if len(nbrs) >= 3}
+    sections = reference_compress_chains(adj, branch) if branch else {}
+    verts = list(adj)
+    back = {x: i for i, x in enumerate(verts)}
+    kernel_edges = {edge_key(back[x], back[y]) for x in adj for y in adj[x]}
+    core = Graph.from_edges(len(verts), kernel_edges)
+    as_is = tuple(((x, y), ((x, y),)) for x in adj for y in adj[x] if x < y)
+    if not branch:
+        return core, ReductionTrace(G, peeled, as_is, tuple(verts), "cycle")
+    sections = dict(as_is) | sections
+    trace = ReductionTrace(G, peeled, tuple(sorted(sections.items())), tuple(verts), "kernel")
+    return core, trace
+
+
+def kernelization_host(rng: random.Random, family: str) -> Graph:
+    """A random host from the named family, relabelled at random, with its
+    edges in random order; the first four families have at most 40 vertices."""
+    edges: set = set()
+
+    def add(u, v):
+        if u != v:
+            edges.add(edge_key(u, v))
+
+    def chain(u, v, inner, n):
+        """Join u to v through inner new vertices from n on; returns the next id."""
+        prev = u
+        for x in range(n, n + inner):
+            add(prev, x)
+            prev = x
+        add(prev, v)
+        return n + inner
+
+    n = 0
+    if family == "tree":
+        n = rng.randint(1, 40)
+        for v in range(1, n):
+            add(v, rng.randrange(v))
+    elif family == "cycle":
+        n = chain(0, 0, rng.randint(2, 39), 1)
+    elif family == "two cycles":
+        n = chain(0, 0, rng.randint(2, 18), 1)
+        n = chain(n, n, rng.randint(2, 18), n + 1)
+    elif family == "tree + isolated":
+        n = rng.randint(2, 40)
+        for v in range(1, n - 1):
+            add(v, rng.randrange(v))
+    else:  # a random core whose edges become chains of 0 to 4 inner vertices
+        n = rng.randint(2, 7)
+        core = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        for u, v in core.edges:
+            n = chain(u, v, rng.choice([0, 0, 1, 2, 4]), n)
+        if family == "two kernels":  # a second core, disjoint from the first
+            base, k = n, rng.randint(4, 6)
+            n += k
+            for u, v in random_connected_graph(rng, k, rng.randint(k, 2 * k)).edges:
+                n = chain(base + u, base + v, rng.choice([0, 1, 3]), n)
+        for _ in range(rng.randint(0, 3)):  # hanging cycles
+            n = chain(*[rng.randrange(n)] * 2, rng.randint(2, 4), n)
+        for _ in range(rng.randint(0, 2)):  # chains parallel to an edge
+            u, v = rng.choice(sorted(edges))
+            n = chain(u, v, rng.randint(1, 3), n)
+        for _ in range(rng.randint(0, 8)):  # pendant trees, many on chain vertices
+            add(rng.randrange(n), n)
+            n += 1
+        if family == "kernel + isolated":
+            n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    order = [edge_key(perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(order)
+    return Graph.from_edges(n, order)
+
+
+def reduction_record(reduce, G: Graph):
+    """Everything a reduction of G shows: the kernel's edge and adjacency
+    iteration order and every trace field, or the error it raises."""
+    try:
+        core, trace = reduce(G)
+    except DisconnectedGraphError as exc:
+        return "error", str(exc)
+    return (list(core.edges), [list(a) for a in core._adj], trace.original is G,
+            [getattr(trace, f.name) for f in dataclasses.fields(trace)])
+
+
+def test_reduce_graph_matches_the_set_based_reference():
+    # the kernel's edge order decides the tree its bounds or the DP find, so
+    # the neighbour-list kernelization must rebuild the reference's sets
+    # exactly: same edges in the same order, same trace, same error
+    rng = random.Random(3030)
+    seen = collections.Counter()
+    for family, count in (("tree", 200), ("cycle", 200), ("two cycles", 200),
+                          ("tree + isolated", 200), ("kernel", 1500), ("two kernels", 300),
+                          ("kernel + isolated", 200)):
+        for idx in range(count):
+            G = kernelization_host(rng, family)
+            while G.n > 40:
+                G = kernelization_host(rng, family)
+            got = reduction_record(reduce_graph, G)
+            want = reduction_record(reference_reduce, Graph(G.n, G.edges))
+            assert got == want, f"{family} host #{idx}: n {G.n}, edges {sorted(G.edges)}"
+            seen[family, got[0] if got[0] == "error" else got[3][-1]] += 1
+    assert seen["kernel", "kernel"] > 1300
+    assert seen["tree", "tree"] == seen["cycle", "cycle"] == 200
+    assert seen["two cycles", "error"] == seen["tree + isolated", "error"] == 200
+    assert seen["two kernels", "error"] == 300 and seen["kernel + isolated", "error"] == 200
+
+
+def test_reduce_refuses_too_few_edges_before_building_any_list():
+    # a header such as `p stc 1000000 0` must not cost one list per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="^input graph is not connected$"):
+            reduce_graph(Graph(10**6, frozenset({(0, 1)})))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # -- distance to clique -------------------------------------------------------
