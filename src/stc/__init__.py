@@ -9,10 +9,8 @@ and re-measures the tree it returns.
 """
 from .decomposition import NiceTreeDecomposition, TreeDecomposition, decompose, make_nice
 from .dp import (
-    WinWinResult,
     default_nice_decomposition,
     solve_approx_tw,
-    solve_cw_winwin,
     solve_exact_tw,
     solve_stc_tw,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "ReductionTrace",
     "SpanningTree",
     "TreeDecomposition",
-    "WinWinResult",
     "build_solution",
     "congestion_report",
     "count_spanning_trees",
@@ -98,7 +95,6 @@ __all__ = [
     "reduce_graph",
     "solve",
     "solve_approx_tw",
-    "solve_cw_winwin",
     "solve_dtc",
     "solve_exact_tw",
     "solve_fes",

@@ -9,6 +9,15 @@ So stc(G) >= max over u != v of lambda(u, v), and any one pair gives a
 sound bound.  The minimum degree delta is a bound too: every tree has a
 leaf, and the leaf's edge carries the leaf's degree.
 
+The bound subsumes the biclique branch of the paper's Win/Win, which
+refutes stc <= k (k >= 1) on a graph that holds a K_{k+1,k+1}.  Take two
+vertices a and a' on one side of it: the k+1 paths a-b-a', one through
+each b on the other side, are edge-disjoint, so lambda(a, a') >= k+1 > k.
+So `lower_bound(G, k + 1) > k` refutes every such graph in polynomial time,
+and `stc.solve` with alg="dp" and a given k runs the DP only where it does
+not; the DP's side of the Win/Win needs no width test either, since the DP
+decides at any width.
+
 `lower_bound` starts at delta and takes the maximum with Gusfield's
 flow-equivalent tree (Gomory and Hu, 1961; Gusfield, SIAM J. Comput. 1990):
 for each vertex s after the first, one maximum flow from s to its current

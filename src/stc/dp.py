@@ -169,15 +169,17 @@ A refuted run stops at its first empty table, since every ancestor of an
 empty table is empty, unless the tables are kept; a join stops merging at
 its first empty result either way.
 
-Driver: search_k is the one loop over k, for solve_stc_tw, solve_vi (below
-a limit), solve_approx_tw (with eps) and the fes kernel route.  It first
-computes the bounds of stc.bounds once: lam, a lower bound (the minimum
-degree, or the largest minimum edge cut between two vertices), and UB, the
-congestion of the best BFS tree improved by edge swaps, with that tree; on
-a graph of at most ORACLE_CAP vertices both are stc, found over vertex
-subsets.  It scans k from lam, or with eps from the smallest k with
-(1+eps)k >= lam, since a run at k accepts only with a tree of congestion
-<= (1+eps)k, up to UB - 1, and returns the UB tree when every k is refused.
+Driver: search_k is the DP's search over k, shared by solve_stc_tw,
+solve_vi (below a limit), solve_approx_tw (with eps) and the fes kernel
+route; the vertex-subset step (bounds._subset_tree, also behind solve_dtc)
+scans k on its own, without the DP.  search_k first computes the bounds of
+stc.bounds once: lam, a lower bound (the minimum degree, or the largest
+minimum edge cut between two vertices), and UB, the congestion of the best
+BFS tree improved by edge swaps, with that tree; on a graph of at most
+ORACLE_CAP vertices both are stc, found over vertex subsets.  It scans k
+from lam, or with eps from the smallest k with (1+eps)k >= lam, since a run
+at k accepts only with a tree of congestion <= (1+eps)k, up to UB - 1, and
+returns the UB tree when every k is refused.
 No decomposition is built before a k needs a run: the default one is made
 at the first such k, and every later k runs on it (solve_exact_tw is the
 one entry that runs on a decomposition the caller gives, validated first).
@@ -234,7 +236,6 @@ from .graph import (
     SpanningTree,
     congestion_report,
     edge_key,
-    find_biclique,
     require_connected,
 )
 
@@ -772,7 +773,7 @@ def search_k(
     limit: int | None = None,
     eps: Fraction | None = None,
 ) -> tuple[int, SpanningTree] | None:
-    """The one search over k (see "Driver" in the module docstring).
+    """The DP's search over k (see "Driver" in the module docstring).
 
     Returns a tree with its re-measured congestion, exact without eps and
     within (1+eps) of stc with it, or None when no tree below limit is found.
@@ -822,37 +823,3 @@ def _to_fraction(eps) -> Fraction:
     if isinstance(eps, float):
         return Fraction(str(eps))
     return Fraction(eps)
-
-
-@dataclass(frozen=True)
-class WinWinResult:
-    decision: str  # yes | no | no-by-biclique
-    tree: SpanningTree | None = None
-    biclique: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    width: int = -1
-    threshold: int = -1
-
-
-def solve_cw_winwin(G: Graph, k: int, w: int) -> WinWinResult:
-    """Decide stc <= k given a clique-width style budget w.
-
-    A decomposition within width 6(k+1)w + 1 feeds the DP; otherwise the
-    graph is dense enough to hunt for a K_{k+1,k+1}, which certifies "no".
-    If the width is large but no biclique shows up, the DP runs anyway
-    (min-fill may simply have been loose).
-    """
-    require_connected(G)
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    threshold = 6 * (k + 1) * w + 1
-    td = decompose(G)
-    if td.width > threshold:
-        bic = find_biclique(G, k + 1)
-        if bic is not None:
-            return WinWinResult(
-                "no-by-biclique", biclique=bic, width=td.width, threshold=threshold
-            )
-    T = solve_exact_tw(G, k, make_nice(td))
-    if T is None:
-        return WinWinResult("no", width=td.width, threshold=threshold)
-    return WinWinResult("yes", tree=T, width=td.width, threshold=threshold)

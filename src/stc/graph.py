@@ -8,7 +8,6 @@ crossing its cut contributes wt1.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,8 +29,10 @@ def edge_key(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    The edges are checked at construction.  The adjacency sets are built on
-    first use, from the edges in their iteration order, and kept.
+    The edges, a frozenset of pairs (u, v) with u < v, are checked at
+    construction; `from_edges` builds one from any iterable of pairs and
+    refuses loops and duplicates.  The adjacency sets are built on first
+    use, from the edges in their iteration order, and kept.
     """
 
     n: int
@@ -41,6 +42,11 @@ class Graph:
         n = self.n
         if n < 1:
             raise GraphError("graph needs at least one vertex")
+        if not isinstance(self.edges, frozenset):
+            raise GraphError(
+                f"edges must be a frozenset, not {type(self.edges).__name__};"
+                " Graph.from_edges takes any iterable of pairs"
+            )
         for e in self.edges:
             if not (isinstance(e, tuple) and len(e) == 2):
                 raise GraphError(f"bad edge {e!r}")
@@ -359,30 +365,6 @@ def twin_classes(G: Graph, S) -> list[list[int]]:
             continue
         groups.setdefault(G.neighbors(v) & S, []).append(v)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def find_biclique(G: Graph, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """First K_{t,t} subgraph (two disjoint t-sets, all cross edges present).
-
-    Exhaustive over t-subsets in lexicographic order; desk scale only.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if 2 * t > G.n:
-        return None
-    cand = [v for v in range(G.n) if G.degree(v) >= t]
-    for A in itertools.combinations(cand, t):
-        common: set[int] | None = None
-        for a in A:
-            nb = set(G.neighbors(a))
-            common = nb if common is None else common & nb
-            if len(common) < t:
-                break
-        else:
-            common = sorted(common - set(A))
-            if len(common) >= t:
-                return tuple(A), tuple(common[:t])
-    return None
 
 
 def require_connected(G) -> None:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 
-from .bounds import ORACLE_CAP
+from .bounds import ORACLE_CAP, lower_bound
 from .dp import solve_exact_tw, solve_stc_tw
 from .errors import GraphError
-from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
+from .graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report, require_connected
 from .oracle import EnumerationBudget, stc_exact
 from .structural import reduce_graph, small_case_threshold, solve_dtc, solve_vi
 from .structural.fes import solve_reduced
@@ -50,8 +50,10 @@ def solve(
     DP on G.  The returned algorithm names the route taken.
 
     Every route but one returns an optimal tree and ignores k.  With
-    alg="dp" and a given k the DP decides stc <= k instead: the tree then has
-    congestion <= k, and congestion and tree are None when k is refuted.
+    alg="dp" and a given k, solve decides stc <= k instead, as the paper's
+    Win/Win does: a lower bound lambda > k (stc.bounds) refutes k before any
+    DP run, and otherwise the DP decides.  The tree then has congestion
+    <= k, and congestion and tree are None when k is refuted.
     The budget caps alg="oracle"'s enumeration alone.  A
     DoubleWeightedGraph is accepted only with alg="oracle".  A modulator
     vertex outside 0..n-1 raises GraphError on every route.
@@ -76,7 +78,12 @@ def solve(
     elif alg == "vi":
         kstar, tree = solve_vi(G, S)
     elif k is not None:
-        tree = solve_exact_tw(G, k)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        # connectivity first: the minimum degree of a disconnected graph
+        # would otherwise "refute" k
+        require_connected(G)
+        tree = None if lower_bound(G, k + 1) > k else solve_exact_tw(G, k)
         if tree is None:
             return alg, None, None
     else:

@@ -64,6 +64,14 @@ def test_solve_dp_decision_yes_and_no(tmp_path, capsys):
     assert code == 1 and sol["feasible"] is False
 
 
+def test_solve_dp_decision_refuses_a_disconnected_graph(tmp_path, capsys):
+    # connectivity is checked before the lower bound, whose minimum degree
+    # 2 > k = 1 would otherwise refute two disjoint triangles
+    G = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    code, out, err = run(capsys, "solve", write_gr(tmp_path, G), "--alg", "dp", "--k", "1")
+    assert code == 2 and out == "" and "not connected" in err
+
+
 def test_solve_algorithms_agree(tmp_path, capsys):
     G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     path = write_gr(tmp_path, G)

@@ -1,4 +1,6 @@
-"""Treewidth DP: exact solver, approximation scheme, win/win wrapper."""
+"""Treewidth DP: exact solver, approximation scheme, and the decision entry
+(`solve` with alg="dp" and a given k), which refutes from the lower bound
+before it runs the DP."""
 import itertools
 import math
 import random
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import stc.dp
+import stc.route
 from stc.dp import (
     EMPTY_STATE,
     _closed,
@@ -27,16 +30,16 @@ from stc.dp import (
     RoundedArith,
     default_nice_decomposition,
     solve_approx_tw,
-    solve_cw_winwin,
     solve_exact_tw,
     solve_stc_tw,
 )
-from stc.bounds import bounds
+from stc.bounds import _min_cut, bounds, lower_bound
 from stc.decomposition import TreeDecomposition, decompose, make_nice
 from stc.errors import InvalidDecompositionError
 from stc.graph import Graph, SpanningTree, congestion_report, edge_key
 from stc.oracle import stc_exact
 from stc.reductions import gen_ubp
+from stc.route import solve
 
 from conftest import (
     complete_bipartite,
@@ -1301,30 +1304,42 @@ def test_approx_rounding_invariants_hold_nodewise():
             check_approx_invariant(g, eps)
 
 
-def test_winwin_k55_is_no_for_any_w():
-    g = complete_bipartite(5, 5)
-    for w in (1, 2, 10):
-        res = solve_cw_winwin(g, 4, w)
-        assert res.decision in ("no", "no-by-biclique")
-        assert res.tree is None
+@pytest.fixture
+def dp_decisions(monkeypatch):
+    """The k of every solve_exact_tw call that `solve` makes."""
+    calls = []
+    real = stc.route.solve_exact_tw
+
+    def spy(G, k, *args):
+        calls.append(k)
+        return real(G, k, *args)
+
+    monkeypatch.setattr(stc.route, "solve_exact_tw", spy)
+    return calls
 
 
-def test_winwin_biclique_certificate_route():
+def test_winwin_k55_is_no(dp_decisions):
+    # lambda(K5,5) = 5 > 4 refutes with no DP run; the DP's own refutation
+    # of K5,5 at k = 4 is pinned in test_dominance_keeps_grid4_tables_small
+    assert solve(complete_bipartite(5, 5), 4, alg="dp") == ("dp", None, None)
+    assert dp_decisions == []
+
+
+def test_winwin_biclique_certificate_route(dp_decisions):
+    # K15,15 holds a K_{2,2}: two vertices on one side are joined by 15
+    # edge-disjoint paths through the other side, so lambda > k = 1
     g = complete_bipartite(15, 15)
-    res = solve_cw_winwin(g, 1, 1)
-    assert res.decision == "no-by-biclique"
-    assert res.width > res.threshold
-    A, B = res.biclique
-    assert len(A) == len(B) == 2
-    for a in A:
-        for b in B:
-            assert g.has_edge(a, b)
+    assert _min_cut(g, 0, 1)[0] == 15
+    assert lower_bound(g, 2) > 1
+    assert solve(g, 1, alg="dp") == ("dp", None, None)
+    assert dp_decisions == []
 
 
-def test_winwin_yes_carries_tree():
-    res = solve_cw_winwin(cycle_graph(4), 2, 1)
-    assert res.decision == "yes"
-    assert congestion_report(cycle_graph(4), res.tree).max_congestion <= 2
+def test_winwin_yes_carries_tree(dp_decisions):
+    g = cycle_graph(4)
+    alg, got, tree = solve(g, 2, alg="dp")
+    assert alg == "dp" and got == congestion_report(g, tree).max_congestion <= 2
+    assert dp_decisions == [2]  # lambda(C4) = 2 does not refute k = 2
 
 
 def test_winwin_matches_dp_on_random_graphs():
@@ -1333,11 +1348,16 @@ def test_winwin_matches_dp_on_random_graphs():
         n = rng.randrange(3, 8)
         g = random_connected_graph(rng, n, rng.randrange(n - 1, n + 5))
         k, _ = solve_stc_tw(g)
-        assert solve_cw_winwin(g, k, n).decision == "yes"
+        alg, got, tree = solve(g, k, alg="dp")
+        assert alg == "dp" and got <= k and tree is not None
         if k > 1:
-            assert solve_cw_winwin(g, k - 1, n).decision in ("no", "no-by-biclique")
+            assert solve(g, k - 1, alg="dp") == ("dp", None, None)
 
 
-def test_winwin_validates_w():
-    with pytest.raises(ValueError):
-        solve_cw_winwin(cycle_graph(4), 2, 0)
+def test_decision_entry_matches_the_dp_on_gap_graphs():
+    # lambda < UB on each: below lambda the bound refutes, from lambda up
+    # the DP decides, and both agree with the raw DP at every k
+    for name, g, want in gap_graphs():
+        for k in range(1, want + 2):
+            refuted = solve(g, k, alg="dp")[2] is None
+            assert refuted == (solve_exact_tw(g, k) is None) == (k < want), (name, k)

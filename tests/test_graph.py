@@ -15,6 +15,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from stc.bounds import lower_bound
 from stc.errors import DisconnectedGraphError, GraphError, InvalidSpanningTreeError
 from stc.graph import (
     CongestionReport,
@@ -26,7 +27,6 @@ from stc.graph import (
     congestion_report,
     connected_components,
     edge_key,
-    find_biclique,
     require_connected,
     twin_classes,
 )
@@ -74,6 +74,16 @@ def test_graph_construction_rejects_garbage():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_graph_takes_edges_as_a_frozenset_only():
+    # a list would keep duplicates (m = 3 below) and a set is unhashable;
+    # from_edges builds the frozenset from any iterable of pairs
+    for edges in ([(0, 1), (1, 2)], [(0, 1), (0, 1), (1, 2)], {(0, 1), (1, 2)}, ((0, 1),)):
+        with pytest.raises(GraphError, match=r"frozenset.*Graph\.from_edges"):
+            Graph(3, edges)
+    G = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert G == Graph(3, frozenset({(0, 1), (1, 2)})) and G.m == 2
 
 
 def spanning_tree_violation_by_union_find(G, tree_edges) -> str | None:
@@ -404,27 +414,27 @@ def test_twin_refinement():
             assert len(hosts) == 1
 
 
-def test_find_biclique():
-    assert find_biclique(complete_bipartite(3, 3), 3) == ((0, 1, 2), (3, 4, 5))
-    assert find_biclique(path_graph(5), 2) is None
-    # K_5 contains K_{2,2} as a subgraph (sides need not be independent)
-    assert find_biclique(complete_graph(5), 2) is not None
-    assert find_biclique(complete_graph(5), 3) is None
-
-
-def test_biclique_lower_bound():
-    A, B = find_biclique(complete_bipartite(4, 4), 4)
-    assert len(A) == len(B) == 4
-    assert find_biclique(path_graph(6), 2) is None
-    assert find_biclique(path_graph(6), 1) is not None
+def _holds_biclique(G: Graph, t: int) -> bool:
+    """Whether G has a K_{t,t} subgraph: t vertices with t common neighbours."""
+    return any(
+        len(set.intersection(*(set(G.neighbors(a)) for a in A))) >= t
+        for A in itertools.combinations(range(G.n), t)
+    )
 
 
 def test_lower_bound_never_beats_oracle():
-    # a K_{t,t} subgraph means stc >= t
+    # a K_{t,t} subgraph means lambda >= t (two vertices on one side are
+    # joined by t edge-disjoint paths through the other), so stc >= t
     rng = random.Random(805)
+    found = set()
     for _ in range(20):
         G = random_connected_graph(rng, 7, rng.randint(6, 14))
         k, _ = stc_exact(G)
         for t in range(1, 4):
-            if find_biclique(G, t) is not None:
-                assert t <= k
+            if _holds_biclique(G, t):
+                found.add(t)
+                assert t <= k and lower_bound(G) >= t
+    assert found == {1, 2, 3}
+    for G, t in ((complete_bipartite(4, 4), 4), (complete_graph(5), 2)):
+        assert _holds_biclique(G, t) and lower_bound(G) >= t
+    assert not _holds_biclique(path_graph(6), 2) and not _holds_biclique(complete_graph(5), 3)

@@ -11,7 +11,7 @@ import stc.route
 import stc.structural.fes
 from conftest import complete_graph, cycle_graph, grid_graph, path_graph, subdivided
 from stc import solve
-from stc.errors import GraphError
+from stc.errors import DisconnectedGraphError, GraphError
 from stc.graph import DoubleWeightedGraph, Graph, congestion_report
 from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_grid
@@ -139,6 +139,17 @@ def test_dp_decision_contract():
     assert solve(complete_graph(5), k=3)[1] == 4
 
 
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def test_dp_decision_checks_k_and_connectivity_before_the_bound():
+    # the minimum degree 2 > k would otherwise "refute" both
+    with pytest.raises(DisconnectedGraphError):
+        solve(TWO_TRIANGLES, k=1, alg="dp")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        solve(cycle_graph(4), k=0, alg="dp")
+
+
 @pytest.mark.parametrize("alg", ["dtc", "vi"])
 def test_modulator_solvers_need_a_modulator(alg):
     with pytest.raises(ValueError, match="modulator"):
@@ -168,10 +179,26 @@ def test_unknown_algorithm_rejected():
         solve(path_graph(3), alg="cycle")
 
 
+README = Path(stc.__file__).resolve().parents[2] / "README.md"
+
+
 def test_every_exported_name_is_documented():
-    readme = (Path(stc.__file__).resolve().parents[2] / "README.md").read_text()
+    readme = README.read_text()
     missing = [name for name in stc.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert not missing
+
+
+def test_every_documented_library_name_is_exported():
+    # the backticked names that open a bullet of README's "## Library"
+    # section, e.g. "- `solve_stc_tw(G)` / `solve_exact_tw(G, k)`: ..."
+    library = README.read_text().split("\n## Library\n")[1].split("\n## ")[0]
+    names = [
+        re.match(r"\w+", item).group()
+        for lead in re.findall(r"^- ((?:`[^`]+`(?:,\s+|\s+/\s+)?)+)", library, re.M)
+        for item in re.findall(r"`([^`]+)`", lead)
+    ]
+    assert len(names) > 20
+    assert [name for name in names if not hasattr(stc, name)] == []
 
 
 def _unused_imports(path: Path) -> list[str]:
