@@ -52,30 +52,31 @@ on the cycle alone (see `_swap_search`); after a swap the tree returned is
 a validated SpanningTree, re-measured in full.
 
 Small graphs.  On a graph of at most ORACLE_CAP vertices whose bounds
-still differ, `_subset_tree` closes the gap by a recursion over vertex
-subsets (cf. Okamoto, Otachi, Uehara and Uno, JGAA 2011).  It takes a
-vertex list U with root r = U[0] and measures every cut in the whole of G.
-Write hang(Y, c) for "G[Y] has a spanning tree rooted at c in which the
-subtree below each edge has |delta_G| <= k", and split(R, c) for "R splits
-into blocks Z, each with |delta_G(Z)| <= k and a G-neighbour z of c in Z
-with hang(Z, z)".  Then hang(Y, c) = split(Y - c, c): such a tree gives
-the blocks below each vertex, and conversely the edges cz of the chosen
-blocks form a spanning tree of G[Y] in which the subtree below cz is
-exactly Z.  split takes the block that holds the lowest vertex of R and
-recurses on the rest, which lists every partition of R exactly once.  Each
-state (R, c) is decided once per k, over the subsets of R: at most
-|U| * 3^|U| steps per k, so the step needs no budget.
+still differ, `stc.dp.search_k` closes the gap by `_subset_step`, a
+recursion over vertex subsets (cf. Okamoto, Otachi, Uehara and Uno, JGAA
+2011) that decides one k at a time.  It takes a vertex list U with root
+r = U[0] and measures every cut in the whole of G.  Write hang(Y, c) for
+"G[Y] has a spanning tree rooted at c in which the subtree below each edge
+has |delta_G| <= k", and split(R, c) for "R splits into blocks Z, each with
+|delta_G(Z)| <= k and a G-neighbour z of c in Z with hang(Z, z)".  Then
+hang(Y, c) = split(Y - c, c): such a tree gives the blocks below each
+vertex, and conversely the edges cz of the chosen blocks form a spanning
+tree of G[Y] in which the subtree below cz is exactly Z.  split takes the
+block that holds the lowest vertex of R and recurses on the rest, which
+lists every partition of R exactly once.  Each state (R, c) is decided
+once per k, over the subsets of R: at most |U| * 3^|U| steps per k, so the
+step needs no budget.
 
-`bounds` asks hang(V, 0): removing a tree edge cz splits V into Z and
+`search_k` asks hang(V, 0): removing a tree edge cz splits V into Z and
 V - Z, so cz carries |delta_G(Z)|, and stc(G) <= k iff hang(V, 0).  The
-first k from the lower bound up that holds is stc; its tree is
-re-measured.  When none below the upper bound holds, the upper bound's
-tree is optimal.
+first k from the lower bound up that holds is stc; when none below the
+upper bound holds, the upper bound's tree is optimal.  `bounds` itself
+runs no subset step.
 
 `solve_dtc` (stc.structural.dtc) asks hang(U, r) for U = r plus the <= 2q
-vertices it arranges; every other clique vertex is a leaf of r, whose edge
-carries deg(leaf).  The set below an arrangement edge is exactly its
-subtree D, since the leaves hang from r, so that edge carries
+vertices it arranges; every other vertex, a clique vertex, is a leaf of r,
+whose edge carries deg(leaf).  The set below an arrangement edge is
+exactly its subtree D, since the leaves hang from r, so that edge carries
 |delta_G(D)|.  So the first k from the largest leaf degree up that holds is
 the least congestion of a tree of this shape.
 """
@@ -92,7 +93,7 @@ from .graph import (
     edge_key,
 )
 
-# graphs this small get exact bounds from the vertex-subset step (module
+# search_k decides graphs this small by the vertex-subset step (module
 # docstring); the routers name their answers "fes" up to it and "dp" above
 ORACLE_CAP = 12
 
@@ -281,7 +282,7 @@ def _swap_search(G: Graph, T: SpanningTree, floor: int) -> tuple[int, SpanningTr
 
 
 def _split(cut: list[int], nbr: list[int], k: int, memo: dict, R: int, c: int) -> bool:
-    """_subset_tree's recursion at k: R splits into blocks Z, each with
+    """_subset_step's recursion at k: R splits into blocks Z, each with
     cut[Z] <= k and hanging from a neighbour z of c in Z (hang(Z, z) =
     split(Z - z, z)); the block of R's lowest bit and its z are kept in
     memo."""
@@ -309,12 +310,15 @@ def _split(cut: list[int], nbr: list[int], k: int, memo: dict, R: int, c: int) -
     return memo[(R, c)] is not None
 
 
-def _subset_tree(G: Graph, verts, ks: range) -> tuple[int, list[Edge]] | None:
-    """The first k in ks for which verts has a spanning tree of G[verts],
-    rooted at verts[0], in which the set below each edge has a cut of at
-    most k in G, with that tree's edges, or None when no k in ks holds: the
-    vertex-subset recursion of the module docstring, for a few vertices.
-    Only the first k and the values of cut can be the first to hold."""
+def _subset_step(G: Graph, verts, lo: int, hi: int):
+    """The vertex-subset step of the module docstring as decisions over k:
+    (ks, decide), where ks is lo and every cut value in (lo, hi), the only
+    k that can be the first to hold, and decide(k) returns the edges of a
+    tree rooted at verts[0] whose arrangement of verts has each cut at most
+    k, every vertex outside verts a leaf of verts[0], paired with k; or
+    None when no such arrangement exists.  Nothing is built when lo >= hi."""
+    if lo >= hi:
+        return (), None
     n = len(verts)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     nbr = [sum(bit.get(u, 0) for u in G.neighbors(v)) for v in verts]
@@ -324,29 +328,29 @@ def _subset_tree(G: Graph, verts, ks: range) -> tuple[int, list[Edge]] | None:
         rest = mask & (mask - 1)
         i = (mask ^ rest).bit_length() - 1
         cut[mask] = cut[rest] + deg[i] - 2 * (nbr[i] & rest).bit_count()
-    values = set(cut)
-    for j, k in enumerate(ks):
-        if j and k not in values:
-            continue  # the same blocks pass as at k - 1, which failed
+    # between two cut values the same blocks pass as at the lower one
+    ks = [lo, *sorted(c for c in set(cut) if lo < c < hi)]
+
+    def decide(k: int):
         memo: dict[tuple[int, int], tuple[int, int] | None] = {}
         todo = [((1 << n) - 2, 0)]  # the tree rooted at verts[0]
         if not _split(cut, nbr, k, memo, *todo[0]):
-            continue
-        edges = []
+            return None
+        edges = [edge_key(verts[0], v) for v in range(G.n) if v not in bit]
         while todo:
             R, c = todo.pop()
             if R:
                 Z, z = memo[(R, c)]
                 edges.append(edge_key(verts[c], verts[z]))
                 todo += [(Z ^ (1 << z), z), (R ^ Z, c)]
-        return k, edges
-    return None
+        return edges, k
+
+    return ks, decide
 
 
 def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     """(lower bound, upper bound, a tree of the upper bound's congestion);
-    see the module docstring.  On a graph of at most ORACLE_CAP vertices
-    both bounds equal stc.
+    see the module docstring.
 
     The lower bound's scan stops at the congestion of the BFS tree from
     vertex 0, the first tree the upper bound's scan measures, measured once
@@ -357,12 +361,4 @@ def bounds(G: Graph) -> tuple[int, int, SpanningTree]:
     first = _bfs_load(G, 0)
     lam = lower_bound(G, first[0])
     ub, T = _swap_search(G, _best_bfs_tree(G, lam, first)[1], lam)
-    if G.n <= ORACLE_CAP and lam < ub:
-        found = _subset_tree(G, range(G.n), range(lam, ub))
-        if found is not None:
-            k, edges = found
-            T = SpanningTree(G, frozenset(edges))
-            ub = congestion_report(G, T).max_congestion
-            assert ub <= k, f"the subset step's tree has congestion {ub} > {k}"
-        lam = ub
     return lam, ub, T

@@ -169,27 +169,27 @@ A refuted run stops at its first empty table, since every ancestor of an
 empty table is empty, unless the tables are kept; a join stops merging at
 its first empty result either way.
 
-Driver: search_k is the DP's search over k, shared by solve_stc_tw,
-solve_vi (below a limit), solve_approx_tw (with eps) and the fes kernel
-route; the vertex-subset step (bounds._subset_tree, also behind solve_dtc)
-scans k on its own, without the DP.  search_k first computes the bounds of
-stc.bounds once: lam, a lower bound (the minimum degree, or the largest
-minimum edge cut between two vertices), and UB, the congestion of the best
-BFS tree improved by edge swaps, with that tree; on a graph of at most
-ORACLE_CAP vertices both are stc, found over vertex subsets.  It scans k
-from lam, or with eps from the smallest k with (1+eps)k >= lam, since a run
-at k accepts only with a tree of congestion <= (1+eps)k, up to UB - 1, and
-returns the UB tree when every k is refused.
-No decomposition is built before a k needs a run: the default one is made
-at the first such k, and every later k runs on it (solve_exact_tw is the
-one entry that runs on a decomposition the caller gives, validated first).
-A rounded run takes delta from the decomposition's height, which covers any
-merge order the run picks (see "Merge order").  Each tree the DP returns is re-measured by
-congestion_report and checked against its cap, k for exact counters and
-(1+eps)k for rounded ones.  The exact search returns stc: no k below the
-first accepted one admits a tree.  A rounded run's tree may be more
-congested than the UB tree ((1+eps)k can exceed UB), so search_k returns
-whichever of the two measures lower; an exact run's tree is always below UB.
+Driver: _first_k is the one loop over k.  A decision at k returns tree
+edges with a cap on their congestion, or None.  At the first k accepted the
+driver re-measures the tree with congestion_report and checks it against
+its cap and against the last k refused, r: a tree of congestion <= r
+would have made the decision at r accept, so a decision that refuses too
+much shows there.  solve_exact_tw asks the DP at its one k, and solve_dtc
+the vertex-subset step of stc.bounds per arrangement.  search_k, behind
+solve_stc_tw, solve_vi (below a limit), solve_approx_tw (with eps) and the
+fes kernel route, first computes the bounds of stc.bounds: lam, and UB,
+the congestion of the best BFS tree improved by edge swaps, with that
+tree.  Up to ORACLE_CAP vertices it asks the subset step from lam to below
+UB at any eps; the first k accepted is stc.  Above, it asks the DP from
+lam, or with eps from the smallest k with (1+eps)k >= lam, since a run at
+k accepts only with a tree of congestion <= (1+eps)k, up to the certified
+stop, on the default decomposition, built once and only when some k needs
+a run.  A rounded run takes delta from its height, which covers any merge
+order the run picks (see "Merge order"); its cap is (1+eps)k, and an exact
+run's is k.  When every k is refused, search_k returns the UB tree.  The
+exact search returns stc: no k below the first accepted one admits a tree.
+A rounded run's tree may be more congested than the UB tree ((1+eps)k can
+exceed UB), so search_k returns the lower of the two.
 
 Certified stop: before the run at k, the driver knows stc >= L = max(lam,
 k).  At the first k of the scan L = lam, as that k is at most lam.  At any
@@ -197,12 +197,9 @@ later k, the run at k - 1 was refused, and a run at k - 1 accepts whenever
 stc <= k - 1: an exact run by definition, a rounded one by the rounding
 invariant that tests/dp_checks.py asserts.  So stc >= k.  When UB <=
 (1+eps)L the UB tree already keeps the scheme's promise, UB <= (1+eps)stc,
-and search_k returns it without that run or any later one (and without a
-decomposition, if none was built yet).  Without eps the rule reads UB <= L,
-which never holds inside the scan (lam < UB and k < UB there), so the exact
-search and its callers run the same k as without it.  Where lam = UB the
-rule fires at the first k with eps, and the scan is empty without it: the
-UB tree is optimal and no k is run.  When the scan ends with every k < UB
+so the scan's list ends before ceil(UB/(1+eps)), and is empty when UB <=
+(1+eps)lam.  Without eps that end is UB, so the exact search runs the same
+k as without the rule; where lam = UB no k is run.  When every k < UB is
 refused, stc >= UB and the UB tree is optimal.  Otherwise the first
 accepted k is at most stc, so its tree has congestion <= (1+eps)stc.  Which
 tree gives UB does not matter to any of these arguments, only that its
@@ -222,7 +219,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import bounds
+from .bounds import ORACLE_CAP, _subset_step, bounds
 from .decomposition import (
     NiceTreeDecomposition,
     decompose,
@@ -750,6 +747,35 @@ def _checked_ntd(G: Graph, ntd: NiceTreeDecomposition | None) -> NiceTreeDecompo
     return ntd
 
 
+def _dp_decision(G: Graph, ntd: NiceTreeDecomposition, eps: Fraction | None):
+    """The DP at k for _first_k, exact without eps or where eps*k < 1."""
+
+    def decide(k: int):
+        exact = eps is None or eps * k < 1
+        arith = ExactArith(k) if exact else RoundedArith(k, eps, ntd.height)
+        forest = _run_dp(G, ntd, arith).forest
+        return None if forest is None else (forest, k if exact else arith.cap)
+
+    return decide
+
+
+def _first_k(G: Graph, ks, decide) -> tuple[int, SpanningTree, int] | None:
+    """(re-measured congestion, tree, k) at the first k in ks that decide
+    accepts, or None: the one loop over k (see "Driver")."""
+    refused = None
+    for k in ks:
+        found = decide(k)
+        if found is not None:
+            edges, cap = found
+            T = SpanningTree(G, frozenset(edges))
+            got = congestion_report(G, T).max_congestion
+            assert got <= cap, f"congestion {got} > {cap} at k = {k}"
+            assert refused is None or got > refused, f"congestion {got} refused at k = {refused}"
+            return got, T, k
+        refused = k
+    return None
+
+
 def solve_exact_tw(
     G: Graph,
     k: int,
@@ -759,13 +785,8 @@ def solve_exact_tw(
     require_connected(G)
     if k < 1:
         raise ValueError("k must be >= 1")
-    run = _run_dp(G, _checked_ntd(G, ntd), ExactArith(k))
-    if run.forest is None:
-        return None
-    T = SpanningTree(G, run.forest)
-    got = congestion_report(G, T).max_congestion
-    assert got <= k, f"DP returned congestion {got} > {k}"
-    return T
+    found = _first_k(G, (k,), _dp_decision(G, _checked_ntd(G, ntd), None))
+    return None if found is None else found[1]
 
 
 def search_k(
@@ -773,34 +794,25 @@ def search_k(
     limit: int | None = None,
     eps: Fraction | None = None,
 ) -> tuple[int, SpanningTree] | None:
-    """The DP's search over k (see "Driver" in the module docstring).
+    """The search over k (see "Driver" in the module docstring).
 
     Returns a tree with its re-measured congestion, exact without eps and
     within (1+eps) of stc with it, or None when no tree below limit is found.
-    The default decomposition is built at the first k that needs a DP run.
     """
-    if G.n == 1:
-        return 0, SpanningTree(G, frozenset())
     lam, ub, T_ub = bounds(G)
     stop = ub if limit is None else min(ub, limit)
-    slack = 1 + (eps or 0)
-    ntd: NiceTreeDecomposition | None = None
-    for k in range(math.ceil(lam / slack), stop):
-        if ub <= slack * max(lam, k):
-            break  # certified stop: stc >= max(lam, k)
-        if ntd is None:
-            ntd = default_nice_decomposition(G)
-        if eps is None or eps * k < 1:
-            arith, cap = ExactArith(k), k
-        else:
-            arith = RoundedArith(k, eps, ntd.height)
-            cap = arith.cap
-        forest = _run_dp(G, ntd, arith).forest
-        if forest is not None:
-            T = SpanningTree(G, forest)
-            got = congestion_report(G, T).max_congestion
-            assert got <= cap, f"DP returned congestion {got} > {cap} at k = {k}"
-            return (got, T) if got <= ub else (ub, T_ub)
+    if G.n <= ORACLE_CAP:
+        found = _first_k(G, *_subset_step(G, range(G.n), lam, stop))
+    else:
+        slack = 1 + (eps or 0)
+        # certified stop: the scan ends where UB <= slack * max(lam, k)
+        hi = min(stop, math.ceil(ub / slack)) if ub > slack * lam else 0
+        ks = range(math.ceil(lam / slack), hi)
+        decide = _dp_decision(G, default_nice_decomposition(G), eps) if ks else None
+        found = _first_k(G, ks, decide)
+    if found is not None:
+        got, T, _ = found
+        return (got, T) if got <= ub else (ub, T_ub)
     return (ub, T_ub) if limit is None or ub < limit else None
 
 

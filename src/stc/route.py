@@ -2,9 +2,9 @@
 
 Auto routing kernelizes first (leaf peeling and chain compression leave stc
 unchanged), then answers trees and cycles directly, answers a small kernel
-from its bounds, which meet there, and gives a larger one to the clique
-(dtc) or vertex-integrity (vi) solver on the input when a modulator is
-given, else to the search over k of the treewidth DP.
+by the search over k with the vertex-subset step, and gives a larger one to
+the clique (dtc) or vertex-integrity (vi) solver on the input when a
+modulator is given, else to the search over k of the treewidth DP.
 """
 from __future__ import annotations
 

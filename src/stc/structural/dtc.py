@@ -8,22 +8,18 @@ vertices.
 Twin clique vertices (same neighborhood in S) are interchangeable, so the
 search runs over twin-class representatives.  For each center r and choice
 Q of arranged clique vertices, the best arrangement of S + Q under r is the
-vertex-subset step of stc.bounds on the list [r, *others], searched from the
-largest leaf degree up to below the best tree so far; that module's
-docstring says why the step's cuts are the arrangement edges' congestions.
+vertex-subset step of stc.bounds on the list [r, *others], with every other
+vertex a leaf of r; that module's docstring says why the step's cuts are
+the arrangement edges' congestions.  The driver over k of stc.dp searches
+it from the largest leaf degree up to below the best tree so far, and
+re-measures each tree it accepts.
 """
 from __future__ import annotations
 
-from ..bounds import _subset_tree
+from ..bounds import _subset_step
+from ..dp import _first_k
 from ..errors import GraphError
-from ..graph import (
-    Graph,
-    SpanningTree,
-    congestion_report,
-    edge_key,
-    require_connected,
-    twin_classes,
-)
+from ..graph import Graph, SpanningTree, require_connected, twin_classes
 from .fes import solve_fes
 from .vi import _bounded_counts, checked_modulator
 
@@ -55,7 +51,7 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
     reps = [cls[0] for cls in classes]
     class_keys = [frozenset(G.neighbors(cls[0]) & S) for cls in classes]
 
-    best: tuple[int, list] | None = None
+    best: tuple[int, SpanningTree] | None = None
     for r in reps + sorted(S):
         # Q is a multiset over twin classes; actual members are the smallest
         # ids of each class distinct from r
@@ -63,10 +59,9 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
             min(q, len(cls) - (1 if r in cls else 0)) for cls in classes
         ]
         for counts in _bounded_counts(per_class_cap, q):
-            Q: list[int] = []
-            for idx, cnt in enumerate(counts):
-                picked = [v for v in classes[idx] if v != r][:cnt]
-                Q.extend(picked)
+            Q: set[int] = set()
+            for cls, cnt in zip(classes, counts):
+                Q.update([v for v in cls if v != r][:cnt])
             leaf_worst = 0
             ok = True
             for idx, cls in enumerate(classes):
@@ -80,15 +75,12 @@ def solve_dtc(G: Graph, S) -> tuple[int, SpanningTree]:
             if not ok:
                 continue
             # the best arrangement of the rest under r that beats best
-            others = sorted((S | set(Q)) - {r})
+            others = sorted((S | Q) - {r})
             stop = G.m + 1 if best is None else best[0]
-            found = _subset_tree(G, [r, *others], range(leaf_worst, stop))
+            found = _first_k(G, *_subset_step(G, [r, *others], leaf_worst, stop))
             if found is not None:
-                leaves = [edge_key(c, r) for c in C if c != r and c not in Q]
-                best = (found[0], leaves + found[1])
+                got, T, k = found
+                assert got == k, f"the subset step's {k} disagrees with the report's {got}"
+                best = (got, T)
     assert best is not None, "no valid arrangement found"
-    k, edges = best
-    T = SpanningTree(G, frozenset(edges))
-    got = congestion_report(G, T).max_congestion
-    assert got == k, f"the subset step's {k} disagrees with the report's {got}"
-    return k, T
+    return best

@@ -37,7 +37,7 @@ chain and the kernel is connected.  (A degree-2 survivor on no walked chain
 lies on a component that is a bare cycle; a survivor of degree 0 is what is
 left of a tree component.)
 
-The kernel's edge order decides the tree its bounds or the DP find, and it
+The kernel's edge order decides the tree the search over k finds, and it
 follows the iteration order of the kernel vertices' adjacency sets, which
 CPython fixes by the sequence of adds and removes that made each set's
 table.  So the sets are built for the kernel's vertices only, but by the
@@ -47,11 +47,11 @@ discarded, then each compression's discard and add, in compression order.
 A set built from the surviving neighbours alone holds the same vertices
 but can iterate in another order, and move the trees.
 
-`solve_reduced` answers every kernel with the search over k of `stc.dp`,
-which returns the bounds' tree where the bounds meet, as they always do on
-a small kernel.  The kernel tree is lifted back by re-expanding each
-compressed section (an excluded section re-appears minus its last edge) and
-re-attaching the peeled leaves.
+`solve_reduced` answers every kernel with the search over k of `stc.dp`:
+the bounds' tree where the bounds meet, else the vertex-subset step on a
+small kernel and the DP on a larger one.  The kernel tree is lifted back
+by re-expanding each compressed section (an excluded section re-appears
+minus its last edge) and re-attaching the peeled leaves.
 """
 from __future__ import annotations
 
@@ -273,11 +273,11 @@ def solve_reduced(core: Graph, trace: ReductionTrace) -> tuple[str, int, Spannin
 
     A tree ("trivial") and a cycle ("cycle", 2) are answered directly.  A
     kernel goes to `search_k`, which takes the upper bound's tree when the
-    bounds of `stc.bounds` meet and otherwise runs the treewidth DP over k
-    between them.  The bounds meet on every kernel of at most ORACLE_CAP
-    vertices, so no DP runs there.  The route is named by the kernel's size,
-    "fes" up to ORACLE_CAP and "dp" above it.  The kernel tree is lifted
-    and re-measured on the host.
+    bounds of `stc.bounds` meet and otherwise decides k between them: by the
+    vertex-subset step up to ORACLE_CAP vertices, where no DP runs, and by
+    the treewidth DP above.  The route is named by the kernel's size, "fes"
+    up to ORACLE_CAP and "dp" above it.  The kernel tree is lifted and
+    re-measured on the host.
     """
     G = trace.original
     if trace.kind == "tree":

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,17 +17,18 @@ import stc.graph
 import stc.oracle
 from stc import solve
 from stc.bounds import (
+    ORACLE_CAP,
     _best_bfs_tree,
     _cycle_chords,
-    _subset_tree,
+    _subset_step,
     _swap_loads,
     _swap_search,
     bounds,
     lower_bound,
 )
-from stc.dp import solve_approx_tw, solve_stc_tw
+from stc.dp import _first_k, search_k, solve_approx_tw, solve_stc_tw
 from stc.errors import BudgetExceededError
-from stc.graph import Graph, SpanningTree, _edge_loads, congestion_report, edge_key
+from stc.graph import Graph, _edge_loads, congestion_report, edge_key
 from stc.oracle import EnumerationBudget, stc_exact
 from stc.reductions import gen_ubp
 
@@ -72,10 +74,12 @@ def test_bounds_bracket_stc_on_the_suite():
         assert congestion_report(g, T).max_congestion == ub
         lower_tight += lam == k
         upper_tight += ub == k
-    # every suite graph has at most ORACLE_CAP vertices, so the subset step
-    # makes both bounds exact, also on 133, 171 and 193, where lambda alone
-    # is 4 < 5 = stc
-    assert (lower_tight, upper_tight) == (200, 200)
+        got, T = search_k(g)
+        assert got == k == congestion_report(g, T).max_congestion, f"suite graph #{idx}"
+    # lambda is 4 < 5 = stc on 133, 171 and 193, and UB is 5 > 4 = stc on
+    # 68; every suite graph has at most ORACLE_CAP vertices, so search_k's
+    # subset step closes each gap
+    assert (lower_tight, upper_tight) == (197, 199)
 
 
 @pytest.mark.parametrize("G, want", [
@@ -95,35 +99,39 @@ def test_lower_bound_stops_at_a_known_upper_bound():
 
 
 def test_bounds_are_exact_on_small_random_graphs():
-    # each graph is checked against the enumeration where it finishes within
-    # 200 measured trees, and against the brute force up to 8 vertices
+    # search_k, from the bounds and the subset step, is exact on each graph:
+    # checked against the enumeration where it finishes within 200 measured
+    # trees, and against the brute force up to 8 vertices
     rng = random.Random(417)
     budget = EnumerationBudget(max_trees=200)
     enumerated = brute = 0
     for idx in range(120):
         n = rng.randint(4, 12)
         g = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
-        lam, ub, T = bounds(g)
-        assert lam == ub == congestion_report(g, T).max_congestion, f"graph #{idx}"
+        lam, ub, _ = bounds(g)
+        k, T = search_k(g)
+        assert lam <= k <= ub and k == congestion_report(g, T).max_congestion, f"graph #{idx}"
         try:
-            assert stc_exact(g, budget)[0] == lam, f"graph #{idx}"
+            assert stc_exact(g, budget)[0] == k, f"graph #{idx}"
             enumerated += 1
         except BudgetExceededError:
             pass
         if n <= 8:
-            assert checker.brute_force_stc(n, sorted(g.edges)) == lam, f"graph #{idx}"
+            assert checker.brute_force_stc(n, sorted(g.edges)) == k, f"graph #{idx}"
             brute += 1
     assert (enumerated, brute) == (102, 64)
 
 
-@pytest.mark.parametrize("G, want", [
-    (path_graph(1), 0), (path_graph(2), 1), (PETERSEN, 5), (complete_bipartite(5, 5), 8),
-    (complete_bipartite(2, 5), 5),
+@pytest.mark.parametrize("G, lam, want", [
+    (path_graph(1), 0, 0), (path_graph(2), 1, 1), (PETERSEN, 3, 5),
+    (complete_bipartite(5, 5), 5, 8), (complete_bipartite(2, 5), 5, 5),
 ], ids=["n=1", "n=2", "petersen", "K5,5", "K2,5"])
-def test_centroid_bound_values(G, want):
-    # each is stc; on Petersen (lambda 3) and K5,5 (lambda 5) the subset
-    # step closes the gap
-    assert bounds(G)[:2] == (want, want)
+def test_centroid_bound_values(G, lam, want):
+    # the upper bound is stc on each; on Petersen and K5,5 search_k's
+    # subset step refutes every k from lambda up to below it
+    assert bounds(G)[:2] == (lam, want)
+    k, T = search_k(G)
+    assert k == want == congestion_report(G, T).max_congestion
 
 
 def test_meeting_bounds_skip_enumeration_and_dp(monkeypatch):
@@ -169,6 +177,43 @@ def test_dp_runs_per_solve(monkeypatch):
     assert ks == [9] and k == 10 == congestion_report(T.host, T).max_congestion
 
 
+def _loop_and_break_ks(lam: int, ub: int, eps, limit) -> list[int]:
+    """The k a DP search runs when every run refuses, by a scan that stops
+    at the first k where UB <= (1+eps) max(lam, k) certifies the UB tree."""
+    stop = ub if limit is None else min(ub, limit)
+    slack = 1 + (eps or 0)
+    ks = []
+    for k in range(math.ceil(lam / slack), stop):
+        if ub <= slack * max(lam, k):
+            break
+        ks.append(k)
+    return ks
+
+
+def test_dp_k_list_matches_a_loop_with_a_certified_break(monkeypatch):
+    # search_k's list of k above ORACLE_CAP, with the bounds stubbed and
+    # every run refused, against the loop written out above; a refused run
+    # reads only k, so one decomposition serves all and no rounded grid is built
+    g = grid_graph(2, 7)
+    assert g.n > ORACLE_CAP
+    T = _best_bfs_tree(g)[1]
+    ntd = stc.dp.default_nice_decomposition(g)
+    monkeypatch.setattr(stc.dp, "default_nice_decomposition", lambda G: ntd)
+    monkeypatch.setattr(stc.dp, "RoundedArith", lambda k, eps, height: stc.dp.ExactArith(k))
+    ks = _dp_runs(monkeypatch, refute=True)
+    cases = 0
+    for lam in range(1, 13):
+        for ub in range(lam, 16):
+            monkeypatch.setattr(stc.dp, "bounds", lambda G: (lam, ub, T))
+            for eps in (None, Fraction(1, 10), Fraction(1, 9), Fraction(1, 2), 1, 2):
+                for limit in (None, lam, ub - 1):
+                    ks.clear()
+                    search_k(g, limit, None if eps is None else Fraction(eps))
+                    assert ks == _loop_and_break_ks(lam, ub, eps, limit), (lam, ub, eps, limit)
+                    cases += 1
+    assert cases == 114 * 6 * 3
+
+
 def test_no_decomposition_when_the_bounds_meet(monkeypatch):
     def no_decomposition(G):
         raise AssertionError("decomposed although no k was left to run")
@@ -195,7 +240,7 @@ def test_subset_step_answers_where_enumeration_ran_out(monkeypatch):
     lam = lower_bound(g)
     assert (g.n, g.m, lam) == (12, 34, 7)
     assert _swap_search(g, _best_bfs_tree(g, lam)[1], lam)[0] == 9
-    assert _subset_tree(g, range(g.n), range(lam, 8)) is None  # stc > 7
+    assert _first_k(g, *_subset_step(g, range(g.n), lam, 8)) is None  # stc > 7
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated a small graph")
@@ -213,9 +258,8 @@ def test_differential_above_the_cap():
         n = rng.randint(13, 15)
         g = random_connected_graph(rng, n, rng.randint(n + 2, 3 * n // 2))
         lam = lower_bound(g)
-        want, edges = _subset_tree(g, range(g.n), range(lam, 2 * g.m))
-        T = SpanningTree(g, frozenset(edges))
-        assert congestion_report(g, T).max_congestion == want, f"graph #{idx}"
+        want, T, k = _first_k(g, *_subset_step(g, range(g.n), lam, 2 * g.m))
+        assert congestion_report(g, T).max_congestion == want == k, f"graph #{idx}"
         low, ub, _ = bounds(g)
         assert low <= want <= ub, f"graph #{idx}"
         assert solve_stc_tw(g)[0] == want == solve(g)[1], f"graph #{idx}"
@@ -252,7 +296,8 @@ def _brute_subset_tree(G: Graph, verts) -> int | None:
 
 def test_subset_step_on_a_vertex_list_matches_a_brute_force():
     # a proper vertex subset, rooted at a vertex that is mostly not 0, with
-    # every cut measured in the whole graph
+    # every cut measured in the whole graph; the decision hangs every other
+    # vertex from the root, so the edges inside verts are the arrangement
     rng = random.Random(2031)
     trees = refused = 0
     for idx in range(80):
@@ -260,13 +305,17 @@ def test_subset_step_on_a_vertex_list_matches_a_brute_force():
         g = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
         verts = rng.sample(range(n), rng.randint(1, 5))
         want = _brute_subset_tree(g, verts)
-        got = _subset_tree(g, verts, range(2 * g.m))
+        ks, decide = _subset_step(g, verts, 0, 2 * g.m)
+        got = next(((k, found) for k in ks if (found := decide(k)) is not None), None)
         if want is None:
             assert got is None, f"graph #{idx}"
             refused += 1
             continue
-        k, edges = got
-        assert k == want, f"graph #{idx}"
+        k, (all_edges, cap) = got
+        assert k == want == cap, f"graph #{idx}"
+        edges = [e for e in all_edges if e[0] in verts and e[1] in verts]
+        leaves = {edge_key(verts[0], v) for v in range(n) if v not in verts}
+        assert sorted(all_edges) == sorted(edges + list(leaves)), f"graph #{idx}"
         assert len(edges) == len(verts) - 1 and all(g.has_edge(*e) for e in edges)
         parent = {verts[0]: None}
         todo = [verts[0]]
@@ -313,10 +362,16 @@ def _golden_graphs():
 def test_bounds_and_trees_do_not_move():
     # one digest over (lambda, UB, the tree's sorted edges) on 306 graphs:
     # the root scan's order and tie-break and the swap search decide every
-    # tree, and a change to any of them shows here
+    # tree, and a change to any of them shows here.  A graph of at most
+    # ORACLE_CAP vertices enters as (stc, stc, tree) from search_k, which
+    # adds the subset step's trees and values to the digest
     h = hashlib.sha256()
     for g in _golden_graphs():
-        lam, ub, T = bounds(g)
+        if g.n <= ORACLE_CAP:
+            k, T = search_k(g)
+            lam = ub = k
+        else:
+            lam, ub, T = bounds(g)
         h.update(repr((lam, ub, sorted(T.edges))).encode())
     assert h.hexdigest() == "17a82728cc2b49e7051f72da4889787f4fed16d32517a9e561e1b99ccd3257a6"
 
@@ -331,8 +386,8 @@ def test_bounds_validate_two_trees(monkeypatch, G, validated, walks):
     # Every swap also rebuilds the walk: 2 on ubp and grid4, 40 on the
     # ladder.  A SpanningTree per root would validate 24, 62 and 18 trees
     # there.  On Petersen (lambda 3, UB 5) no swap is taken, so the swap
-    # search returns the scan's tree, and the subset step finds no better
-    # one.  Every case starts the swap search above lambda
+    # search returns the scan's tree.  Every case starts the swap search
+    # above lambda
     assert lower_bound(G) < _best_bfs_tree(G)[0]
     calls = {"validate": 0, "walk": 0}
     validate, walk = stc.graph._spanning_walk, stc.graph._tree_order

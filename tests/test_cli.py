@@ -728,14 +728,14 @@ def test_binary_input_exits_two(tmp_path, capsys):
 
 
 def test_internal_value_error_propagates(tmp_path, capsys, monkeypatch):
-    import stc.bounds
+    import stc.dp
 
-    def broken(G, verts, ks):
+    def broken(G, verts, lo, hi):
         raise ValueError("solver fault")
 
     # auto routes suite graph 133, subdivided, to the subset step on its
-    # 7-vertex kernel, since its other bounds do not meet (4 = lambda < 5)
-    monkeypatch.setattr(stc.bounds, "_subset_tree", broken)
+    # 7-vertex kernel, since its bounds do not meet (4 = lambda < 5)
+    monkeypatch.setattr(stc.dp, "_subset_step", broken)
     path = write_gr(tmp_path, subdivided(suite_graphs()[133], 1))
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path])

@@ -1004,7 +1004,7 @@ def test_grouped_joins_decide_gadget_graphs_at_stc():
         if introduces_saved(td, ntd):
             grouped.append(g.n)
             lam, ub, _ = bounds(g)
-            assert lam == ub  # n <= ORACLE_CAP: both are stc
+            assert lam == ub  # the bounds meet on all six, so both are stc
             forest = _run_dp(g, ntd, ExactArith(lam)).forest
             assert congestion_report(g, SpanningTree(g, forest)).max_congestion == lam
             assert _run_dp(g, ntd, ExactArith(lam - 1)).forest is None
@@ -1201,7 +1201,7 @@ def test_approx_never_runs_the_dp_at_or_above_the_bfs_bound(monkeypatch):
         solve_approx_tw(g, eps)
         assert tried[:1] == first
         assert all(k < ub for k in tried)
-    # graphs of at most ORACLE_CAP vertices have lam = UB: no k is run
+    # graphs of at most ORACLE_CAP vertices take the subset step: no DP run
     rng = random.Random(836)
     for _ in range(12):
         n = rng.randrange(4, 9)
@@ -1254,6 +1254,23 @@ def test_driver_rejects_a_forest_over_its_cap(monkeypatch):
     with pytest.raises(AssertionError, match="congestion 15 > 3 at k = 2"):
         solve_approx_tw(g, Fraction(1, 2))
     assert ks == [2]
+
+
+def test_driver_rejects_a_tree_below_a_refused_k(monkeypatch):
+    # the 2x30 ladder: lambda 3 = stc, UB 5.  A run that refuses k = 3 and
+    # then accepts k = 4 with a real forest of congestion 3 refused a k it
+    # should have accepted; the tree is within its cap 4, but not above 3
+    g = grid_graph(2, 30)
+    real = stc.dp._run_dp
+
+    def refuses_three(G, ntd, arith, **kw):
+        if arith.k == 3:
+            return stc.dp.DPRun(None, None)
+        return real(G, ntd, ExactArith(3), **kw)
+
+    monkeypatch.setattr(stc.dp, "_run_dp", refuses_three)
+    with pytest.raises(AssertionError, match="congestion 3 refused at k = 3"):
+        solve_stc_tw(g)
 
 
 def test_approx_returns_the_certified_bound_tree_without_a_run(monkeypatch):

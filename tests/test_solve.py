@@ -242,3 +242,24 @@ def test_every_private_helper_is_used_by_the_library():
               if not any(name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
                          for p, line, name in uses)]
     assert len(helpers) > 70 and not unused
+
+
+def test_one_function_loops_over_k():
+    # every search over k goes through one driver: a for statement whose
+    # target is k, or a tuple holding k, sits in one function of src/stc
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "stc").rglob("*.py"))
+    loops = []
+    for path in files:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            todo = list(func.body)  # the function's own statements, not nested ones'
+            while todo:
+                node = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if isinstance(node, ast.For) and any(
+                        isinstance(t, ast.Name) and t.id == "k" for t in ast.walk(node.target)):
+                    loops.append(f"{path.name}:{func.name}")
+                todo.extend(ast.iter_child_nodes(node))
+    assert loops == ["dp.py:_first_k"]
