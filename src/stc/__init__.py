@@ -2,8 +2,8 @@
 
 Exact solvers (brute force, treewidth DP), parameterized solvers (feedback
 edge set, clique modulator, vertex integrity), a (1+eps)-approximation,
-hardness-instance generators with witness trees, and text formats for
-graphs, tree decompositions and solutions.  `solve` reduces the graph to its
+hardness-instance generators, and text formats for graphs, tree
+decompositions and solutions.  `solve` reduces the graph to its
 feedback-edge kernel, picks a solver from the kernel's structure, runs it
 and re-measures the tree it returns.
 """
@@ -19,7 +19,6 @@ from .errors import (
     DisconnectedGraphError,
     FormatError,
     GraphError,
-    InvalidCertificateError,
     InvalidDecompositionError,
     InvalidSpanningTreeError,
 )
@@ -45,7 +44,6 @@ from .reductions import (
     gen_bsat,
     gen_grid,
     gen_ubp,
-    witness_tree,
 )
 from .route import solve
 from .structural import (
@@ -69,7 +67,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "InstanceBundle",
-    "InvalidCertificateError",
     "InvalidDecompositionError",
     "InvalidSpanningTreeError",
     "NiceTreeDecomposition",
@@ -102,5 +99,4 @@ __all__ = [
     "solve_vi",
     "stc_exact",
     "verify_solution",
-    "witness_tree",
 ]

@@ -50,7 +50,6 @@ from .errors import (
     BudgetExceededError,
     FormatError,
     GraphError,
-    InvalidCertificateError,
     InvalidDecompositionError,
     InvalidSpanningTreeError,
 )
@@ -370,6 +369,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         note = {"width": td.width, "bags": len(td.bags), "output": args.output}
         print(json.dumps(note) if args.json
               else f"width {td.width}, {len(td.bags)} bags; wrote {args.output}")
+    elif args.json:
+        print(json.dumps({"width": td.width, "bags": len(td.bags), "td": text}))
     else:
         sys.stdout.write(text)
     return EXIT_YES
@@ -493,7 +494,6 @@ def _request(argv) -> int:
     except (
         FormatError,
         GraphError,
-        InvalidCertificateError,
         InvalidDecompositionError,
         InvalidSpanningTreeError,
         UsageError,

@@ -1,9 +1,10 @@
 """Tree decompositions: one construction, and the nice form.
 
-`decompose` builds its bags from an elimination order.  Up to n = 12 the
-order has optimal width, found by a DP over vertex subsets (min over the
-last-eliminated vertex of its fill degree); above that it is min-fill with
-min-degree tie-break.
+`decompose` eliminates vertices in min-fill order (min-degree, then id,
+breaking ties) and records each vertex's bag as it goes.  Its width need not
+be optimal: the DP of `stc.dp` decides stc <= k on a decomposition of any
+width w, in (k + w)^O(w) time, and `stc.dp.search_k` decides a graph of at
+most `ORACLE_CAP` vertices by the vertex-subset step, with no decomposition.
 """
 from __future__ import annotations
 
@@ -74,56 +75,21 @@ class NiceTreeDecomposition:
         return out
 
 
-def _reachable_through(adj: list[set[int]], removed: int, v: int) -> set[int]:
-    """Remaining vertices adjacent to v directly or via eliminated ones.
+def decompose(G: Graph) -> TreeDecomposition:
+    """Tree decomposition by min-fill elimination.
 
-    removed is a bitmask of eliminated vertices.
+    Each step eliminates the live vertex with the smallest (fill, degree,
+    id) and makes its live neighbours a clique.  Its bag is the vertex plus
+    those neighbours, and hangs from the bag of the first of them to be
+    eliminated.  G is connected and each step keeps the live graph
+    connected, so every bag but the last has a live neighbour.
     """
-    seen = {v}
-    stack = [v]
-    out: set[int] = set()
-    while stack:
-        x = stack.pop()
-        for u in adj[x]:
-            if u in seen:
-                continue
-            seen.add(u)
-            if removed >> u & 1:
-                stack.append(u)
-            else:
-                out.add(u)
-    return out
-
-
-def _order_to_td(G: Graph, order: list[int]) -> TreeDecomposition:
-    """Bags from an elimination order on the fill graph."""
-    adj = [set(G.neighbors(v)) for v in range(G.n)]
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    parent_of: list[int | None] = []
-    for v in order:
-        later = {u for u in adj[v] if pos[u] > pos[v]}
-        bags.append(frozenset({v} | later))
-        parent_of.append(min(later, key=lambda u: pos[u]) if later else None)
-        for a in later:
-            for b in later:
-                if a < b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-    edges = set()
-    for i, p in enumerate(parent_of):
-        if p is not None:
-            edges.add(tuple(sorted((i, pos[p]))))
-        elif i != len(order) - 1:
-            # isolated tail bags chain onto the last one to keep the tree connected
-            edges.add(tuple(sorted((i, len(order) - 1))))
-    return TreeDecomposition(G.n, tuple(bags), frozenset(edges))
-
-
-def _min_fill_order(G: Graph) -> list[int]:
+    require_connected(G)
     adj = [set(G.neighbors(v)) for v in range(G.n)]
     alive = set(range(G.n))
-    order = []
+    pos = [0] * G.n  # the step that eliminates each vertex
+    bags: list[frozenset[int]] = []
+    later: list[set[int]] = []  # the live neighbours at each step
     while alive:
         best = None
         for v in sorted(alive):
@@ -145,58 +111,11 @@ def _min_fill_order(G: Graph) -> list[int]:
                     adj[a].add(b)
                     adj[b].add(a)
         alive.remove(v)
-        order.append(v)
-    return order
-
-
-def _exact_order(G: Graph) -> list[int]:
-    """Optimal-width elimination order by DP over subsets (n <= 12)."""
-    n = G.n
-    adj = [set(G.neighbors(v)) for v in range(n)]
-    full = (1 << n) - 1
-    INF = n + 1
-
-    fill_deg: dict[tuple[int, int], int] = {}
-
-    def q(removed: int, v: int) -> int:
-        key = (removed, v)
-        if key not in fill_deg:
-            fill_deg[key] = len(_reachable_through(adj, removed, v))
-        return fill_deg[key]
-
-    width = [INF] * (full + 1)
-    choice = [-1] * (full + 1)
-    width[0] = 0
-    for mask in range(1, full + 1):
-        best = INF
-        pick = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            prev = mask ^ (1 << v)
-            if width[prev] >= best:
-                continue
-            cand = max(width[prev], q(prev, v))
-            if cand < best:
-                best = cand
-                pick = v
-        width[mask] = best
-        choice[mask] = pick
-    order: list[int] = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
-    return order
-
-
-def decompose(G: Graph) -> TreeDecomposition:
-    """Tree decomposition: the optimal-width order up to n = 12, min-fill above."""
-    require_connected(G)
-    return _order_to_td(G, _exact_order(G) if G.n <= 12 else _min_fill_order(G))
+        pos[v] = len(bags)
+        bags.append(frozenset({v} | nb))
+        later.append(nb)
+    edges = frozenset((i, min(pos[u] for u in nb)) for i, nb in enumerate(later) if nb)
+    return TreeDecomposition(G.n, tuple(bags), edges)
 
 
 def _bag_tree_adj(td: TreeDecomposition) -> list[list[int]]:

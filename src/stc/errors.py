@@ -31,10 +31,6 @@ class InvalidDecompositionError(ValueError):
     """Tree decomposition fails an axiom or a nice-form rule."""
 
 
-class InvalidCertificateError(ValueError):
-    """Witness certificate does not satisfy its instance."""
-
-
 class BudgetExceededError(RuntimeError):
     """Enumeration budget ran out.
 

@@ -40,8 +40,6 @@ from stc.reductions import (
     gen_bsat,
     gen_grid,
     gen_ubp,
-    witness_tree,
-    witness_tree_weighted,
 )
 from stc.structural import (
     fes_value,
@@ -50,6 +48,7 @@ from stc.structural import (
     solve_fes,
     solve_vi,
 )
+from witness import witness_tree, witness_tree_weighted
 
 DEMO = [[1, -2, 3], [1, 2, -3], [-1, -2, 3], [-1, 2, -3]]
 

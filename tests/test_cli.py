@@ -19,6 +19,7 @@ from conftest import (complete_graph, cycle_graph, grid_graph, path_graph, subdi
                       suite_graphs)
 from stc import formats
 from stc.cli import _ArgError, _parse, _parser, main
+from stc.decomposition import validate_td
 from stc.graph import DoubleWeightedGraph, Graph
 from stc.oracle import stc_exact
 from stc.reductions import gen_grid
@@ -448,6 +449,19 @@ def test_decompose_stdout_parses(tmp_path, capsys):
     code, out, _ = run(capsys, "decompose", path)
     td = formats.parse_td(out)
     assert code == 0 and td.width >= 1
+
+
+def test_decompose_json_carries_the_td_text(tmp_path, capsys):
+    # without -o, --json wraps the .td text the plain command prints
+    G = gen_grid(3)
+    path = write_gr(tmp_path, G)
+    _, text, _ = run(capsys, "decompose", path)
+    code, out, _ = run(capsys, "decompose", path, "--json")
+    doc = json.loads(out)
+    td = formats.parse_td(doc["td"])
+    assert code == 0 and doc["td"] == text
+    assert (doc["width"], doc["bags"]) == (td.width, len(td.bags)) == (3, 9)
+    assert validate_td(G, td) is None
 
 
 def test_reduce_outputs(tmp_path, capsys):

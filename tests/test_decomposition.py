@@ -19,9 +19,6 @@ from stc.decomposition import (
     NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
-    _exact_order,
-    _min_fill_order,
-    _order_to_td,
     decompose,
     make_nice,
     validate_nice,
@@ -86,17 +83,72 @@ def test_exact_matches_bruteforce():
         assert td.width == brute_force_width(G)
 
 
-def test_decompose_takes_the_exact_order_up_to_12_vertices_and_min_fill_above():
-    rng = random.Random(825)
-    differ = set()
-    for n in (6, 9, 12, 12, 13, 13, 14):
-        G = random_connected_graph(rng, n, rng.randint(n, 2 * n))
-        exact = _order_to_td(G, _exact_order(G)).bags
-        min_fill = _order_to_td(G, _min_fill_order(G)).bags
-        assert decompose(G).bags == (exact if n <= 12 else min_fill)
-        if exact != min_fill:
-            differ.add(n <= 12)
-    assert differ == {True, False}  # each side of the switch tells the orders apart
+def _order_to_td(G: Graph, order: list[int]) -> TreeDecomposition:
+    """Bags from an elimination order on the fill graph."""
+    adj = [set(G.neighbors(v)) for v in range(G.n)]
+    pos = {v: i for i, v in enumerate(order)}
+    bags: list[frozenset[int]] = []
+    parent_of: list[int | None] = []
+    for v in order:
+        later = {u for u in adj[v] if pos[u] > pos[v]}
+        bags.append(frozenset({v} | later))
+        parent_of.append(min(later, key=lambda u: pos[u]) if later else None)
+        for a in later:
+            for b in later:
+                if a < b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+    edges = set()
+    for i, p in enumerate(parent_of):
+        if p is not None:
+            edges.add(tuple(sorted((i, pos[p]))))
+        elif i != len(order) - 1:
+            # isolated tail bags chain onto the last one to keep the tree connected
+            edges.add(tuple(sorted((i, len(order) - 1))))
+    return TreeDecomposition(G.n, tuple(bags), frozenset(edges))
+
+
+def _min_fill_order(G: Graph) -> list[int]:
+    adj = [set(G.neighbors(v)) for v in range(G.n)]
+    alive = set(range(G.n))
+    order = []
+    while alive:
+        best = None
+        for v in sorted(alive):
+            nb = adj[v] & alive
+            fill = sum(
+                1
+                for a in nb
+                for b in nb
+                if a < b and b not in adj[a]
+            )
+            key = (fill, len(nb), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        v = best[1]
+        nb = adj[v] & alive
+        for a in nb:
+            for b in nb:
+                if a < b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        alive.remove(v)
+        order.append(v)
+    return order
+
+
+def test_decompose_equals_the_two_pass_min_fill_reference():
+    # the reference above chooses a min-fill order, then replays the
+    # elimination to build the bags; decompose builds them in one pass
+    rng = random.Random(826)
+    graphs = [grid_graph(4), gen_ubp(3, [1, 1, 1]).graph, grid_graph(2, 30)]
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        graphs.append(random_connected_graph(rng, n, rng.randint(n - 1, 3 * n)))
+    for G in graphs:
+        td = decompose(G)
+        assert td == _order_to_td(G, _min_fill_order(G))
+        assert validate_td(G, td) is None
 
 
 def test_heuristic_valid_and_not_crazy():
@@ -104,7 +156,7 @@ def test_heuristic_valid_and_not_crazy():
     for _ in range(10):
         n = rng.randint(4, 16)
         G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
-        td = _order_to_td(G, _min_fill_order(G))
+        td = decompose(G)
         assert validate_td(G, td) is None
         if n <= 7:
             assert td.width >= brute_force_width(G)
@@ -178,7 +230,7 @@ def test_validate_td_agrees_with_a_bag_scan_on_corrupted_decompositions():
     for _ in range(400):
         n = rng.randint(3, 12)
         G = random_connected_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)))
-        td = _order_to_td(G, _min_fill_order(G))
+        td = decompose(G)
         bags, tree = list(td.bags), set(td.tree)
         i = rng.randrange(len(bags))
         kind = rng.randrange(4)
@@ -199,8 +251,8 @@ def test_validate_td_agrees_with_a_bag_scan_on_corrupted_decompositions():
 
 
 def test_make_nice_shape_and_validity():
-    # ten random graphs, which have no grouped joins, then ubp and a
-    # gadget graph, which do
+    # ten random graphs, of which only the fifth has a grouped join, then
+    # ubp and a gadget graph, which have them too
     rng = random.Random(823)
     graphs = []
     for _ in range(10):
@@ -223,7 +275,7 @@ def test_make_nice_shape_and_validity():
             (len(nd.children) - 1) * len(nd.bag) for nd in joins
         )
         saved.append(introduces_saved(td, ntd))
-    assert saved == [0] * 10 + [12, 1]
+    assert saved == [0] * 4 + [1] + [0] * 5 + [12, 2]
 
 
 def test_children_sharing_a_separator_join_there():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stc.errors import GraphError, InvalidCertificateError
+from stc.errors import GraphError
 from stc.graph import (
     DoubleWeightedGraph,
     Graph,
@@ -13,7 +13,6 @@ from stc.graph import (
 )
 from stc.oracle import enumerate_spanning_trees, stc_exact
 from stc.reductions import (
-    _comb_edges,
     expand_double_weighted,
     expand_single_weighted,
     gen_3partition,
@@ -21,9 +20,8 @@ from stc.reductions import (
     gen_grid,
     gen_ubp,
     grid_corners,
-    witness_tree,
-    witness_tree_weighted,
 )
+from witness import InvalidCertificateError, comb_edges, witness_tree, witness_tree_weighted
 
 DEMO = [[1, -2, 3], [1, 2, -3], [-1, -2, 3], [-1, 2, -3]]
 
@@ -49,7 +47,7 @@ def grid_comb_tree(n: int) -> SpanningTree:
     """
     if n != 2 and n % 2 == 0:
         raise GraphError("comb tree needs n = 2 or odd n")
-    return SpanningTree(gen_grid(n), frozenset(_comb_edges(n, 0)))
+    return SpanningTree(gen_grid(n), frozenset(comb_edges(n, 0)))
 
 
 def test_grid_shape():

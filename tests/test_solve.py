@@ -244,6 +244,26 @@ def test_every_private_helper_is_used_by_the_library():
     assert len(helpers) > 70 and not unused
 
 
+def test_every_public_name_has_a_caller():
+    # a name of stc.__all__ or stc.structural.__all__ that no line of
+    # src/stc or bench/*.py names, outside its own definition and the
+    # packages' re-exports, is a library name nothing in the system uses
+    root = Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "stc").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + sorted((root / "bench").glob("*.py"))}
+    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() if path.name != "__init__.py" for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    public = set(stc.__all__) | set(stc.structural.__all__)
+    defs = {node.name: (path, node) for path in src for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in public}
+    assert len(public) > 40 and set(defs) == public
+    unused = sorted(name for name, (path, d) in defs.items()
+                    if not any(n == name and not (p == path and d.lineno <= line <= d.end_lineno)
+                               for p, line, n in uses))
+    assert not unused
+
+
 def test_one_function_loops_over_k():
     # every search over k goes through one driver: a for statement whose
     # target is k, or a tuple holding k, sits in one function of src/stc
