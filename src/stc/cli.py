@@ -26,13 +26,13 @@ restores its prior state on the way out; the library never touches gc.  The
 pause is safe because a request makes no reference cycles.  What it builds
 are acyclic tuples, sets, lists and dicts, and reference counting frees each
 as soon as it dies.  No recursive helper is a closure that calls itself (its
-cell would point back at it), and json's pure-Python encoder, whose closures
-do, runs only where gen and reduce write indented files, and argparse's help
-formatter (its sections point back at it) only where help or a plain usage
-error is printed: a fixed few dozen objects per call, left for the next
-collection.  So a collection inside a request frees nothing and only
-re-scans live objects; on large sparse inputs, skipping those passes makes a
-request about a sixth faster.
+cell would point back at it), so json's pure-Python encoder, whose closures
+do, never runs: every indented document goes through `formats.to_text`.
+Only argparse's help formatter (its sections point back at it) makes a
+cycle, where help or a plain usage error is printed: a fixed few dozen
+objects per call, left for the next collection.  So a collection inside a
+request frees nothing and only re-scans live objects; on large sparse
+inputs, skipping those passes makes a request about a sixth faster.
 """
 from __future__ import annotations
 
@@ -243,12 +243,14 @@ def _jsonable(obj):
 
 
 def _emit_doc(args: argparse.Namespace, doc: dict, summary: str) -> None:
+    """Write a solution document; each form is formatted once, its bulky
+    fields from their Rows."""
     if args.output:
         _write(args.output, formats.solution_to_text(doc))
-        print(json.dumps(doc | {"output": args.output}) if args.json
+        print(formats.to_line(doc | {"output": args.output}) if args.json
               else f"{summary}; wrote {args.output}")
     elif args.json:
-        print(json.dumps(doc))
+        print(formats.to_line(doc))
     else:
         print(formats.solution_to_text(doc), end="")
         sys.stderr.write(summary + "\n")
@@ -269,7 +271,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         doc = formats.build_infeasible(k, alg, stc=got)
         _emit_doc(args, doc, f"stc = {got} > {k} ({alg})")
         return EXIT_NO
-    doc = formats.build_solution(G, tree, alg)
+    doc = formats.solution_document(G, tree, alg)
     summary = f"stc = {got} ({alg})"
     if k is not None:
         doc["target_k"] = k
@@ -282,7 +284,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_approx(args: argparse.Namespace) -> int:
     G = _load_unweighted(args.input, "approx")
     got, tree = solve_approx_tw(G, args.eps)
-    doc = formats.build_solution(G, tree, "approx", certified=False)
+    doc = formats.solution_document(G, tree, "approx", certified=False)
     doc["eps"] = args.eps
     assert doc["k"] == got
     _emit_doc(args, doc, f"congestion {got} within (1+{args.eps}) of optimal")
@@ -352,7 +354,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _write_gen(args: argparse.Namespace, graph: Graph, sidecar: dict) -> int:
     gr_path, json_path = args.output + ".gr", args.output + ".json"
     _write(gr_path, formats.write_gr(graph))
-    _write(json_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write(json_path, formats.to_text(sidecar, sort_keys=True))
     note = {"graph": gr_path, "sidecar": json_path, "n": graph.n, "m": graph.m,
             "k": sidecar["k"]}
     print(json.dumps(note) if args.json else
@@ -388,14 +390,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "fes": fes_value(G),
         "original": {"n": G.n, "m": G.m},
         "kernel": {"n": H.n, "m": H.m},
-        "peeled": [[a + 1, b + 1] for a, b in trace.peeled],
-        "core_vertices": [v + 1 for v in trace.core_vertices],
-        "sections": [
-            [[e[0] + 1, e[1] + 1], [[a + 1, b + 1] for a, b in path]]
-            for e, path in trace.sections
-        ],
+        "peeled": formats.pair_rows(trace.peeled),
+        "core_vertices": formats.id_rows(trace.core_vertices),
+        "sections": formats.section_rows(trace.sections),
     }
-    _write(tr_path, json.dumps(doc, indent=2) + "\n")
+    _write(tr_path, formats.to_text(doc))
     print(json.dumps({"graph": gr_path, "trace": tr_path} | doc["kernel"])
           if args.json else
           f"{trace.kind} reduction: {H.n} vertices, {H.m} edges; wrote {gr_path}, {tr_path}")

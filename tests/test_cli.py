@@ -23,7 +23,7 @@ from stc.decomposition import validate_td
 from stc.graph import DoubleWeightedGraph, Graph
 from stc.oracle import stc_exact
 from stc.reductions import gen_grid
-from stc.structural import solve_fes
+from stc.structural import reduce_graph, solve_fes
 
 
 def write_gr(tmp_path, G, name="g.gr"):
@@ -498,6 +498,38 @@ def test_reduce_files_do_not_move(tmp_path, capsys):
     }
 
 
+def test_trace_and_sidecar_bytes_are_indented_json(tmp_path, capsys):
+    # formats.to_text writes the reduce trace as json.dumps(doc, indent=2)
+    # and the gen sidecar as json.dumps(doc, indent=2, sort_keys=True), plus
+    # a newline; the trace document is built here as the CLI used to build it
+    rng = random.Random(31)
+    hosts = [path_graph(7), cycle_graph(9), gen_grid(3), subdivided(suite_graphs()[133], 1),
+             _subdivided_petersen(rng, 3, 20)[1], _subdivided_petersen(rng, 0, 5)[1]]
+    for i, G in enumerate(hosts):
+        assert run(capsys, "reduce", write_gr(tmp_path, G), "-o", str(tmp_path / f"r{i}"))[0] == 0
+        H, trace = reduce_graph(G)
+        doc = {
+            "kind": trace.kind,
+            "fes": G.m - G.n + 1,
+            "original": {"n": G.n, "m": G.m},
+            "kernel": {"n": H.n, "m": H.m},
+            "peeled": [[a + 1, b + 1] for a, b in trace.peeled],
+            "core_vertices": [v + 1 for v in trace.core_vertices],
+            "sections": [[[e[0] + 1, e[1] + 1], [[a + 1, b + 1] for a, b in path]]
+                         for e, path in trace.sections],
+        }
+        text = (tmp_path / f"r{i}.trace.json").read_text()
+        assert text == json.dumps(doc, indent=2) + "\n", trace.kind
+    kinds = [("grid", "--n", "4"), ("ubp", "--t", "3", "--items", "1,1,1,1,1,1"),
+             ("ubp", "--t", "3", "--items", "1,1,1", "--family", "cliques"),
+             ("3part", "--bin", "12", "--items", ",".join(["4"] * 9)),
+             ("bsat", "--clauses", "1,-2,3;1,2,-3;-1,-2,3;-1,2,-3")]
+    for i, argv in enumerate(kinds):
+        assert run(capsys, "gen", *argv, "-o", str(tmp_path / f"g{i}"))[0] == 0
+        text = (tmp_path / f"g{i}.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", argv
+
+
 def test_reduce_and_solve_long_paths_cycles_and_disconnected_inputs(tmp_path, capsys):
     n = 100_000
     inputs = {
@@ -804,15 +836,13 @@ def test_requests_leave_no_cyclic_garbage(tmp_path, capsys):
                  ("decompose", g4), ("decompose", g4, "-o", td), ("verify", g4, td),
                  ("verify", fes, sol, "--json")]:
         assert _cyclic_garbage(capsys, *argv)[:2] == (0, 0), argv
-    # gen and reduce write their indented JSON with json's pure-Python
-    # encoder, whose closures make a cycle: a fixed few objects per call
-    gens = [_cyclic_garbage(capsys, "gen", "grid", "--n", str(n), "-o", str(tmp_path / "gen"))
-            for n in (3, 12)]
+    # gen and reduce write their indented JSON with formats.to_text, not
+    # with json's pure-Python encoder, whose closures make a cycle
     big = write_gr(tmp_path, _subdivided_petersen(random.Random(1), 40, 2000)[1], "big.gr")
-    reds = [_cyclic_garbage(capsys, "reduce", path, "-o", str(tmp_path / "red"))
-            for path in (g3, big)]
-    assert gens[0][:2] == gens[1][:2] and reds[0][:2] == reds[1][:2]
-    assert gens[0][0] == reds[0][0] == 0
+    for argv in [("gen", "grid", "--n", "3"), ("gen", "grid", "--n", "12"),
+                 ("gen", "ubp", "--t", "3", "--items", "1,1,1,1,1,1"),
+                 ("reduce", g3), ("reduce", big), ("reduce", fes, "--json")]:
+        assert _cyclic_garbage(capsys, *argv, "-o", str(tmp_path / "out"))[:2] == (0, 0), argv
 
 
 def test_main_restores_the_collector_state(tmp_path, capsys):

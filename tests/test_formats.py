@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import chain
 
 import pytest
 
@@ -12,17 +13,21 @@ from stc.cli import main
 from stc.decomposition import TreeDecomposition, decompose, validate_td
 from stc.errors import FormatError
 from stc.formats import (
+    Rows,
     build_infeasible,
     build_solution,
     parse_gr,
     parse_solution,
     parse_td,
+    solution_document,
     solution_to_text,
+    to_line,
+    to_text,
     verify_solution,
     write_gr,
     write_td,
 )
-from stc.graph import DoubleWeightedGraph, Graph
+from stc.graph import DoubleWeightedGraph, Graph, SpanningTree, congestion_report
 from stc.oracle import stc_exact
 
 
@@ -126,7 +131,8 @@ def test_bulk_parse_equals_the_line_loop_on_random_graphs(monkeypatch):
         (lambda t: t.replace("\n", "\r\n"), False),
         (lambda t: t.replace(" ", "\t", 3), False),
         (lambda t: t[:-1], False),
-        (lambda t: re.sub(r"\b([0-9])", r"00\1", t), True),  # leading zeros stay canonical
+        (lambda t: re.sub(r"\b([0-9])", r"00\1", t), False),  # JSON has no leading zeros
+        (lambda t: re.sub(r"^([0-9]+) ([0-9]+)$", r"\2 \1", t, flags=re.M), True),  # v u
     ],
 )
 def test_perturbed_gr_files_parse_to_the_canonical_graph(monkeypatch, variant, bulk):
@@ -184,6 +190,39 @@ def test_gr_error_messages_are_the_line_loops(text, message):
     with pytest.raises(FormatError) as exc:
         parse_gr(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p stc 3 2\n01 2\n2 3\n",  # leading zeros: JSON has none, int() reads them
+        "p stc 03 2\n1 2\n2 3\n",
+        "p stc 3 02\n1 2\n2 3\n",
+        "p stc 3 2\n1 2\n2 003\n",
+        "p stc 3 2\n1 2\n0 3\n",  # a 0 id
+        "p stc 3 2\n1 2\n2 00\n",
+        "p stc 0 0\n",
+        "p stc 3 0\n",
+        "p stc 3 00\n",
+        "p stc 3 1\n1 " + "2" * 5000 + "\n",  # past the digit limit
+        "p stc 3 1\n1 " + "0" * 4999 + "2\n",
+        "p stc 3 1\n1 " + "1" * 4300 + "\n",  # at the limit: out of range
+        "p stc " + "1" * 4301 + " 0\n",
+    ],
+)
+def test_canonical_layout_outside_the_json_form_reads_as_the_line_loop(text):
+    # the whole-text reader takes only [1-9][0-9]* ids, where one JSON
+    # decode gives int()'s values; any other token reads as the line loop
+    # reads it, to the same graph or the same error
+    try:
+        want = formats._parse_gr_lines(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_gr(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_gr(text)
+        assert got == want and list(got.edges) == list(want.edges)
 
 
 def test_td_roundtrip_fixed_point():
@@ -305,8 +344,9 @@ def _indented_reference(doc: dict) -> str:
     return json.dumps(ordered, indent=2) + "\n"
 
 
-def test_solution_text_equals_indented_json_on_random_documents():
-    rng = random.Random(12)
+def _random_documents(rng: random.Random, count: int):
+    """Documents of random fields: edges and per-edge congestion in the
+    shape build_solution gives them, the rest random JSON values."""
     words = ["oracle", "fes", "", "é", "☃ snow", 'q"uote', "back\\slash", "new\nline",
              "tab\t", "\x00", "\U0001f600"]
 
@@ -322,12 +362,11 @@ def test_solution_text_equals_indented_json_on_random_documents():
             return [value(depth + 1) for _ in range(rng.randint(0, 3))]
         return {rng.choice(words): value(depth + 1) for _ in range(rng.randint(0, 3))}
 
-    for _ in range(400):
+    for _ in range(count):
         doc = {}
         keys = ["feasible", "k", "algorithm", "certified", "edges", "per_edge_congestion",
                 "eps", "target_k", "stc", "output", rng.choice(words)]
         rng.shuffle(keys)
-        # edges and per-edge congestion in the shape build_solution gives them
         for key in keys[: rng.randint(1, len(keys))]:
             if key == "edges":
                 m = rng.choice([0, 1, rng.randint(2, 40)])
@@ -340,7 +379,85 @@ def test_solution_text_equals_indented_json_on_random_documents():
                 doc[key] = rng.choice(["0.5", "1", "1e-9", 0.25])
             else:
                 doc[key] = value()
+        yield doc
+
+
+def test_solution_text_equals_indented_json_on_random_documents():
+    for doc in _random_documents(random.Random(12), 400):
         assert solution_to_text(doc) == _indented_reference(doc), doc
+
+
+def _with_rows(doc: dict) -> dict:
+    """doc with its edges and per-edge congestion as Rows of the shape
+    solution_to_text gives them."""
+    out = dict(doc)
+    if "edges" in doc:
+        out["edges"] = Rows("[", ["[%d, %d]"] * len(doc["edges"]),
+                            tuple(chain.from_iterable(doc["edges"])))
+    if "per_edge_congestion" in doc:
+        loads = doc["per_edge_congestion"]
+        out["per_edge_congestion"] = Rows("{", ["%s: %d"] * len(loads), tuple(
+            chain.from_iterable((json.dumps(t), c) for t, c in loads.items())))
+    return out
+
+
+def test_writers_equal_json_dumps_on_random_documents():
+    # one set of templates, both layouts: one line as --json prints it, and
+    # indented, keys in their order or sorted, as the files are written
+    for doc in _random_documents(random.Random(13), 400):
+        rows = _with_rows(doc)
+        assert to_line(rows) == json.dumps(doc), doc
+        assert to_text(rows) == json.dumps(doc, indent=2) + "\n", doc
+        assert to_text(doc, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        nested = {"outer": [rows, {"inner": rows}], "rows": rows}
+        plain = {"outer": [doc, {"inner": doc}], "rows": doc}
+        assert to_text(nested) == json.dumps(plain, indent=2) + "\n"
+
+
+def _bfs_tree(G: Graph) -> SpanningTree:
+    seen, edges, order = {0}, [], [0]
+    for v in order:
+        for u in sorted(G.neighbors(v)):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                edges.append((min(u, v), max(u, v)))
+    return SpanningTree(G, frozenset(edges))
+
+
+def test_built_documents_equal_json_dumps():
+    # solution_document's Rows, filled from the report, against json.dumps
+    # of the document built field by field, with the fields the CLI adds
+    rng = random.Random(14)
+    for trial in range(120):
+        n = rng.randint(1, 40)
+        G = Graph(1, frozenset())
+        if n > 1:
+            G = random_connected_graph(rng, n, rng.randint(n - 1, 2 * n))
+        T = _bfs_tree(G)
+        host = G
+        if trial % 3 == 0:  # weighted loads
+            host = DoubleWeightedGraph(G, {e: rng.randint(1, 9) for e in G.edges},
+                                       {e: rng.randint(1, 9) for e in G.edges})
+        rep = congestion_report(host, T)
+        alg, certified = rng.choice(["fes", "dp", "approx", 'q"uote']), rng.random() < 0.5
+        plain = {
+            "feasible": True, "k": rep.max_congestion, "algorithm": alg, "certified": certified,
+            "edges": [[u + 1, v + 1] for u, v in sorted(rep.per_edge)],
+            "per_edge_congestion": {f"{u + 1}-{v + 1}": rep.per_edge[(u, v)]
+                                    for u, v in sorted(rep.per_edge)},
+        }
+        extra = rng.choice([{}, {"target_k": rng.randint(1, 9)}, {"eps": rng.choice(["0.5", "1"])},
+                            {"target_k": 3, "output": "sol.json"},
+                            {"eps": "1", "output": "é.json"}])
+        doc = solution_document(host, T, alg, certified) | extra
+        assert build_solution(host, T, alg, certified) == plain
+        assert to_line(doc) == json.dumps(plain | extra)
+        assert solution_to_text(doc) == to_text(doc) == json.dumps(plain | extra, indent=2) + "\n"
+    for k, stc in ((1, 2), (3, 10**6)):
+        doc = build_infeasible(k, "dp", stc=stc)
+        assert to_line(doc) == json.dumps(doc)
+        assert solution_to_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_solution_text_of_a_built_solution():
@@ -412,3 +529,31 @@ def test_eval_and_verify_report_non_integer_values_without_a_traceback(tmp_path,
         assert json.loads(out.out)["files"][1] == {"path": str(sol), "problem": problem}
         assert out.err == ""
 
+
+
+def test_eval_refuses_per_edge_values_that_only_compare_equal(tmp_path, capsys):
+    # 3.0 == 3 and true == 1 in Python, but a load is an int
+    G = Graph.from_edges(10, list(grid_graph(3).edges) + [(8, 9)])  # 9-10 carries 1
+    path = tmp_path / "g.gr"
+    path.write_text(write_gr(G))
+    sol = build_solution(G, stc_exact(G)[1], "oracle")
+    text = solution_to_text(sol)
+    tags = sorted(sol["per_edge_congestion"])
+    ones = [t for t in tags if sol["per_edge_congestion"][t] == 1]
+    wide = next(t for t in tags if sol["per_edge_congestion"][t] > 1)
+    assert ones
+    cases = [
+        (f'"{wide}": {sol["per_edge_congestion"][wide]}',
+         f'"{wide}": {sol["per_edge_congestion"][wide]}.0', wide),
+        (f'"{ones[0]}": 1', f'"{ones[0]}": true', ones[0]),
+    ]
+    for old, new, tag in cases:
+        assert text.count(old) == 1
+        doc = parse_solution(text.replace(old, new))
+        problem = f"per-edge congestion mismatch near {tag}"
+        assert verify_solution(G, doc) == problem
+        sol_path = tmp_path / "sol.json"
+        sol_path.write_text(text.replace(old, new))
+        assert main(["eval", str(path), "--tree", str(sol_path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"ok": False, "problem": problem}
+    assert verify_solution(G, parse_solution(text)) is None
